@@ -15,6 +15,7 @@ order, and trace histograms stream the cells without materializing them.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -65,7 +66,8 @@ def q_binom(n: int, r: int, q: int) -> int:
         raise ValueError(f"q-binomial needs 0 <= r <= n, got n={n}, r={r}")
     num = math.prod(q ** (n - j) - 1 for j in range(r))
     den = math.prod(q ** (r - j) - 1 for j in range(r))
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"q-binomial ({n} {r})_{q} is not integral")
     return num // den
 
 
@@ -133,7 +135,7 @@ def alternating_count_bruteforce(r: int, field: Field, budget: int = DEFAULT_BUD
     total = field.q ** (r * (r - 1) // 2)
     if total > budget:
         raise BudgetError(f"{total} alternating matrices exceeds budget {budget}")
-    return sum(1 for a in _alternating_iter(field, r) if is_invertible(field, a))
+    return sum(1 for a in _triangle_iter(field, r, diagonal=False) if is_invertible(field, a))
 
 
 @dataclass(frozen=True)
@@ -264,20 +266,13 @@ def sigma_r(n: int, r: int, family: str = ORTHOGONAL) -> Mat:
 # parabolic subgroup enumeration
 
 
-def _alternating_iter(field: Field, n: int) -> Iterator[Mat]:
-    """All alternating n x n matrices, lexicographic in the strict upper triangle."""
-    idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for vals in product(range(field.q), repeat=len(idx)):
-        m = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(idx, vals):
-            m[i][j] = v
-            m[j][i] = v
-        yield tuple(tuple(row) for row in m)
+def _triangle_iter(field: Field, n: int, diagonal: bool) -> Iterator[Mat]:
+    """All symmetric n x n matrices, lexicographic in the upper triangle.
 
-
-def _symmetric_iter(field: Field, n: int) -> Iterator[Mat]:
-    """All symmetric n x n matrices, lexicographic in the upper triangle."""
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    With diagonal=False the diagonal stays zero, which over GF(2^r) gives
+    exactly the alternating matrices.
+    """
+    idx = [(i, j) for i in range(n) for j in range(i if diagonal else i + 1, n)]
     for vals in product(range(field.q), repeat=len(idx)):
         m = [[0] * n for _ in range(n)]
         for (i, j), v in zip(idx, vals):
@@ -307,7 +302,7 @@ def enumerate_parabolic(
         for a in gl_iter(field, n):
             ait = transpose(mat_inv(field, a))
             middle = tuple(zero_n + row + (0,) for row in ait)
-            for alt in _alternating_iter(field, n):
+            for alt in _triangle_iter(field, n, diagonal=False):
                 for h in product(range(q), repeat=n):
                     b = tuple(
                         tuple(alt[i][j] ^ mul(h[i], h[j]) for j in range(n)) for i in range(n)
@@ -322,7 +317,7 @@ def enumerate_parabolic(
         for a in gl_iter(field, n):
             ait = transpose(mat_inv(field, a))
             lower = tuple(zero_n + row for row in ait)
-            for b in _symmetric_iter(field, n):
+            for b in _triangle_iter(field, n, diagonal=True):
                 ab = mat_mul(field, a, b)
                 yield tuple(a[i] + ab[i] for i in range(n)) + lower
 
@@ -503,8 +498,9 @@ def dc_trace_histogram(
     Returns a dense map beta -> count over all field elements.  The cell is
     never materialized: for each transversal element x the products
     p * sigma_r * x contribute only their traces.  With workers > 1 the
-    transversal is partitioned across processes; the merged result is
-    bit-identical for every worker count.
+    transversal is partitioned across processes, at most one per CPU and per
+    transversal element; the merged result is bit-identical for every worker
+    count.
     """
     _check_family(family)
     q = field.q
@@ -534,6 +530,7 @@ def dc_trace_histogram(
         m_payloads = [tuple(x for col in zip(*m) for x in col) for m in ms]
         chunk_fn, args = _count_chunk_general, (q, field.mul_table(), p_sparse)
 
+    workers = min(workers, os.cpu_count() or 1, len(m_payloads))
     if workers <= 1:
         parts = [chunk_fn(*args, m_payloads)]
     else:

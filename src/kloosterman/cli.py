@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from .classical import (
     FAMILIES,
     ORTHOGONAL,
     BudgetError,
+    cell_order,
     dc_trace_histogram,
 )
 from .dcsum import closed_histogram
@@ -81,33 +84,44 @@ def _cache_path(cache_dir: str, family: str, n: int, r: int, q: int, modulus: in
     return Path(cache_dir) / f"hist_{family}_n{n}_r{r}_q{q}_m{modulus:x}.json"
 
 
+def _cache_key(family: str, n: int, r: int, q: int, modulus: int) -> dict[str, str]:
+    """The fields an entry must carry to be trusted for these parameters."""
+    return {"family": family, "n": str(n), "r": str(r), "q": str(q), "modulus": str(modulus)}
+
+
 def _cache_load(path: Path, family: str, n: int, r: int, q: int, modulus: int) -> dict[int, int] | None:
     if not path.is_file():
         return None
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    expected = {"family": family, "n": str(n), "r": str(r), "q": str(q), "modulus": str(modulus)}
-    if any(str(data.get(key)) != value for key, value in expected.items()):
-        return None  # stale or foreign entry: recompute
-    return {int(beta): int(count) for beta, count in data["histogram"].items()}
+        if any(str(data.get(k)) != v for k, v in _cache_key(family, n, r, q, modulus).items()):
+            return None  # stale or foreign entry: recompute
+        hist = {int(beta): int(count) for beta, count in data["histogram"].items()}
+    except (OSError, ValueError, KeyError, AttributeError, TypeError) as exc:
+        problem = f"unreadable ({type(exc).__name__}: {exc})"
+    else:
+        total, size = sum(hist.values()), cell_order(n, r, q)
+        if total == size:
+            return hist
+        problem = f"histogram total {total} != cell size {size}"
+    print(f"warning: ignoring cache entry {path}: {problem}; recomputing", file=sys.stderr)
+    return None
 
 
 def _cache_store(path: Path, family: str, n: int, r: int, q: int, modulus: int, hist: dict[int, int]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {
-        "family": family,
-        "n": str(n),
-        "r": str(r),
-        "q": str(q),
-        "modulus": str(modulus),
-        "histogram": {str(beta): str(count) for beta, count in sorted(hist.items())},
-    }
-    # write-then-rename keeps concurrent readers from seeing a torn entry
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, indent=2))
-    tmp.replace(path)
+    entry = _cache_key(family, n, r, q, modulus)
+    entry["histogram"] = {str(beta): str(count) for beta, count in sorted(hist.items())}
+    # write-then-rename keeps concurrent readers from seeing a torn entry; a
+    # unique temp name keeps concurrent writers from sharing one
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write(json.dumps(entry, indent=2))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ----------------------------------------------------------------------------
@@ -176,6 +190,8 @@ def cmd_histogram(args) -> int:
     n, r, family = args.n, args.r_coset, args.family
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r-coset <= n, got n={n}, r={r}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     closed_available = n % 2 == 1 and r == n - 1
 
     source = None

@@ -99,37 +99,33 @@ def trace_count(n: int, field: Field, beta: int, family: str = ORTHOGONAL) -> in
     _check_odd(n)
     q = field.q
     consts = cell_constants(n, field)
-    assert consts.size % q == 0 and consts.scale % q == 0
+    if consts.size % q or consts.scale % q:
+        raise ArithmeticError(f"cell factors at (n={n}, q={q}) are not multiples of q")
     base = consts.size // q
-    if family == ORTHOGONAL:
-        if beta == 1:
-            bump = 1
-        elif field.trace(field.inv(beta ^ 1)) == 0:
-            bump = q + 1
-        else:
-            bump = -q + 1
+    # the orthogonal histogram is the symplectic one shifted by the trace of iota
+    gamma = beta ^ 1 if family == ORTHOGONAL else beta
+    if gamma == 0:
+        bump = 1
+    elif field.trace(field.inv(gamma)) == 0:
+        bump = q + 1
     else:
-        if beta == 0:
-            bump = 1
-        elif field.trace(field.inv(beta)) == 0:
-            bump = q + 1
-        else:
-            bump = -q + 1
+        bump = -q + 1
     return base + (consts.scale // q) * bump
 
 
 def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int, int]:
     """Dense trace histogram of the distinguished cell from the closed forms.
 
-    Asserts the two structural facts downstream code relies on: the counts
+    Checks the two structural facts downstream code relies on: the counts
     sum to the cell size, and the field-weighted sum of traces vanishes.
     """
     hist = {beta: trace_count(n, field, beta, family) for beta in field.elements()}
-    consts = cell_constants(n, field)
-    assert sum(hist.values()) == consts.size
+    if sum(hist.values()) != cell_constants(n, field).size:
+        raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) misses the cell size")
     weighted = 0
     for beta, count in hist.items():
         if count & 1:
             weighted ^= beta
-    assert weighted == 0
+    if weighted:
+        raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) has nonzero trace sum")
     return hist

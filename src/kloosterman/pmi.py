@@ -2,7 +2,9 @@
 recursion producing trace-one Kloosterman moments from code weight data.
 
 Everything is computed in exact rational arithmetic; any result that fails to
-clear its denominator is a hard error, never a rounding event.
+clear its denominator is a hard error, never a rounding event.  One kernel,
+_stirling_side, evaluates the Stirling/binomial double sum that every
+identity here shares; each caller only scales it.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ORTHOGONAL, SYMPLECTIC
-from .dcsum import cell_constants
+from .dcsum import CellConstants, cell_constants
 from .gf2r import Field
 from .ksum import moments
 from .wcode import weight_prefix_closed
 
-_T1K_MEMO: dict[tuple[int, int, int, int], int] = {}
+# (n, r, modulus, h) -> (T1K^h by the recursion, the D_j prefix it used)
+_T1K_MEMO: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
 
 def stirling2(h: int, t: int) -> int:
@@ -27,16 +30,39 @@ def stirling2(h: int, t: int) -> int:
     if t > h:
         return 0
     total = sum((-1) ** (t - j) * math.comb(t, j) * j**h for j in range(t + 1))
-    ft = math.factorial(t)
-    assert total % ft == 0
-    return total // ft
+    return _integral(Fraction(total, math.factorial(t)), f"S({h},{t})")
 
 
-def _comb0(n: int, k: int) -> int:
-    """Binomial coefficient with the out-of-range-is-zero convention."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
+def _integral(value: Fraction, what: str) -> int:
+    """value as an int; a nonzero remainder means a broken identity or input."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"non-integral {what}: {value}")
+    return value.numerator
+
+
+def _stirling_side(length: int, prefix: list[int], h: int) -> Fraction:
+    """Sum over j of (-1)^j prefix[j] times the sum over t of
+    t! S(h,t) 2^(-t) C(length-j, t-j), with j <= t <= min(h, length).
+
+    t! S(h,t), the number of maps from h points onto t, is formed directly
+    as its alternating sum, so nothing divides until the single power of two
+    at the end.
+    """
+    tmax = min(h, length)
+    powers = [i**h for i in range(tmax + 1)]
+    onto = [
+        sum((-1) ** (t - i) * math.comb(t, i) * powers[i] for i in range(t + 1))
+        for t in range(tmax + 1)
+    ]
+    total = sum(
+        (-1) ** j
+        * prefix[j]
+        * sum(
+            (onto[t] * math.comb(length - j, t - j)) << (tmax - t) for t in range(j, tmax + 1)
+        )
+        for j in range(tmax + 1)
+    )
+    return Fraction(total, 1 << tmax)
 
 
 def pless_check(
@@ -53,15 +79,8 @@ def pless_check(
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
     lhs = sum(w**h for w in dual_weights)
-    rhs = Fraction(0)
-    for j in range(jcap + 1):
-        inner = sum(
-            math.factorial(t) * stirling2(h, t) * Fraction(2) ** (dim - t) * _comb0(length - j, t - j)
-            for t in range(j, h + 1)
-        )
-        rhs += (-1) ** j * prefix[j] * inner
-    assert rhs.denominator == 1
-    return lhs, int(rhs)
+    rhs = Fraction(2) ** dim * _stirling_side(length, prefix, h)
+    return lhs, _integral(rhs, f"Pless side at (length={length}, dim={dim}, h={h})")
 
 
 def _check_recursion_range(n: int, field: Field) -> None:
@@ -81,33 +100,22 @@ def _difference_prefix(n: int, field: Field, jmax: int) -> list[int]:
     return [a - b for a, b in zip(cj, cj_hat)]
 
 
-def _t1k_value(n: int, field: Field, h: int) -> int:
+def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
+    """T1K^h by the recursion, with the D_j prefix it was computed from."""
     key = (n, field.r, field.modulus, h)
     cached = _T1K_MEMO.get(key)
     if cached is not None:
         return cached
     consts = cell_constants(n, field)
-    scale, cofactor, size = consts.scale, consts.cofactor, consts.size
-    jcap = min(size, h)
-    d = _difference_prefix(n, field, jcap)
-
+    d = _difference_prefix(n, field, min(consts.size, h))
     first = sum(
-        math.comb(h, l) * cofactor ** (h - l) * _t1k_value(n, field, l)
+        math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)[0]
         for l in range(1, h - 1, 2)
     )
-    double_sum = Fraction(0)
-    for j in range(jcap + 1):
-        inner = sum(
-            math.factorial(t)
-            * stirling2(h, t)
-            * Fraction(2) ** (h - t - 1)
-            * _comb0(size - j, t - j)
-            for t in range(j, h + 1)
-        )
-        double_sum += (-1) ** j * d[j] * inner
-    value = -first + Fraction(field.q, scale**h) * double_sum
-    assert value.denominator == 1, f"non-integral recursion value at (n={n}, q={field.q}, h={h})"
-    result = int(value)
+    value = -first + Fraction(field.q * 2 ** (h - 1), consts.scale**h) * _stirling_side(
+        consts.size, d, h
+    )
+    result = (_integral(value, f"recursion value at (n={n}, q={field.q}, h={h})"), tuple(d))
     _T1K_MEMO[key] = result
     return result
 
@@ -135,9 +143,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     _check_recursion_range(n, field)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"the recursion needs odd h >= 1, got h={h}")
-    value = _t1k_value(n, field, h)
-    size = cell_constants(n, field).size
-    d = tuple(_difference_prefix(n, field, min(size, h)))
+    value, d = _t1k_value(n, field, h)
     direct = moments(field, h).t1k if compare else None
     return RecursionReport(
         n=n,
@@ -150,55 +156,36 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     )
 
 
-def full_moment_identity(n: int, field: Field, h: int) -> tuple[int, int]:
-    """Both sides of the identity tying binomial-weighted full moments MK^l
-    to the symplectic cell's weight prefix; exact equality is the contract."""
+def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fraction]:
+    """The symplectic weight-prefix side of the full-moment identity."""
     _check_recursion_range(n, field)
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
-    scale, cofactor, size = consts.scale, consts.cofactor, consts.size
-    lhs = Fraction(scale**h, 2**h) * sum(
+    prefix_hat = weight_prefix_closed(n, field, min(consts.size, h), SYMPLECTIC)
+    return consts, field.q * _stirling_side(consts.size, prefix_hat, h)
+
+
+def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:
+    """Sum over l <= lmax of (-1)^l C(h,l) cofactor^(h-l) MK^l."""
+    return sum(
         (-1) ** l * math.comb(h, l) * cofactor ** (h - l) * moments(field, l).mk
-        for l in range(h + 1)
+        for l in range(lmax + 1)
     )
-    jcap = min(size, h)
-    prefix_hat = weight_prefix_closed(n, field, jcap, SYMPLECTIC)
-    rhs = field.q * sum(
-        (-1) ** j
-        * prefix_hat[j]
-        * sum(
-            math.factorial(t) * stirling2(h, t) * Fraction(2) ** (-t) * _comb0(size - j, t - j)
-            for t in range(j, h + 1)
-        )
-        for j in range(jcap + 1)
-    )
-    assert lhs.denominator == 1 and rhs.denominator == 1
-    return int(lhs), int(rhs)
+
+
+def full_moment_identity(n: int, field: Field, h: int) -> tuple[int, int]:
+    """Both sides of the identity tying binomial-weighted full moments MK^l
+    to the symplectic cell's weight prefix; exact equality is the contract."""
+    consts, rhs = _full_moment_rhs(n, field, h)
+    lhs = Fraction(consts.scale**h, 2**h) * _binomial_moments(field, consts.cofactor, h, h)
+    where = f"at (n={n}, q={field.q}, h={h})"
+    return _integral(lhs, f"moment side {where}"), _integral(rhs, f"prefix side {where}")
 
 
 def mk_via_identity(n: int, field: Field, h: int) -> int:
     """Solve the full-moment identity for MK^h given the lower direct moments."""
-    _check_recursion_range(n, field)
-    if h < 1:
-        raise ValueError(f"need h >= 1, got h={h}")
-    consts = cell_constants(n, field)
-    scale, cofactor, size = consts.scale, consts.cofactor, consts.size
-    jcap = min(size, h)
-    prefix_hat = weight_prefix_closed(n, field, jcap, SYMPLECTIC)
-    rhs = field.q * sum(
-        (-1) ** j
-        * prefix_hat[j]
-        * sum(
-            math.factorial(t) * stirling2(h, t) * Fraction(2) ** (-t) * _comb0(size - j, t - j)
-            for t in range(j, h + 1)
-        )
-        for j in range(jcap + 1)
-    )
-    lower = sum(
-        (-1) ** l * math.comb(h, l) * cofactor ** (h - l) * moments(field, l).mk
-        for l in range(h)
-    )
-    value = (-1) ** h * (rhs * Fraction(2**h, scale**h) - lower)
-    assert value.denominator == 1, f"non-integral moment at (n={n}, q={field.q}, h={h})"
-    return int(value)
+    consts, rhs = _full_moment_rhs(n, field, h)
+    lower = _binomial_moments(field, consts.cofactor, h, h - 1)
+    value = (-1) ** h * (rhs * Fraction(2**h, consts.scale**h) - lower)
+    return _integral(value, f"moment at (n={n}, q={field.q}, h={h})")

@@ -148,9 +148,7 @@ def suite_kloosterman(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             for b in f.elements()
         )
         _check(results, f"twisted-sum-identity-r{r}", True, ok)
-        ok = all(
-            moments(f, h).mk == moments(f, h).t0k + moments(f, h).t1k for h in range(11)
-        )
+        ok = all(m.mk == m.t0k + m.t1k for m in (moments(f, h) for h in range(11)))
         _check(results, f"moment-partition-r{r}", True, ok)
     for t, r in ((2, 1), (2, 2), (3, 1)):
         f = Field(r)
@@ -285,7 +283,7 @@ def suite_expsum(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         _check(results, f"all-traces-hit-n{n}-q{f.q}", True, ok)
     for f in (Field(1), Field(2), Field(3), Field(4)):
         for family in (ORTHOGONAL, SYMPLECTIC):
-            hist = closed_histogram(1, f, family)  # asserts totals and weighted sum
+            hist = closed_histogram(1, f, family)  # checks totals and weighted sum
             _check(
                 results,
                 f"closed-histogram-total-{family}-q{f.q}",

@@ -35,7 +35,8 @@ def dual_weight(n: int, field: Field, a: int) -> int:
         return 0
     consts = cell_constants(n, field)
     value = consts.scale * (consts.cofactor - field.lam(a) * kloosterman(field, a))
-    assert value % 2 == 0
+    if value % 2:
+        raise ArithmeticError(f"odd doubled dual weight {value} at (n={n}, q={field.q}, a={a})")
     return value // 2
 
 
@@ -121,13 +122,7 @@ def code_bruteforce_wd(n: int, field: Field) -> dict[int, int]:
 
 def dual_enumerate(n: int, field: Field) -> list[tuple[int, int]]:
     """(a, closed-form weight) for every a, the zero codeword included."""
-    consts = cell_constants(n, field)
-    out = [(0, 0)]
-    for a in field.units():
-        value = consts.scale * (consts.cofactor - field.lam(a) * kloosterman(field, a))
-        assert value % 2 == 0
-        out.append((a, value // 2))
-    return out
+    return [(0, 0)] + [(a, dual_weight(n, field, a)) for a in field.units()]
 
 
 # ----------------------------------------------------------------------------

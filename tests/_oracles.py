@@ -56,3 +56,9 @@ def theta_isometries(field: Field, n: int) -> set[Mat]:
 
     extend([])
     return found
+
+
+def kloosterman_direct(field: Field, a: int, c: int) -> int:
+    """The sum of lambda(c * (x + a/x)) over nonzero x, straight from the definition."""
+    mul, inv, lam = field.mul, field.inv, field.lam
+    return sum(lam(mul(c, x ^ mul(a, inv(x)))) for x in field.units())

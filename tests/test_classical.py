@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from itertools import product
 
 import pytest
@@ -260,6 +261,33 @@ def test_histogram_workers_bit_identical(f2, f4):
         base = dc_trace_histogram(n, r, f)
         for workers in (2, 3):
             assert dc_trace_histogram(n, r, f, workers=workers) == base
+
+
+@pytest.mark.parametrize("cpus,pools", [(64, [6]), (2, [2]), (None, [])])
+def test_histogram_worker_count_is_clamped(f2, monkeypatch, cpus, pools):
+    # (2, 1, q=2) has a 6-element transversal; no real pool is started
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    base = dc_trace_histogram(2, 1, f2)
+    monkeypatch.setattr(cl, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.os, "cpu_count", lambda: cpus)
+    assert dc_trace_histogram(2, 1, f2, workers=10**6) == base
+    assert seen == pools
 
 
 def test_histogram_budget_errors(f2, f4):

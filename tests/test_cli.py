@@ -1,8 +1,24 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from kloosterman import cli
+from kloosterman.classical import ORTHOGONAL, dc_trace_histogram
 from kloosterman.cli import main
+from kloosterman.gf2r import Field
+
+# checks each verify suite runs; `verify all` runs their sum, 256
+SUITE_CHECKS = {
+    "field": 28,
+    "kloosterman": 50,
+    "groups": 34,
+    "expsum": 46,
+    "codes": 24,
+    "pless": 34,
+    "thma": 40,
+}
 
 
 def run(capsys, *argv):
@@ -16,11 +32,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def test_verify_field_passes(capsys):
-    code, report, _ = run_json(capsys, "verify", "field")
+@pytest.mark.parametrize("suite", SUITE_CHECKS)
+def test_verify_suite_passes(capsys, suite):
+    code, report, _ = run_json(capsys, "verify", suite)
     assert code == 0
     assert report["verdicts"]["all_checks"] == "pass"
-    assert int(report["verdicts"]["checks_run"]) > 0
+    assert report["verdicts"]["failures"] == "0"
+    assert report["verdicts"]["checks_run"] == str(SUITE_CHECKS[suite])
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -119,6 +137,72 @@ def test_histogram_cache_invalidated_on_modulus_mismatch(tmp_path, capsys):
     code, report, _ = run_json(capsys, *args)
     assert code == 0
     assert report["results"]["source"] == "enumeration"  # stale entry was not trusted
+
+
+def _wrong_total(entry):
+    entry["histogram"]["1"] = str(int(entry["histogram"]["1"]) + 1)
+    return json.dumps(entry)
+
+
+def _bad_count(entry):
+    entry["histogram"]["1"] = "x"
+    return json.dumps(entry)
+
+
+@pytest.mark.parametrize(
+    "corrupt,reason",
+    [
+        (_wrong_total, "!= cell size 56"),
+        (_bad_count, "ValueError"),
+        (lambda entry: json.dumps([entry]), "AttributeError"),
+        (lambda entry: "{", "JSONDecodeError"),
+    ],
+    ids=["wrong-total", "bad-count", "not-an-object", "truncated"],
+)
+def test_histogram_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt, reason):
+    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
+    _, first, _ = run_json(capsys, *args)
+    [cache_file] = tmp_path.glob("hist_*.json")
+    cache_file.write_text(corrupt(json.loads(cache_file.read_text())))
+    code, report, err = run_json(capsys, *args)
+    assert code == 0
+    assert report["results"]["source"] == "enumeration"
+    assert report["results"]["histogram"] == first["results"]["histogram"]
+    assert "ignoring cache entry" in err and reason in err
+    # the recomputed histogram replaced the corrupt entry
+    assert json.loads(cache_file.read_text())["histogram"] == first["results"]["histogram"]
+
+
+def test_cache_store_concurrent_writers(tmp_path):
+    f8 = Field(3)
+    hist = dc_trace_histogram(1, 0, f8)
+    key = (ORTHOGONAL, 1, 0, f8.q, f8.modulus)
+    path = cli._cache_path(str(tmp_path), *key)
+
+    def write_many():
+        for _ in range(25):
+            cli._cache_store(path, *key, hist)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(write_many) for _ in range(8)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert cli._cache_load(path, *key) == hist
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_histogram_rejects_nonpositive_workers(capsys, workers):
+    code, _, err = run(
+        capsys, "histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--workers", workers
+    )
+    assert code == 2
+    assert "--workers must be at least 1" in err
 
 
 def test_histogram_workers_flag(capsys):

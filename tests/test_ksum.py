@@ -12,6 +12,8 @@ from kloosterman.ksum import (
     twisted_sum,
 )
 
+from _oracles import kloosterman_direct
+
 
 def test_kloosterman_values(f2, f4, f8):
     assert kloosterman(f2, 1) == 1
@@ -26,6 +28,15 @@ def test_kloosterman_rejects_zero(f4):
         kloosterman(f4, 0)
     with pytest.raises(ValueError):
         kloosterman(f4, 1, 0)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_twisted_kloosterman_matches_definition(r):
+    # kloosterman(f, a, c) reads K(c^2 a) from the table; the oracle sums directly
+    f = Field(r)
+    for c in f.units():
+        for a in f.units():
+            assert kloosterman(f, a, c) == kloosterman_direct(f, a, c)
 
 
 @pytest.mark.parametrize("r", range(1, 7))

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kloosterman
 
 from kloosterman.dcsum import cell_constants
 from kloosterman.gf2r import Field
@@ -62,6 +68,20 @@ def test_pless_on_bruteforced_length12_code(h, f4):
     prefix = [wd.get(j, 0) for j in range(13)]
     lhs, rhs = pless_check(12, 1, [0, 4], prefix, h)
     assert lhs == rhs
+
+
+def test_pless_nonintegral_side_raises_even_under_optimize():
+    # the Stirling side is -1/2 here; it must never be truncated to an int
+    with pytest.raises(ArithmeticError):
+        pless_check(1, 0, [0], [0, 1], 1)
+    src = str(Path(kloosterman.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from kloosterman.pmi import pless_check; print(pless_check(1, 0, [0], [0, 1], 1))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr
 
 
 def test_pless_needs_enough_prefix(f8):
