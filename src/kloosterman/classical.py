@@ -378,7 +378,7 @@ def coset_transversal(
     a_count = sum(1 for w in p_elements if all(w[i][j] == 0 for i, j in positions))
     expected_a = stabilizer_order(n, r, q)
     if a_count != expected_a:
-        raise AssertionError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")
+        raise ArithmeticError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")
 
     kept: list[Mat] = []
     mul = field.mul
@@ -404,7 +404,7 @@ def coset_transversal(
 
     expected_t = transversal_size(n, r, q)
     if len(kept) != expected_t:
-        raise AssertionError(
+        raise ArithmeticError(
             f"transversal size mismatch: sifted {len(kept)}, formula {expected_t}"
         )
     return CosetData(
@@ -485,6 +485,11 @@ def _merge_counts(parts, q: int) -> dict[int, int]:
     return out
 
 
+def worker_count(requested: int, cosets: int) -> int:
+    """Processes dc_trace_histogram uses: at most one per CPU and per coset representative."""
+    return min(requested, os.cpu_count() or 1, cosets)
+
+
 def dc_trace_histogram(
     n: int,
     r: int,
@@ -530,7 +535,7 @@ def dc_trace_histogram(
         m_payloads = [tuple(x for col in zip(*m) for x in col) for m in ms]
         chunk_fn, args = _count_chunk_general, (q, field.mul_table(), p_sparse)
 
-    workers = min(workers, os.cpu_count() or 1, len(m_payloads))
+    workers = worker_count(workers, len(m_payloads))
     if workers <= 1:
         parts = [chunk_fn(*args, m_payloads)]
     else:
@@ -541,5 +546,5 @@ def dc_trace_histogram(
     hist = _merge_counts(parts, q)
     total = sum(hist.values())
     if total != size:
-        raise AssertionError(f"histogram total {total} != cell size {size}")
+        raise ArithmeticError(f"histogram total {total} != cell size {size}")
     return hist

@@ -24,6 +24,8 @@ from .classical import (
     BudgetError,
     cell_order,
     dc_trace_histogram,
+    transversal_size,
+    worker_count,
 )
 from .dcsum import closed_histogram
 from .gf2r import Field
@@ -85,8 +87,13 @@ def _cache_path(cache_dir: str, family: str, n: int, r: int, q: int, modulus: in
 
 
 def _cache_key(family: str, n: int, r: int, q: int, modulus: int) -> dict[str, str]:
-    """The fields an entry must carry to be trusted for these parameters."""
-    return {"family": family, "n": str(n), "r": str(r), "q": str(q), "modulus": str(modulus)}
+    """The fields an entry must carry to be trusted for these parameters.
+
+    "format" changes with the entry layout, so an entry in an older layout is
+    recomputed.
+    """
+    key = {"format": "1", "family": family, "n": n, "r": r, "q": q, "modulus": modulus}
+    return {k: str(v) for k, v in key.items()}
 
 
 def _cache_load(path: Path, family: str, n: int, r: int, q: int, modulus: int) -> dict[int, int] | None:
@@ -94,16 +101,19 @@ def _cache_load(path: Path, family: str, n: int, r: int, q: int, modulus: int) -
         return None
     try:
         data = json.loads(path.read_text())
-        if any(str(data.get(k)) != v for k, v in _cache_key(family, n, r, q, modulus).items()):
-            return None  # stale or foreign entry: recompute
+        key = _cache_key(family, n, r, q, modulus)
+        stale = [f"{k}={data.get(k)!r}" for k in key if str(data.get(k)) != key[k]]
         hist = {int(beta): int(count) for beta, count in data["histogram"].items()}
     except (OSError, ValueError, KeyError, AttributeError, TypeError) as exc:
         problem = f"unreadable ({type(exc).__name__}: {exc})"
     else:
         total, size = sum(hist.values()), cell_order(n, r, q)
-        if total == size:
+        if stale:
+            problem = f"stale key {', '.join(stale)}"
+        elif total == size:
             return hist
-        problem = f"histogram total {total} != cell size {size}"
+        else:
+            problem = f"histogram total {total} != cell size {size}"
     print(f"warning: ignoring cache entry {path}: {problem}; recomputing", file=sys.stderr)
     return None
 
@@ -196,6 +206,7 @@ def cmd_histogram(args) -> int:
 
     source = None
     enumerated = None
+    workers_used = 0  # stays 0 when the closed form or the cache answers
     if args.closed_form:
         if not closed_available:
             raise ValueError(
@@ -223,6 +234,7 @@ def cmd_histogram(args) -> int:
                 )
                 return EXIT_FAIL
             source = "enumeration"
+            workers_used = worker_count(args.workers, transversal_size(n, r, field.q))
             if cache_file is not None:
                 _cache_store(cache_file, family, n, r, field.q, field.modulus, enumerated)
         hist = enumerated
@@ -231,6 +243,7 @@ def cmd_histogram(args) -> int:
         "family": family,
         "modulus": str(field.modulus),
         "source": source,
+        "workers": str(workers_used),
         "histogram": {str(beta): str(count) for beta, count in sorted(hist.items())},
         "total": str(sum(hist.values())),
     }
@@ -264,8 +277,8 @@ def cmd_histogram(args) -> int:
 
 def cmd_tables(args) -> int:
     started = time.perf_counter()
-    if args.q > 1 << 10:
-        raise ValueError(f"tables are limited to q <= {1 << 10}, got {args.q}")
+    if args.q > 1 << 16:
+        raise ValueError(f"tables are limited to q <= {1 << 16}, got {args.q}")
     field = _make_field(args.q, args.modulus)
     table = ktable(field)
     moment_rows = [moments(field, h) for h in range(args.hmax + 1)]

@@ -4,6 +4,14 @@ Field elements are plain nonnegative ints below q = 2**r, read as coefficient
 vectors over the polynomial basis.  Addition is xor; a Field object carries the
 modulus and supplies multiplication, inversion, trace and the character
 lambda(x) = (-1)**trace(x).  Zero and one are always represented by 0 and 1.
+
+Every field size takes one path.  Multiplication and inversion go through
+discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
+(the polynomial x is not always one: the default moduli for r = 9, 12, 14 and
+16 are not primitive).  The trace is linear, so tr(x) is the parity of
+x & mask, where bit i of the mask is tr(x^i).  The log/antilog tables take
+O(q) memory and are built on first use, so constructing a Field costs nothing
+in q.
 """
 
 from __future__ import annotations
@@ -40,9 +48,6 @@ MODULI = {
 
 MAX_DEGREE = 24
 
-# Build multiplication/inverse/trace lookup tables only for fields this small.
-_TABLE_LIMIT = 1 << 11
-
 
 def _poly_mod(a: int, b: int) -> int:
     """Remainder of polynomial a modulo b over GF(2)."""
@@ -67,13 +72,39 @@ def is_irreducible(poly: int, degree: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+class _Unbuilt:
+    """Stands in for a table of a field until the first lookup builds them all."""
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field: Field, name: str):
+        self.field, self.name = field, name
+
+    def __getitem__(self, index):
+        self.field._build_tables()
+        return getattr(self.field, self.name)[index]
+
+
 class Field:
     """The field GF(2^r) with a fixed irreducible modulus.
 
     Semantically immutable after construction; all operations are pure, so
-    instances are safe to share across threads and processes.  Lookup tables
-    for small fields are built lazily and idempotently, which is the only
-    internal state.
+    instances are safe to share across threads and processes.  The log and
+    antilog tables are built lazily and idempotently on the first lookup,
+    which is the only internal state.
     """
 
     def __init__(self, r: int, modulus: int | None = None):
@@ -86,9 +117,18 @@ class Field:
         self.r = r
         self.q = 1 << r
         self.modulus = modulus
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        self._trace_table: list[int] | None = None
+        # plain attributes rather than properties keep mul's lookups on the fast path
+        self._exp: list[int] | _Unbuilt = _Unbuilt(self, "_exp")
+        self._log: list[int] | _Unbuilt = _Unbuilt(self, "_log")
+        mask = 0
+        for i in range(r):
+            # tr(x^i) = x^i + (x^i)^2 + ... + (x^i)^(2^(r-1)), landing in {0, 1}
+            t = x = 1 << i
+            for _ in range(r - 1):
+                x = self._mul_raw(x, x)
+                t ^= x
+            mask |= t << i
+        self._trace_mask = mask
 
     def __repr__(self):
         return f"Field(r={self.r}, modulus={self.modulus:#x})"
@@ -100,6 +140,7 @@ class Field:
         return hash((self.r, self.modulus))
 
     def _mul_raw(self, a: int, b: int) -> int:
+        """Shift-and-add product; used only to build the tables and the trace mask."""
         m, r = self.modulus, self.r
         p = 0
         while b:
@@ -111,66 +152,60 @@ class Field:
                 a ^= m
         return p
 
-    def mul_table(self) -> list[list[int]]:
-        """Full q x q product table; built lazily, only for small fields."""
-        if self._mul_table is None:
-            if self.q > _TABLE_LIMIT:
-                raise ValueError(f"q={self.q} too large for a product table")
-            q = self.q
-            self._mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        return self._mul_table
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        if self.q <= _TABLE_LIMIT:
-            return self.mul_table()[a][b]
-        return self._mul_raw(a, b)
-
-    def inv_table(self) -> list[int]:
-        """Inverses of all elements; entry 0 is a placeholder and never valid."""
-        if self._inv_table is None:
-            self._inv_table = [0] * self.q
-            for a in range(1, self.q):
-                self._inv_table[a] = self._inv_raw(a)
-        return self._inv_table
-
-    def _inv_raw(self, a: int) -> int:
-        # a**(q-2) by square and multiply
-        result, base, e = 1, a, self.q - 2
+    def _pow_raw(self, a: int, e: int) -> int:
+        result = 1
         while e:
             if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
+                result = self._mul_raw(result, a)
+            a = self._mul_raw(a, a)
             e >>= 1
         return result
+
+    def _build_tables(self) -> None:
+        """exp holds g^k for 0 <= k < 2(q-1), so exp[log a + log b] needs no
+        reduction mod q-1, then 2q-1 zeros: log 0 points at the first of them,
+        and every sum involving log 0 stays inside that block."""
+        q = self.q
+        order = q - 1
+        primes = _prime_factors(order)
+        # 1 passes only for q = 2, where it is the generator
+        g = next(
+            c for c in range(1, q) if all(self._pow_raw(c, order // p) != 1 for p in primes)
+        )
+        powers = [0] * order
+        log = [2 * order] * q  # entry 0: the start of the zero block
+        x = 1
+        for k in range(order):
+            powers[k] = x
+            log[x] = k
+            x = self._mul_raw(x, g)  # g is small, so this loop is short
+        self._log = log
+        self._exp = powers + powers + [0] * (2 * q - 1)
+
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]]
+
+    def mul_table(self) -> list[list[int]]:
+        """Full q x q product table, built from mul; only for small fields."""
+        q = self.q
+        if q > 1 << 11:
+            raise ValueError(f"q={q} too large for a product table")
+        mul = self.mul
+        return [[mul(a, b) for b in range(q)] for a in range(q)]
 
     def inv(self, a: int) -> int:
         if not 0 < a < self.q:
             if a == 0:
                 raise ZeroDivisionError("0 has no multiplicative inverse")
             raise ValueError(f"{a} is not an element of GF(2^{self.r})")
-        if self.q <= _TABLE_LIMIT:
-            return self.inv_table()[a]
-        return self._inv_raw(a)
+        return self._exp[self.q - 1 - self._log[a]]
 
-    def trace_table(self) -> list[int]:
-        if self._trace_table is None:
-            self._trace_table = [self._trace_raw(a) for a in range(self.q)]
-        return self._trace_table
-
-    def _trace_raw(self, a: int) -> int:
-        # tr(x) = x + x^2 + ... + x^(2^(r-1)), landing in {0, 1}
-        t, x = 0, a
-        for _ in range(self.r):
-            t ^= x
-            x = self._mul_raw(x, x)
-        return t
+    def powers(self) -> list[int]:
+        """The units as g^0, g^1, ..., g^(q-2) for the field's fixed generator g."""
+        return self._exp[: self.q - 1]
 
     def trace(self, a: int) -> int:
-        if self.q <= _TABLE_LIMIT:
-            return self.trace_table()[a]
-        return self._trace_raw(a)
+        return (a & self._trace_mask).bit_count() & 1
 
     def lam(self, a: int) -> int:
         """The canonical additive character: +1 on trace 0, -1 on trace 1."""
@@ -185,10 +220,6 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]

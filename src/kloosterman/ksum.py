@@ -1,13 +1,22 @@
 """Kloosterman sums, their GL(t,q) relatives, and trace-split power moments.
 
-All values are exact ints.  K(lambda; a) is tabulated once per field by direct
-O(q^2) summation and cached in-process; nothing here approximates.  A twisted
-character needs no sum of its own: substituting y = c*x shows that
-K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals K(lambda; c^2 * a).
+All values are exact ints.  K(lambda; a) is tabulated once per field and
+cached in-process; nothing here approximates.  The table is one cyclic
+convolution: lambda is additive, so with a = g^k for the field's generator g,
+K(g^k) = sum_i lambda(g^i) lambda(g^(k-i)) over i mod q-1.  Writing
+lambda(g^j) = 1 - 2 b_j with b_j = tr(g^j), this is K(g^k) = 4 C_k - q - 1,
+where C_k = sum_i b_i b_(k-i) is the cyclic self-convolution of the 0/1
+sequence b.  C is computed exactly as one big-integer square (Kronecker
+substitution: one fixed-width slot per b_j, wide enough that no coefficient
+carries).  A twisted character needs no sum of its own: substituting y = c*x
+shows that K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals
+K(lambda; c^2 * a).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import NamedTuple
 
 from .classical import DEFAULT_BUDGET, BudgetError
@@ -26,18 +35,32 @@ def kloosterman(field: Field, a: int, c: int = 1) -> int:
 
 
 def ktable(field: Field) -> dict[int, int]:
-    """K(lambda; a) for every nonzero a, computed once per field and cached."""
+    """K(lambda; a) for every nonzero a, in ascending a; computed once per field and cached."""
     key = (field.r, field.modulus)
     table = _KTABLE_CACHE.get(key)
     if table is None:
-        lam = field.lam
-        mul = field.mul
-        invs = [0] + [field.inv(x) for x in field.units()]
-        table = {
-            a: sum(lam(x ^ mul(a, invs[x])) for x in field.units()) for a in field.units()
-        }
+        q = field.q
+        powers = field.powers()
+        by_element = [0] * q
+        for x, c in zip(powers, _cyclic_self_convolution([field.trace(x) for x in powers])):
+            by_element[x] = 4 * c - q - 1
+        table = dict(zip(field.units(), by_element[1:]))
         _KTABLE_CACHE[key] = table
     return table
+
+
+def _cyclic_self_convolution(bits: list[int]) -> list[int]:
+    """C_k = sum of bits[i] * bits[(k - i) mod n] for k < n, by one big-int square."""
+    n = len(bits)
+    # every coefficient of the square is at most n, so it fits its slot exactly
+    width, code = (2, "H") if n < 1 << 16 else (4, "I")
+    packed = bytearray(width * n)
+    packed[::width] = bytes(bits)
+    square = int.from_bytes(packed, "little") ** 2
+    coeffs = array(code, square.to_bytes(2 * width * n, "little"))
+    if sys.byteorder == "big":
+        coeffs.byteswap()
+    return [low + high for low, high in zip(coeffs[:n], coeffs[n:])]
 
 
 class Moments(NamedTuple):

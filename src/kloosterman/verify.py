@@ -2,12 +2,16 @@
 
 Each suite runs a batch of exact integer checks (no tolerances anywhere) and
 returns one CheckResult per check.  A budget overrun aborts the remaining
-checks of that suite with a failing entry, leaving a partial report.
+checks of that suite with a failing entry, leaving a partial report.  Any
+other exception replaces the suite's checks with one failing entry, and the
+remaining suites still run (see `run_suite`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import traceback
 from dataclasses import dataclass
 
 from . import classical
@@ -412,11 +416,19 @@ SUITES = {
 
 
 def run_suite(name: str, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
-    if name == "all":
-        out: list[CheckResult] = []
-        for suite in SUITES.values():
-            out.extend(suite(budget))
-        return out
-    if name not in SUITES:
+    """Run one suite, or every suite for "all".
+
+    A suite that raises is reported as one failing `<suite>-raised` entry
+    carrying the exception, in place of its checks; the traceback goes to
+    stderr, and the next suite still runs.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return SUITES[name](budget)
+    out: list[CheckResult] = []
+    for suite in SUITES if name == "all" else [name]:
+        try:
+            out.extend(SUITES[suite](budget))
+        except Exception as exc:  # a broken identity must not hide later checks
+            traceback.print_exc(file=sys.stderr)
+            out.append(CheckResult(f"{suite}-raised", "no exception", f"{type(exc).__name__}: {exc}", False))
+    return out

@@ -1,9 +1,11 @@
 """Independent brute-force oracles shared by the tests.
 
 Nothing here reuses the closed forms or block-relation membership tests it is
-used to check.
+used to check.  Field facts come from this module's own carry-less GF(2)[x]
+arithmetic on the modulus alone, never from `kloosterman.gf2r`.
 """
 
+from functools import cache
 from itertools import product
 
 from kloosterman.classical import theta_form
@@ -58,7 +60,96 @@ def theta_isometries(field: Field, n: int) -> set[Mat]:
     return found
 
 
-def kloosterman_direct(field: Field, a: int, c: int) -> int:
-    """The sum of lambda(c * (x + a/x)) over nonzero x, straight from the definition."""
-    mul, inv, lam = field.mul, field.inv, field.lam
-    return sum(lam(mul(c, x ^ mul(a, inv(x)))) for x in field.units())
+# ----------------------------------------------------------------------------
+# GF(2)[x] arithmetic that shares no code with Field
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[x] polynomials."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a <<= 1
+        b >>= 1
+    return p
+
+
+def mulmod(a: int, b: int, m: int) -> int:
+    p, dm = clmul(a, b), m.bit_length()
+    while p.bit_length() >= dm:
+        p ^= m << (p.bit_length() - dm)
+    return p
+
+
+def trace(a: int, m: int) -> int:
+    """a + a^2 + ... + a^(2^(r-1)) modulo m, which is 0 or 1."""
+    t = 0
+    for _ in range(m.bit_length() - 1):
+        t ^= a
+        a = mulmod(a, a, m)
+    return t
+
+
+def product_row(a: int, m: int) -> list[int]:
+    """a*y modulo m for every y of degree below deg m, by linearity in y."""
+    basis = [mulmod(a, 1 << i, m) for i in range(m.bit_length() - 1)]
+    row = [0] * (1 << len(basis))
+    for y in range(1, len(row)):
+        low = y & -y
+        row[y] = row[y ^ low] ^ basis[low.bit_length() - 1]
+    return row
+
+
+def irreducibles(r: int) -> list[int]:
+    """Every irreducible polynomial of degree r, by sieving out all products."""
+    reducible = {
+        clmul(f, g)
+        for d in range(1, r // 2 + 1)
+        for f in range(1 << d, 1 << (d + 1))
+        for g in range(1 << (r - d), 1 << (r - d + 1))
+    }
+    return [p for p in range(1 << r, 1 << (r + 1)) if p not in reducible]
+
+
+def is_primitive(m: int) -> bool:
+    """Whether x has order 2^r - 1 modulo the irreducible m, by stepping its powers."""
+    x, k = mulmod(2, 1, m), 1
+    if x == 0:
+        return False  # m = x itself
+    while x != 1:
+        x, k = mulmod(x, 2, m), k + 1
+    return k == (1 << (m.bit_length() - 1)) - 1
+
+
+@cache
+def _traces_and_inverses(m: int) -> tuple[list[int], list[int]]:
+    q = 1 << (m.bit_length() - 1)
+    traces = [trace(x, m) for x in range(q)]
+    inverses = [0] * q
+    for x in range(1, q):
+        # x^(q-2) by square and multiply
+        inv, base, e = 1, x, q - 2
+        while e:
+            if e & 1:
+                inv = mulmod(inv, base, m)
+            base = mulmod(base, base, m)
+            e >>= 1
+        inverses[x] = inv
+    return traces, inverses
+
+
+def kloosterman_direct(m: int, a: int, c: int = 1) -> int:
+    """The sum of lambda(c * (x + a/x)) over nonzero x modulo m, straight from the definition."""
+    traces, inverses = _traces_and_inverses(m)
+    return sum(1 - 2 * traces[mulmod(c, x ^ mulmod(a, inverses[x], m), m)] for x in range(1, len(traces)))
+
+
+def ktable_direct(m: int) -> dict[int, int]:
+    """K(lambda; a) for every nonzero a modulo m, by the O(q^2) sum over x = 1/y."""
+    traces, inverses = _traces_and_inverses(m)
+    table = {}
+    for a in range(1, len(traces)):
+        row = product_row(a, m)
+        table[a] = sum(1 - 2 * traces[inverses[y] ^ row[y]] for y in range(1, len(traces)))
+    return table

@@ -4,9 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kloosterman import cli
+from kloosterman import cli, verify
 from kloosterman.classical import ORTHOGONAL, dc_trace_histogram
 from kloosterman.cli import main
+from kloosterman.verify import CheckResult
 from kloosterman.gf2r import Field
 
 # checks each verify suite runs; `verify all` runs their sum, 256
@@ -39,6 +40,32 @@ def test_verify_suite_passes(capsys, suite):
     assert report["verdicts"]["all_checks"] == "pass"
     assert report["verdicts"]["failures"] == "0"
     assert report["verdicts"]["checks_run"] == str(SUITE_CHECKS[suite])
+
+
+def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatch):
+    def broken(budget):
+        raise ArithmeticError("broken identity")
+
+    def later(budget):
+        return [CheckResult("later-check", "1", "1", True)]
+
+    monkeypatch.setattr(verify, "SUITES", {"field": broken, "kloosterman": later})
+    code, report, err = run_json(capsys, "verify", "all")
+    assert code == 1
+    assert report["results"]["checks"] == [
+        {
+            "name": "field-raised",
+            "expected": "no exception",
+            "actual": "ArithmeticError: broken identity",
+            "verdict": "fail",
+        },
+        {"name": "later-check", "expected": "1", "actual": "1", "verdict": "pass"},
+    ]
+    assert report["verdicts"]["failures"] == "1"
+    assert "broken identity" in err  # the traceback
+    code, report, _ = run_json(capsys, "verify", "field")
+    assert code == 1
+    assert [c["name"] for c in report["results"]["checks"]] == ["field-raised"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -173,6 +200,23 @@ def test_histogram_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt, 
     assert json.loads(cache_file.read_text())["histogram"] == first["results"]["histogram"]
 
 
+def test_histogram_cache_entry_without_format_is_recomputed(tmp_path, capsys):
+    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
+    _, first, _ = run_json(capsys, *args)
+    [cache_file] = tmp_path.glob("hist_*.json")
+    entry = json.loads(cache_file.read_text())
+    assert entry.pop("format") == "1"
+    cache_file.write_text(json.dumps(entry))  # an entry written before the key had a format
+    code, report, err = run_json(capsys, *args)
+    assert code == 0
+    assert report["results"]["source"] == "enumeration"
+    assert report["results"]["histogram"] == first["results"]["histogram"]
+    assert "ignoring cache entry" in err and "format=None" in err
+    assert json.loads(cache_file.read_text())["format"] == "1"
+    _, cached, err = run_json(capsys, *args)
+    assert (cached["results"]["source"], cached["results"]["workers"], err) == ("cache", "0", "")
+
+
 def test_cache_store_concurrent_writers(tmp_path):
     f8 = Field(3)
     hist = dc_trace_histogram(1, 0, f8)
@@ -212,6 +256,18 @@ def test_histogram_workers_flag(capsys):
     )
     assert base_code == code == 0
     assert parallel["results"]["histogram"] == base["results"]["histogram"]
+    assert base["results"]["workers"] == "1"
+
+
+def test_histogram_reports_workers_used(capsys, monkeypatch):
+    # the cell r = 0 of O(3, 8) has a one-element transversal, so it runs serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    code, report, _ = run_json(
+        capsys, "histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--workers", "2"
+    )
+    assert code == 0
+    assert report["parameters"]["workers"] == "2"
+    assert report["results"]["workers"] == "1"
 
 
 def test_histogram_weight_prefix_emission(capsys):
@@ -245,8 +301,19 @@ def test_tables_moments_q4(capsys):
 
 
 def test_tables_rejects_huge_field(capsys):
-    code, _, err = run(capsys, "tables", "--q", "2048")
+    code, _, err = run(capsys, "tables", "--q", str(1 << 17))
     assert code == 2
+    assert "limited to q <= 65536" in err
+
+
+def test_tables_largest_field(capsys):
+    q = 1 << 16
+    code, report, _ = run_json(capsys, "tables", "--q", str(q), "--hmax", "2")
+    assert code == 0
+    k_values = report["results"]["k_values"]
+    assert list(k_values) == [str(a) for a in range(1, q)]
+    assert report["results"]["moments"]["1"]["mk"] == "1"
+    assert report["results"]["moments"]["2"]["mk"] == str(q * q - q - 1)
 
 
 def test_q_must_be_power_of_two(capsys):

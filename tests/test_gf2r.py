@@ -4,6 +4,11 @@ import pytest
 
 from kloosterman.gf2r import MAX_DEGREE, MODULI, Field, is_irreducible
 
+from _oracles import irreducibles, is_primitive, mulmod, product_row, trace
+
+# every irreducible modulus of degree <= 8, primitive or not (e.g. 0x1F)
+SMALL_MODULI = [m for r in range(1, 9) for m in irreducibles(r)]
+
 
 def test_descriptor_basics():
     f = Field(3)
@@ -122,3 +127,31 @@ def test_unit_group_is_cyclic(r):
             k += 1
         orders.append(k)
     assert max(orders) == f.q - 1  # a generator exists
+
+
+def test_small_moduli_include_non_primitive_ones():
+    assert len(SMALL_MODULI) == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30
+    assert 0x1F in SMALL_MODULI and not is_primitive(0x1F)
+    assert not is_primitive(MODULI[9])  # x is not a generator for the default r = 9 modulus
+
+
+@pytest.mark.parametrize("m", SMALL_MODULI, ids=hex)
+def test_field_matches_independent_arithmetic(m):
+    f = Field(m.bit_length() - 1, m)
+    for a in f.elements():
+        assert [f.mul(a, b) for b in f.elements()] == product_row(a, m)
+        assert f.trace(a) == trace(a, m)
+    for a in f.units():
+        assert mulmod(a, f.inv(a), m) == 1
+        assert f.pow(a, 3) == mulmod(mulmod(a, a, m), a, m)
+        assert f.pow(a, -2) == f.inv(mulmod(a, a, m))
+    assert (f.pow(0, 0), f.pow(0, 5)) == (1, 0)
+    assert f.powers()[0] == 1 and sorted(f.powers()) == list(f.units())
+
+
+def test_tables_are_built_on_first_use_and_linear_in_q():
+    assert not isinstance(Field(MAX_DEGREE)._log, list)
+    f = Field(10)
+    assert not isinstance(f._exp, list)
+    assert f.mul(2, 3) == 6
+    assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)

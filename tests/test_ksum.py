@@ -1,7 +1,7 @@
 import pytest
 
 from kloosterman.classical import BudgetError
-from kloosterman.gf2r import Field
+from kloosterman.gf2r import MODULI, Field
 from kloosterman.ksum import (
     kloosterman,
     kloosterman_gl,
@@ -12,7 +12,13 @@ from kloosterman.ksum import (
     twisted_sum,
 )
 
-from _oracles import kloosterman_direct
+from _oracles import irreducibles, is_primitive, kloosterman_direct, ktable_direct, mulmod
+
+# one non-primitive modulus other than the default for each degree <= 10 that has one
+NON_PRIMITIVE = {
+    r: next(m for m in irreducibles(r) if not is_primitive(m) and m != MODULI[r])
+    for r in (4, 6, 8, 9, 10)
+}
 
 
 def test_kloosterman_values(f2, f4, f8):
@@ -36,7 +42,34 @@ def test_twisted_kloosterman_matches_definition(r):
     f = Field(r)
     for c in f.units():
         for a in f.units():
-            assert kloosterman(f, a, c) == kloosterman_direct(f, a, c)
+            assert kloosterman(f, a, c) == kloosterman_direct(f.modulus, a, c)
+
+
+@pytest.mark.parametrize(
+    "r,modulus",
+    [pytest.param(r, None, id=f"r{r}-default") for r in range(1, 11)]
+    + [pytest.param(r, m, id=f"r{r}-{m:#x}") for r, m in NON_PRIMITIVE.items()],
+)
+def test_ktable_matches_direct_sum(r, modulus):
+    f = Field(r, modulus)
+    table = ktable(f)
+    assert list(table) == list(f.units())  # ascending a
+    assert table == ktable_direct(f.modulus)
+
+
+@pytest.mark.parametrize("r", range(12, 18))
+def test_large_table_identities(r):
+    # Weil bound, K = 3 (mod 4), sum K = 1, sum K^2 = q^2 - q - 1, K(a^2) = K(a);
+    # r = 17 is the first degree packed in 32-bit slots
+    f = Field(r)
+    q, m = f.q, f.modulus
+    table = ktable(f)
+    assert list(table) == list(f.units())
+    k = list(table.values())
+    assert all(v * v <= 4 * q and v % 4 == 3 for v in k)
+    assert sum(k) == 1
+    assert sum(v * v for v in k) == q * q - q - 1
+    assert all(table[mulmod(a, a, m)] == v for a, v in table.items())
 
 
 @pytest.mark.parametrize("r", range(1, 7))
