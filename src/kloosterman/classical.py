@@ -7,8 +7,8 @@ upper-triangular elements, and decompose into double cosets P sigma_r P for
 r = 0..n, where sigma_r swaps the first r "plus" coordinates with their
 "minus" partners.
 
-Everything here is exact and deterministic: parabolic elements are generated
-in a fixed lexicographic parameter order, coset transversals greedily in that
+Everything here is exact and deterministic: parabolic elements and coset
+transversals are generated from their parameters in a fixed lexicographic
 order, and trace histograms stream the cells without materializing them.
 """
 
@@ -18,12 +18,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .gf2r import Field
 from .matfq import (
     Mat,
+    _dot,
     gl_iter,
     identity,
     is_alternating,
@@ -281,45 +282,55 @@ def _triangle_iter(field: Field, n: int, diagonal: bool) -> Iterator[Mat]:
         yield tuple(tuple(row) for row in m)
 
 
+def _unipotents(field: Field, n: int, k: int, family: str) -> Iterator[tuple[Mat, tuple | None]]:
+    """Parameters (b, h) of each unipotent u(b, h) supported on the first k coordinates.
+
+    Orthogonal: b = alt + (transpose of h times h), alt alternating, alt outer
+    and h inner.  Symplectic: b symmetric, h None.  Both lexicographic.
+    """
+    pad, zero_rows, mul = (0,) * (n - k), ((0,) * n,) * (n - k), field.mul
+    hs = [None] if family == SYMPLECTIC else list(product(range(field.q), repeat=k))
+    for t in _triangle_iter(field, k, diagonal=family == SYMPLECTIC):
+        for h in hs:
+            b = t if h is None else [
+                [x ^ mul(u, v) for x, v in zip(row, h)] for row, u in zip(t, h)
+            ]
+            yield tuple(tuple(row) + pad for row in b) + zero_rows, None if h is None else h + pad
+
+
+def _levi_rows(field: Field, a: Mat, family: str) -> tuple[Mat, Mat]:
+    """a^-T and the rows (0 | a^-T | 0) shared by every element of P with Levi factor a."""
+    ait = transpose(mat_inv(field, a))
+    zero, tail = (0,) * len(a), (0,) if family == ORTHOGONAL else ()
+    return ait, tuple(zero + row + tail for row in ait)
+
+
+def _p_element(a: Mat, top: Mat, levi: Mat, h: tuple | None) -> Mat:
+    """The element of P with rows (a | top | 0), levi and, if h is not None, (0 | h | 1)."""
+    if h is None:
+        return tuple(x + y for x, y in zip(a, top)) + levi
+    return tuple(x + y + (0,) for x, y in zip(a, top)) + levi + ((0,) * len(a) + h + (1,),)
+
+
 def enumerate_parabolic(
     n: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Mat]:
     """Yield each element of the maximal parabolic subgroup exactly once.
 
-    Orthogonal family: parameters (A, alternating part of B, h), with
-    B = alt + (transpose of h times h), assembled as the product of the Levi
-    and unipotent factors.  Symplectic family: parameters (A, symmetric B).
-    Generation order is lexicographic in those parameters with A outermost,
+    Each element is l(a) u(b, h): the Levi factor diag(a, a^-T[, 1]) times
+    the unipotent factor with top rows (1 | b) and, orthogonal family only,
+    last row (0 | h | 1).  The parameters run as in _unipotents, a outermost,
     which fixes the element ordering used everywhere downstream.
     """
     _check_family(family)
     count = parabolic_order(n, field.q)
     if count > budget:
         raise BudgetError(f"|P| = {count} exceeds enumeration budget {budget}")
-    q, mul = field.q, field.mul
-    zero_n = (0,) * n
-    if family == ORTHOGONAL:
-        for a in gl_iter(field, n):
-            ait = transpose(mat_inv(field, a))
-            middle = tuple(zero_n + row + (0,) for row in ait)
-            for alt in _triangle_iter(field, n, diagonal=False):
-                for h in product(range(q), repeat=n):
-                    b = tuple(
-                        tuple(alt[i][j] ^ mul(h[i], h[j]) for j in range(n)) for i in range(n)
-                    )
-                    ab = mat_mul(field, a, b)
-                    yield (
-                        tuple(a[i] + ab[i] + (0,) for i in range(n))
-                        + middle
-                        + (zero_n + h + (1,),)
-                    )
-    else:
-        for a in gl_iter(field, n):
-            ait = transpose(mat_inv(field, a))
-            lower = tuple(zero_n + row for row in ait)
-            for b in _triangle_iter(field, n, diagonal=True):
-                ab = mat_mul(field, a, b)
-                yield tuple(a[i] + ab[i] for i in range(n)) + lower
+    unipotents = list(_unipotents(field, n, n, family))
+    for a in gl_iter(field, n):
+        _, levi = _levi_rows(field, a, family)
+        for b, h in unipotents:
+            yield _p_element(a, mat_mul(field, a, b), levi, h)
 
 
 # ----------------------------------------------------------------------------
@@ -343,87 +354,73 @@ def _conjugate_zero_positions(n: int, r: int, family: str) -> tuple[tuple[int, i
 
 @dataclass(frozen=True)
 class CosetData:
-    """A right-coset transversal of A_r in P, plus the exact cell sizes."""
+    """A right-coset transversal of A_r in P, P itself in enumeration order, and the cell size."""
 
     n: int
     r: int
     family: str
     field: Field
-    parabolic_order: int
+    parabolic: tuple[Mat, ...]
     stabilizer_order: int
     transversal: tuple[Mat, ...]
 
     @property
     def cell_size(self) -> int:
-        return self.parabolic_order * len(self.transversal)
+        return len(self.parabolic) * len(self.transversal)
 
 
-def _pack_rows(w: Mat) -> list[int]:
-    return [sum(v << j for j, v in enumerate(row)) for row in w]
+def _subspace_representatives(field: Field, n: int, r: int) -> Iterator[Mat]:
+    """One invertible matrix per r-dimensional subspace of F_q^n, lexicographically:
+    the subspace's reduced echelon basis, then the unit rows of its non-pivot columns."""
+    unit = identity(n)
+    for pivots in combinations(range(n), r):
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+        completion = tuple(unit[j] for j in range(n) if j not in pivots)
+        for vals in product(range(field.q), repeat=len(free)):
+            rows = [list(unit[p]) for p in pivots]
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            yield tuple(map(tuple, rows)) + completion
 
 
 def coset_transversal(
     n: int, r: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
 ) -> CosetData:
-    """Filter A_r out of P and sift a greedy right-coset transversal.
+    """Enumerate P once; build a right-coset transversal of A_r from its parameters.
 
-    An element w is kept unless w * kept^(-1) lies in A_r for some already
-    kept element; only the product entries that must vanish are evaluated.
+    A_r holds the l(a) u(b, h) in P with a zero top-right r x (n-r) block in a
+    and (b, h) zero on the first r coordinates, so the u(b, h) l(a) with (b, h)
+    supported there and one a per r-dimensional row space of a's first r rows
+    are a transversal, a outermost.  Guards: |A_r| counted in P, the size, and
+    no x y^-1 in A_r (evaluated on the entries that must vanish).
     """
     _check_family(family)
-    q = field.q
+    q, mul = field.q, field.mul
     positions = _conjugate_zero_positions(n, r, family)
-    p_elements = list(enumerate_parabolic(n, field, family, budget))
+    parabolic = tuple(enumerate_parabolic(n, field, family, budget))
 
-    a_count = sum(1 for w in p_elements if all(w[i][j] == 0 for i, j in positions))
+    a_count = sum(1 for w in parabolic if all(w[i][j] == 0 for i, j in positions))
     expected_a = stabilizer_order(n, r, q)
     if a_count != expected_a:
         raise ArithmeticError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")
 
-    kept: list[Mat] = []
-    mul = field.mul
-    if q == 2:
-        kept_cols: list[list[int]] = []  # bit-packed columns of kept^(-1)
-        for w in p_elements:
-            wrows = _pack_rows(w)
-            for ucols in kept_cols:
-                if all((wrows[i] & ucols[j]).bit_count() & 1 == 0 for i, j in positions):
-                    break
-            else:
-                kept.append(w)
-                kept_cols.append(_pack_rows(transpose(mat_inv(field, w))))
-    else:
-        kept_cols_g: list[Mat] = []  # columns of kept^(-1) as tuples
-        for w in p_elements:
-            for ucols in kept_cols_g:
-                if all(_dot_is_zero(mul, w[i], ucols[j]) for i, j in positions):
-                    break
-            else:
-                kept.append(w)
-                kept_cols_g.append(transpose(mat_inv(field, w)))
+    shifts = list(_unipotents(field, n, r, family))
+    transversal = []
+    for a in _subspace_representatives(field, n, r):
+        ait, levi = _levi_rows(field, a, family)
+        for b, h in shifts:  # u(b, h) l(a) has rows (a | b a^-T | 0), levi, (0 | h a^-T | 1)
+            h_ait = None if h is None else mat_mul(field, (h,), ait)[0]
+            transversal.append(_p_element(a, mat_mul(field, b, ait), levi, h_ait))
 
     expected_t = transversal_size(n, r, q)
-    if len(kept) != expected_t:
-        raise ArithmeticError(
-            f"transversal size mismatch: sifted {len(kept)}, formula {expected_t}"
-        )
-    return CosetData(
-        n=n,
-        r=r,
-        family=family,
-        field=field,
-        parabolic_order=len(p_elements),
-        stabilizer_order=a_count,
-        transversal=tuple(kept),
-    )
-
-
-def _dot_is_zero(mul, row, col) -> bool:
-    s = 0
-    for x, y in zip(row, col):
-        if x and y:
-            s ^= mul(x, y)
-    return s == 0
+    if len(transversal) != expected_t:
+        raise ArithmeticError(f"transversal size {len(transversal)} != formula {expected_t}")
+    inverse_cols = [transpose(mat_inv(field, x)) for x in transversal]
+    for k, x in enumerate(transversal):
+        for ycols in inverse_cols[:k]:
+            if all(_dot(mul, x[i], ycols[j]) == 0 for i, j in positions):
+                raise ArithmeticError(f"two representatives share a right coset of A_{r}")
+    return CosetData(n, r, family, field, parabolic, a_count, tuple(transversal))
 
 
 def enumerate_double_coset(
@@ -437,7 +434,7 @@ def enumerate_double_coset(
     perm = _sigma_perm(n, r, dim)
     for x in data.transversal:
         m = tuple(x[perm[i]] for i in range(dim))  # sigma_r * x
-        for p in enumerate_parabolic(n, field, family, budget):
+        for p in data.parabolic:
             yield mat_mul(field, p, m)
 
 
@@ -477,14 +474,6 @@ def _count_chunk_general(
     return {beta: c for beta, c in enumerate(counts)}
 
 
-def _merge_counts(parts, q: int) -> dict[int, int]:
-    out = {beta: 0 for beta in range(q)}
-    for part in parts:
-        for beta, c in part.items():
-            out[beta] += c
-    return out
-
-
 def worker_count(requested: int, cosets: int) -> int:
     """Processes dc_trace_histogram uses: at most one per CPU and per coset representative."""
     return min(requested, os.cpu_count() or 1, cosets)
@@ -510,16 +499,13 @@ def dc_trace_histogram(
     _check_family(family)
     q = field.q
     size = cell_order(n, r, q)
-    if parabolic_order(n, q) > budget:
-        raise BudgetError(f"|P| = {parabolic_order(n, q)} exceeds enumeration budget {budget}")
-    if size > budget:
+    if size > budget:  # the cell holds P, so this also bounds |P|
         raise BudgetError(f"cell size {size} exceeds enumeration budget {budget}")
     data = coset_transversal(n, r, field, family, budget)
     dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
     perm = _sigma_perm(n, r, dim)
     ms = [tuple(x[perm[i]] for i in range(dim)) for x in data.transversal]
-
-    p_elements = list(enumerate_parabolic(n, field, family, budget))
+    p_elements = data.parabolic
     if q == 2:
         # trace of p*m mod 2 is the parity of popcount(rows(p) AND columns(m))
         p_bits = [sum(v << k for k, v in enumerate(x for row in w for x in row)) for w in p_elements]
@@ -543,7 +529,7 @@ def dc_trace_histogram(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(chunk_fn, *args, chunk) for chunk in chunks]
             parts = [f.result() for f in futures]
-    hist = _merge_counts(parts, q)
+    hist = {beta: sum(part.get(beta, 0) for part in parts) for beta in range(q)}
     total = sum(hist.values())
     if total != size:
         raise ArithmeticError(f"histogram total {total} != cell size {size}")

@@ -26,10 +26,17 @@ from .matfq import SingularMatrixError, all_matrices, mat_inv, mat_trace
 _KTABLE_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
+def _require_elements(field: Field, low: int, **args: int) -> None:
+    """Raise ValueError unless low <= value < q for each named argument (low = 1: a unit)."""
+    for name, x in args.items():
+        if not low <= x < field.q:
+            kind = "a nonzero element" if low else "an element"
+            raise ValueError(f"{name}={x} is not {kind} of GF({field.q})")
+
+
 def kloosterman(field: Field, a: int, c: int = 1) -> int:
     """The sum of lambda(c * (x + a/x)) over nonzero x; c = 1 gives K(lambda; a)."""
-    if a == 0 or c == 0:
-        raise ValueError("Kloosterman sums need a nonzero argument and character")
+    _require_elements(field, 1, a=a, c=c)
     mul = field.mul
     return ktable(field)[mul(mul(c, c), a)]
 
@@ -90,8 +97,7 @@ def moments(field: Field, h: int) -> Moments:
 
 def kloosterman_gl(field: Field, t: int, a: int, c: int = 1) -> int:
     """K over GL(t,q) via its two-term recursion; t = 0 is 1, t = 1 is K itself."""
-    if a == 0:
-        raise ValueError("Kloosterman sums need a nonzero argument")
+    _require_elements(field, 1, a=a, c=c)
     if t < 0:
         raise ValueError("matrix size must be nonnegative")
     if t == 0:
@@ -131,8 +137,7 @@ def theta_character_sum(field: Field, beta: int) -> int:
     Equals K(lambda; beta) - 1; both sides are exposed so the identity stays
     a testable fact rather than an assumption.
     """
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
+    _require_elements(field, 1, beta=beta)
     mul, inv, lam = field.mul, field.inv, field.lam
     return sum(
         lam(mul(beta, inv(mul(x, x) ^ x))) for x in field.elements() if x not in (0, 1)
@@ -144,6 +149,7 @@ def twisted_sum(field: Field, beta: int) -> int:
 
     Closed form: q * lambda(1/beta) + 1 for beta != 0, and 1 at beta = 0.
     """
+    _require_elements(field, 0, beta=beta)
     table = ktable(field)
     mul, lam = field.mul, field.lam
     return sum(lam(mul(a, beta)) * k for a, k in table.items())

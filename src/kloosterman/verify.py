@@ -173,13 +173,10 @@ def suite_groups(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             count = sum(1 for _ in enumerate_parabolic(n, f, ORTHOGONAL, budget))
             _check(results, f"parabolic-count-n{n}-q{f.q}", parabolic_order(n, f.q), count)
         for n, r, f in ((1, 0, f2), (2, 1, f2), (3, 2, f2)):
-            data = classical.coset_transversal(n, r, f, ORTHOGONAL, budget)
-            _check(
-                results,
-                f"transversal-size-n{n}-r{r}-q{f.q}",
-                transversal_size(n, r, f.q),
-                len(data.transversal),
-            )
+            # CosetData carries P; keep only the size so P is freed before the next check
+            size = len(classical.coset_transversal(n, r, f, ORTHOGONAL, budget).transversal)
+            expected = transversal_size(n, r, f.q)
+            _check(results, f"transversal-size-n{n}-r{r}-q{f.q}", expected, size)
         sp42 = {w for w in all_matrices(f2, 4, 4) if is_symplectic(f2, w, 2)}
         _check(results, "sp42-bruteforce-order", 720, len(sp42))
         cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC, budget)) for r in range(3)]

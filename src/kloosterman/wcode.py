@@ -90,7 +90,12 @@ def weight_prefix_closed(
 
 
 def defining_vector(n: int, field: Field, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Traces of the cell elements in the fixed enumeration order."""
+    """Traces of the cell elements in the fixed enumeration order.
+
+    code_bruteforce_wd and delsarte_check depend only on the multiset of these
+    traces: permuting the coordinates permutes every codeword and dual word
+    alike, so weights and set equality are unchanged by the order.
+    """
     return [mat_trace(w) for w in enumerate_double_coset(n, n - 1, field, ORTHOGONAL, budget)]
 
 

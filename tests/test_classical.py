@@ -198,19 +198,61 @@ def test_transversal_sizes(n, r, r_field, expected):
         assert data.cell_size == cell_order(n, r, f.q)
 
 
-def test_transversal_splits_parabolic_into_cosets(f2):
-    # P must be the disjoint union of A_r x over the transversal
-    n, r = 2, 1
-    data = coset_transversal(n, r, f2, ORTHOGONAL)
-    positions = cl._conjugate_zero_positions(n, r, ORTHOGONAL)
-    p_elements = list(enumerate_parabolic(n, f2, ORTHOGONAL))
-    a_r = [w for w in p_elements if all(w[i][j] == 0 for i, j in positions)]
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+@pytest.mark.parametrize(
+    "n,r,q", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (1, 1, 4), (2, 1, 4)]
+)
+def test_transversal_splits_parabolic_into_cosets(n, r, q, family):
+    # P must be the disjoint union of A_r x over the transversal, with A_r
+    # found as P intersected with sigma_r P sigma_r (sigma_r is a permutation
+    # involution, so conjugating by it permutes rows and columns)
+    from kloosterman.gf2r import Field
+
+    f = Field(q.bit_length() - 1)
+    data = coset_transversal(n, r, f, family)
+    p_elements = list(enumerate_parabolic(n, f, family))
+    pset = set(p_elements)
+    perm = [row.index(1) for row in sigma_r(n, r, family)]
+    a_r = [w for w in p_elements if tuple(tuple(w[i][j] for j in perm) for i in perm) in pset]
     seen = set()
     for x in data.transversal:
-        coset = {mat_mul(f2, a, x) for a in a_r}
+        coset = {mat_mul(f, a, x) for a in a_r}
         assert not coset & seen
         seen |= coset
-    assert seen == set(p_elements)
+    assert seen == pset
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_transversal_rejects_two_representatives_of_one_coset(f2, monkeypatch, family):
+    subspaces = cl._subspace_representatives
+
+    def repeating(field, n, r):
+        reps = list(subspaces(field, n, r))
+        return reps[:-1] + reps[:1]  # same count, one subspace twice
+
+    monkeypatch.setattr(cl, "_subspace_representatives", repeating)
+    with pytest.raises(ArithmeticError, match="share a right coset"):
+        coset_transversal(2, 1, f2, family)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda f: dc_trace_histogram(2, 1, f),
+        lambda f: list(enumerate_double_coset(2, 1, f)),
+    ],
+    ids=["dc_trace_histogram", "enumerate_double_coset"],
+)
+def test_parabolic_is_enumerated_once(f2, monkeypatch, stream):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_parabolic(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "enumerate_parabolic", counting)
+    stream(f2)
+    assert len(calls) == 1
 
 
 def test_double_coset_is_pairwise_product_set(f2):

@@ -36,6 +36,22 @@ def test_kloosterman_rejects_zero(f4):
         kloosterman(f4, 1, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, 8, 9])
+def test_arguments_outside_the_field_are_rejected(f8, bad):
+    # Field.mul is unchecked: a negative int indexes its log table from the end
+    calls = [
+        lambda: kloosterman(f8, bad),
+        lambda: kloosterman(f8, 1, bad),
+        lambda: kloosterman_gl(f8, 2, bad),
+        lambda: kloosterman_gl(f8, 0, bad),
+        lambda: twisted_sum(f8, bad),
+        lambda: theta_character_sum(f8, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="element of GF"):
+            call()
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_twisted_kloosterman_matches_definition(r):
     # kloosterman(f, a, c) reads K(c^2 a) from the table; the oracle sums directly

@@ -1,7 +1,9 @@
 import pytest
 
+from kloosterman import wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
+from kloosterman.gf2r import Field
 from kloosterman.verify import weight_prefix_naive
 from kloosterman.wcode import (
     code_bruteforce_wd,
@@ -107,9 +109,22 @@ def test_delsarte_dual_set_equality(f2, f4):
     assert delsarte_check(1, f4)
 
 
-def test_defining_vector_is_cell_trace_multiset(f4):
-    v = defining_vector(1, f4)
-    assert len(v) == cell_constants(1, f4).size
-    hist = closed_histogram(1, f4, ORTHOGONAL)
-    for beta in f4.elements():
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_defining_vector_is_cell_trace_multiset(q):
+    f = Field(q.bit_length() - 1)
+    v = defining_vector(1, f)
+    assert len(v) == cell_constants(1, f).size
+    hist = closed_histogram(1, f, ORTHOGONAL)
+    for beta in f.elements():
         assert v.count(beta) == hist[beta]
+
+
+def test_code_checks_depend_only_on_the_trace_multiset(f4, monkeypatch):
+    # the enumeration order of the cell may change; these results may not
+    brute, delsarte = code_bruteforce_wd(1, f4), delsarte_check(1, f4)
+    v = defining_vector(1, f4)
+    permuted = v[5:] + v[:5][::-1]
+    assert sorted(permuted) == sorted(v) and permuted != v
+    monkeypatch.setattr(wcode, "defining_vector", lambda n, field: permuted)
+    assert code_bruteforce_wd(1, f4) == brute
+    assert delsarte_check(1, f4) == delsarte
