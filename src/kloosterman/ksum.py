@@ -114,8 +114,7 @@ def kloosterman_gl_bruteforce(
     field: Field, t: int, a: int, c: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Direct sum of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w."""
-    if a == 0:
-        raise ValueError("Kloosterman sums need a nonzero argument")
+    _require_elements(field, 1, a=a, c=c)
     if t == 0:
         return 1
     if field.q ** (t * t) > budget:

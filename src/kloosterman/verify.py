@@ -75,8 +75,9 @@ def _check(results: list[CheckResult], name: str, expected, actual) -> None:
 def weight_prefix_naive(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     """Independent oracle for weight_prefix: enumerate every composition set.
 
-    Walks all tuples of per-trace-class selection counts directly, with no
-    state merging, so it shares nothing with the dynamic program it checks.
+    Walks all tuples of per-trace-class selection counts directly and keeps
+    the field sum of each, so it shares nothing with the character sum over
+    dual weights that weight_prefix evaluates.
     """
     betas = [b for b, c in hist.items() if c > 0]
     counts = [hist[b] for b in betas]

@@ -2,16 +2,18 @@
 exact weight-distribution prefixes.
 
 The code of a cell is the set of binary words orthogonal (in the field) to
-the vector of element traces; a word's membership depends only on how many
-coordinates it selects within each trace class, so weight counts reduce to
-constrained compositions over the trace histogram.  Dual codewords arise by
-tracing multiples of the defining vector, with closed-form Hamming weights.
+the vector of element traces.  Dual codewords arise by tracing multiples a
+of the defining vector, with closed-form Hamming weights w_a.  The additive
+characters count the codewords of weight j as C_j = (1/q) sum_a [x^j]
+(1 + x)^(N - w_a) (1 - x)^(w_a); weight_prefix counts the w_a from the trace
+histogram, not by the Kloosterman closed form, since the moments derived
+from C_j are checked against the Kloosterman table.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
+from collections import Counter
 
 from .classical import DEFAULT_BUDGET, ORTHOGONAL, BudgetError, enumerate_double_coset
 from .dcsum import cell_constants, closed_histogram
@@ -62,24 +64,34 @@ def distinct_dual_count(n: int, field: Field) -> int:
 def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     """Exact codeword counts by weight, for weights 0..jmax.
 
-    Counts selections of nu_beta coordinates from each trace class such that
-    the total is j and the field-weighted sum of selected traces vanishes.
-    Dynamic programming over (count so far, partial field sum); weights are
-    arbitrary-precision ints throughout.
+    The code has N = sum(hist) coordinates, hist[beta] of them carrying beta;
+    a word is a codeword when the betas it selects sum to 0.  With w_a the
+    weight of dual word a, the additive characters give
+    C_j = (1/q) sum_a [x^j] (1 + x)^(N - w_a) (1 - x)^(w_a), and the division
+    is exact or an ArithmeticError.  The w_a are counted from hist alone:
+    taken from the Kloosterman closed form (dual_weight), they would make
+    the recursion's check against the direct moments circular.
     """
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    dp: dict[tuple[int, int], int] = {(0, 0): 1}
-    for beta, count in hist.items():
-        if count == 0:
-            continue
-        new: dict[tuple[int, int], int] = {}
-        for (j, s), ways in dp.items():
-            for nu in range(min(jmax - j, count) + 1):
-                key = (j + nu, s ^ (beta if nu & 1 else 0))
-                new[key] = new.get(key, 0) + ways * math.comb(count, nu)
-        dp = new
-    return [dp.get((j, 0), 0) for j in range(jmax + 1)]
+    q = field.q
+    bad = [(beta, count) for beta, count in hist.items() if not 0 <= beta < q or count < 0]
+    if bad:
+        raise ValueError(f"histogram entries {bad} are not counts >= 0 of elements of GF({q})")
+    length = sum(hist.values())
+    dual_weights = Counter(dual_weight_from_histogram(field, hist, a) for a in field.elements())
+    totals = [0] * (jmax + 1)
+    for w, mult in dual_weights.items():
+        # the Krawtchouk values K_j = [x^j] (1 + x)^(N - w) (1 - x)^w, all integers,
+        # by (j + 1) K_(j+1) = (N - 2w) K_j - (N - j + 1) K_(j-1)
+        prev, cur = 0, 1
+        for j in range(jmax + 1):
+            totals[j] += mult * cur
+            prev, cur = cur, ((length - 2 * w) * cur - (length - j + 1) * prev) // (j + 1)
+    inexact = [j for j, total in enumerate(totals) if total % q]
+    if inexact:
+        raise ArithmeticError(f"character sums at weights {inexact} are not multiples of q={q}")
+    return [total // q for total in totals]
 
 
 def weight_prefix_closed(

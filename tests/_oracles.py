@@ -5,6 +5,7 @@ used to check.  Field facts come from this module's own carry-less GF(2)[x]
 arithmetic on the modulus alone, never from `kloosterman.gf2r`.
 """
 
+import math
 from functools import cache
 from itertools import product
 
@@ -153,3 +154,17 @@ def ktable_direct(m: int) -> dict[int, int]:
         row = product_row(a, m)
         table[a] = sum(1 - 2 * traces[inverses[y] ^ row[y]] for y in range(1, len(traces)))
     return table
+
+
+def weight_prefix_dp(hist: dict[int, int], jmax: int) -> list[int]:
+    """Codeword counts by weight 0..jmax, by dynamic programming over
+    (weight so far, partial field sum); the field sum of traces is their XOR."""
+    dp: dict[tuple[int, int], int] = {(0, 0): 1}
+    for beta, count in hist.items():
+        new: dict[tuple[int, int], int] = {}
+        for (j, s), ways in dp.items():
+            for nu in range(min(jmax - j, count) + 1):
+                key = (j + nu, s ^ (beta if nu & 1 else 0))
+                new[key] = new.get(key, 0) + ways * math.comb(count, nu)
+        dp = new
+    return [dp.get((j, 0), 0) for j in range(jmax + 1)]

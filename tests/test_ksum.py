@@ -44,6 +44,8 @@ def test_arguments_outside_the_field_are_rejected(f8, bad):
         lambda: kloosterman(f8, 1, bad),
         lambda: kloosterman_gl(f8, 2, bad),
         lambda: kloosterman_gl(f8, 0, bad),
+        lambda: kloosterman_gl_bruteforce(f8, 1, bad),
+        lambda: kloosterman_gl_bruteforce(f8, 1, 1, bad),
         lambda: twisted_sum(f8, bad),
         lambda: theta_character_sum(f8, bad),
     ]

@@ -111,6 +111,12 @@ def test_recursion_matches_direct_moments(n, r_field, h):
     assert report.direct == moments(f, h).t1k
 
 
+def test_recursion_at_q256_up_to_h25():
+    f = Field(8)
+    for h in range(1, 26, 2):
+        assert t1k_recursive(1, f, h, compare=True).match, h
+
+
 def test_recursion_range_guards(f2, f4, f8):
     with pytest.raises(ValueError):
         t1k_recursive(1, f2, 1)

@@ -18,6 +18,10 @@ from kloosterman.wcode import (
     weight_prefix_closed,
 )
 
+from _oracles import weight_prefix_dp
+
+JMAX = [0, 1, 5, 25]
+
 
 def test_dual_weight_examples(f4, f8):
     assert dual_weight(1, f8, 1) == 8
@@ -72,6 +76,49 @@ def test_weight_prefix_matches_naive_enumeration(f4, f8, f16):
         assert weight_prefix(f, hist, 5) == weight_prefix_naive(f, hist, 5)
     synthetic = {0: 3, 1: 2, 2: 4, 3: 1}
     assert weight_prefix(f4, synthetic, 5) == weight_prefix_naive(f4, synthetic, 5)
+
+
+@pytest.mark.parametrize("jmax", JMAX)
+@pytest.mark.parametrize("n,q", [(1, 2**r) for r in range(1, 7)] + [(3, 2**r) for r in range(1, 5)])
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_weight_prefix_matches_dp_on_cell_codes(family, n, q, jmax):
+    f = Field(q.bit_length() - 1)
+    hist = closed_histogram(n, f, family)
+    prefix = weight_prefix(f, hist, jmax)
+    assert prefix == weight_prefix_dp(hist, jmax)
+    length = sum(hist.values())
+    assert prefix[length + 1 :] == [0] * max(0, jmax - length)
+
+
+SYNTHETIC = {
+    "zero-counts": (2, {0: 0, 1: 3, 2: 0, 3: 5}),
+    "all-counts-zero": (2, {1: 0, 3: 0}),
+    "single-class": (3, {5: 7}),
+    "single-zero-class": (3, {0: 4}),
+    "nonzero-trace-xor": (3, {1: 3, 2: 1, 6: 2, 7: 4}),  # odd classes 1 ^ 2 != 0
+}
+
+
+@pytest.mark.parametrize("jmax", JMAX)
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_weight_prefix_matches_dp_on_synthetic_histograms(name, jmax):
+    r, hist = SYNTHETIC[name]
+    assert weight_prefix(Field(r), hist, jmax) == weight_prefix_dp(hist, jmax)
+
+
+@pytest.mark.parametrize(
+    "hist", [{1: -3, 2: 5}, {9: 2}, {8: 0}, {-1: 1}], ids=["negative-count", "9", "8", "-1"]
+)
+def test_weight_prefix_rejects_bad_histograms(f8, hist):
+    with pytest.raises(ValueError):
+        weight_prefix(f8, hist, 3)
+
+
+def test_weight_prefix_nonintegral_total_raises(f4, monkeypatch):
+    # every nonzero a claiming weight 1 on a length-1 code gives C_1 = (1 - 3)/4
+    monkeypatch.setattr(wcode, "dual_weight_from_histogram", lambda field, hist, a: int(a != 0))
+    with pytest.raises(ArithmeticError, match="not multiples of q=4"):
+        weight_prefix(f4, {1: 1}, 1)
 
 
 def test_tiny_code_full_distribution(f2):
