@@ -42,7 +42,8 @@ print(f"  brute-forced Sp(4,2) ({len(sp42)} elements) is exactly the disjoint "
 w = sigma_r(2, 1)
 print(f"\n  Tr sigma_1 = {mat_trace(w)},  Tr iota(sigma_1) = {mat_trace(iota(f2, w, 2))}")
 
-# the headline cell: P sigma_2 P inside O(7,2), 602112 elements, streamed
+# the headline cell: P sigma_2 P inside O(7,2), 602112 elements, counted from
+# the Levi factor of P without enumerating the cell
 t0 = time.perf_counter()
 hist = dc_trace_histogram(3, 2, f2)
 print(f"\nO(7,2): trace histogram of the 602112-element cell "

@@ -9,14 +9,13 @@ r = 0..n, where sigma_r swaps the first r "plus" coordinates with their
 
 Everything here is exact and deterministic: parabolic elements and coset
 transversals are generated from their parameters in a fixed lexicographic
-order, and trace histograms stream the cells without materializing them.
+order, and trace histograms are counted from P's Levi factor alone, without
+enumerating the cells.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -31,6 +30,7 @@ from .matfq import (
     mat_add,
     mat_inv,
     mat_mul,
+    mat_trace,
     mat_vec,
     transpose,
 )
@@ -447,36 +447,28 @@ def enumerate_group(
 
 
 # ----------------------------------------------------------------------------
-# streaming trace histograms
-
-# Worker payloads are module-level functions so a process pool can pickle them.
+# trace histograms by the Levi reduction
 
 
-def _count_chunk_q2(p_bits: list[int], m_bits: list[int]) -> dict[int, int]:
-    ones = 0
-    for m in m_bits:
-        ones += sum((p & m).bit_count() & 1 for p in p_bits)
-    return {0: len(p_bits) * len(m_bits) - ones, 1: ones}
+def _trace_pair_counts(m: int, field: Field, budget: int) -> list[int]:
+    """g_m(gamma) = #{D in GL(m,q) : tr D + tr D^-1 = gamma}, indexed by gamma.
 
-
-def _count_chunk_general(
-    q: int, mul_table: list[list[int]], p_sparse: list[tuple], m_flats: list[tuple]
-) -> dict[int, int]:
-    counts = [0] * q
-    for mt in m_flats:
-        for sp in p_sparse:
-            s = 0
-            for idx, a in sp:
-                b = mt[idx]
-                if b:
-                    s ^= mul_table[a][b]
-            counts[s] += 1
-    return {beta: c for beta, c in enumerate(counts)}
-
-
-def worker_count(requested: int, cosets: int) -> int:
-    """Processes dc_trace_histogram uses: at most one per CPU and per coset representative."""
-    return min(requested, os.cpu_count() or 1, cosets)
+    g_0 counts the empty matrix at gamma = 0 and g_1 runs over x in F_q^*;
+    from m = 2 on, GL(m,q) is enumerated, within budget.
+    """
+    counts = [0] * field.q
+    if m == 0:
+        counts[0] = 1
+    elif m == 1:
+        for x in field.units():
+            counts[x ^ field.inv(x)] += 1
+    else:
+        size = gl_order(m, field.q)
+        if size > budget:
+            raise BudgetError(f"|GL({m},{field.q})| = {size} exceeds enumeration budget {budget}")
+        for d in gl_iter(field, m):
+            counts[mat_trace(d) ^ mat_trace(mat_inv(field, d))] += 1
+    return counts
 
 
 def dc_trace_histogram(
@@ -487,49 +479,41 @@ def dc_trace_histogram(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> dict[int, int]:
-    """Trace histogram of the double coset P sigma_r P, streamed exactly once.
+    """Trace histogram of the double coset P sigma_r P, a dense map beta -> count.
 
-    Returns a dense map beta -> count over all field elements.  The cell is
-    never materialized: for each transversal element x the products
-    p * sigma_r * x contribute only their traces.  With workers > 1 the
-    transversal is partitioned across processes, at most one per CPU and per
-    transversal element; the merged result is bit-identical for every worker
-    count.
+    Counted without enumerating the cell, from two exact facts:
+
+    - Conjugation: Tr(p1 sigma_r p2) = Tr(sigma_r p2 p1), and (p1, p2) -> p2 p1
+      is |A_r|-to-one onto P, so the cell's histogram is |T| times that of
+      Tr(sigma_r p) over p in P, with |T| = |A_r \\ P| = transversal_size.
+    - Uniformity over the unipotent radical: with p = l(a) u(b, h),
+      Tr(sigma_r p) is affine in b (in the orthogonal case its h part is a
+      square), so it is equidistributed over F_q unless a = [[A, 0], [C, D]]
+      with A a nonsingular alternating r x r matrix.  Those a number
+      S * |GL(n-r,q)|, S = alternating_count(r) * q^(r(n-r)), and for them the
+      trace is tr D + tr D^-1, plus 1 from the last diagonal entry in the
+      orthogonal case.
+
+    With U = q^binom(n+1,2) and g_m as in _trace_pair_counts,
+    hist[beta] = |T| (U S g_(n-r)(beta + eps) + (|GL(n,q)| - S |GL(n-r,q)|) U / q),
+    eps = 1 (orthogonal) or 0 (symplectic).  The division by q and the total
+    against cell_order are checked.  budget bounds |GL(n-r,q)|, the only
+    group enumerated, and only for even r with n - r >= 2.  workers is
+    accepted and ignored: the count runs in the calling process.
     """
     _check_family(family)
     q = field.q
     size = cell_order(n, r, q)
-    if size > budget:  # the cell holds P, so this also bounds |P|
-        raise BudgetError(f"cell size {size} exceeds enumeration budget {budget}")
-    data = coset_transversal(n, r, field, family, budget)
-    dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
-    perm = _sigma_perm(n, r, dim)
-    ms = [tuple(x[perm[i]] for i in range(dim)) for x in data.transversal]
-    p_elements = data.parabolic
-    if q == 2:
-        # trace of p*m mod 2 is the parity of popcount(rows(p) AND columns(m))
-        p_bits = [sum(v << k for k, v in enumerate(x for row in w for x in row)) for w in p_elements]
-        m_payloads = [
-            sum(v << k for k, v in enumerate(x for col in zip(*m) for x in col)) for m in ms
-        ]
-        chunk_fn, args = _count_chunk_q2, (p_bits,)
-    else:
-        p_sparse = [
-            tuple((i * dim + j, v) for i, row in enumerate(w) for j, v in enumerate(row) if v)
-            for w in p_elements
-        ]
-        m_payloads = [tuple(x for col in zip(*m) for x in col) for m in ms]
-        chunk_fn, args = _count_chunk_general, (q, field.mul_table(), p_sparse)
-
-    workers = worker_count(workers, len(m_payloads))
-    if workers <= 1:
-        parts = [chunk_fn(*args, m_payloads)]
-    else:
-        chunks = [m_payloads[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(chunk_fn, *args, chunk) for chunk in chunks]
-            parts = [f.result() for f in futures]
-    hist = {beta: sum(part.get(beta, 0) for part in parts) for beta in range(q)}
+    unipotent = q ** math.comb(n + 1, 2)
+    special = alternating_count(r, field) * q ** (r * (n - r))
+    g = _trace_pair_counts(n - r, field, budget) if special else [0] * q
+    rest = (gl_order(n, q) - special * gl_order(n - r, q)) * unipotent
+    if rest % q:
+        raise ArithmeticError(f"equidistributed part {rest} is not a multiple of q={q}")
+    cosets, shift = transversal_size(n, r, q), 1 if family == ORTHOGONAL else 0
+    hist = {
+        beta: cosets * (unipotent * special * g[beta ^ shift] + rest // q) for beta in range(q)
+    }
     total = sum(hist.values())
     if total != size:
         raise ArithmeticError(f"histogram total {total} != cell size {size}")

@@ -24,8 +24,6 @@ from .classical import (
     BudgetError,
     cell_order,
     dc_trace_histogram,
-    transversal_size,
-    worker_count,
 )
 from .dcsum import closed_histogram
 from .gf2r import Field
@@ -200,13 +198,10 @@ def cmd_histogram(args) -> int:
     n, r, family = args.n, args.r_coset, args.family
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r-coset <= n, got n={n}, r={r}")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     closed_available = n % 2 == 1 and r == n - 1
 
     source = None
     enumerated = None
-    workers_used = 0  # stays 0 when the closed form or the cache answers
     if args.closed_form:
         if not closed_available:
             raise ValueError(
@@ -224,17 +219,11 @@ def cmd_histogram(args) -> int:
                 source = "cache"
         if enumerated is None:
             try:
-                enumerated = dc_trace_histogram(
-                    n, r, field, family, budget=args.budget, workers=args.workers
-                )
+                enumerated = dc_trace_histogram(n, r, field, family, budget=args.budget)
             except BudgetError as exc:
-                print(
-                    f"error: {exc}; rerun with --closed-form or a larger --budget",
-                    file=sys.stderr,
-                )
+                print(f"error: {exc}; rerun with a larger --budget", file=sys.stderr)
                 return EXIT_FAIL
             source = "enumeration"
-            workers_used = worker_count(args.workers, transversal_size(n, r, field.q))
             if cache_file is not None:
                 _cache_store(cache_file, family, n, r, field.q, field.modulus, enumerated)
         hist = enumerated
@@ -243,7 +232,6 @@ def cmd_histogram(args) -> int:
         "family": family,
         "modulus": str(field.modulus),
         "source": source,
-        "workers": str(workers_used),
         "histogram": {str(beta): str(count) for beta, count in sorted(hist.items())},
         "total": str(sum(hist.values())),
     }
@@ -264,7 +252,6 @@ def cmd_histogram(args) -> int:
             "q": str(field.q),
             "family": family,
             "budget": str(args.budget),
-            "workers": str(args.workers),
         },
         "results": results,
         "verdicts": verdicts,
@@ -343,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--family", choices=FAMILIES, default=ORTHOGONAL)
     p_hist.add_argument("--closed-form", action="store_true", dest="closed_form")
     p_hist.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_hist.add_argument("--workers", type=int, default=1)
     p_hist.add_argument("--jmax", type=int, help="also emit the code weight prefix up to jmax")
     p_hist.add_argument("--cache-dir", dest="cache_dir")
     p_hist.add_argument("--modulus", help="hex override for the field modulus")

@@ -9,6 +9,7 @@ in the cell's character sum and cofactor the complementary factor.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .classical import FAMILIES, ORTHOGONAL, q_binom
@@ -87,13 +88,10 @@ def expsum_dc(n: int, field: Field, c: int = 1) -> int:
     return field.lam(c) * consts.scale * kloosterman(field, c)
 
 
-def trace_count(n: int, field: Field, beta: int, family: str = ORTHOGONAL) -> int:
-    """Number of elements of the distinguished cell with matrix trace beta.
-
-    Orthogonal family: the beta = 1 slot is exclusive and takes precedence
-    (the generic case reads the trace of 1/(beta-1), undefined there).
-    Symplectic family: the special slot sits at beta = 0 with 1/beta generic.
-    """
+def _trace_counter(
+    n: int, field: Field, family: str
+) -> tuple[CellConstants, Callable[[int], int]]:
+    """The distinguished cell's constants, computed once, and its beta -> count map."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     _check_odd(n)
@@ -101,16 +99,30 @@ def trace_count(n: int, field: Field, beta: int, family: str = ORTHOGONAL) -> in
     consts = cell_constants(n, field)
     if consts.size % q or consts.scale % q:
         raise ArithmeticError(f"cell factors at (n={n}, q={q}) are not multiples of q")
-    base = consts.size // q
-    # the orthogonal histogram is the symplectic one shifted by the trace of iota
-    gamma = beta ^ 1 if family == ORTHOGONAL else beta
-    if gamma == 0:
-        bump = 1
-    elif field.trace(field.inv(gamma)) == 0:
-        bump = q + 1
-    else:
-        bump = -q + 1
-    return base + (consts.scale // q) * bump
+    base, unit = consts.size // q, consts.scale // q
+
+    def count(beta: int) -> int:
+        # the orthogonal histogram is the symplectic one shifted by the trace of iota
+        gamma = beta ^ 1 if family == ORTHOGONAL else beta
+        if gamma == 0:
+            bump = 1
+        elif field.trace(field.inv(gamma)) == 0:
+            bump = q + 1
+        else:
+            bump = -q + 1
+        return base + unit * bump
+
+    return consts, count
+
+
+def trace_count(n: int, field: Field, beta: int, family: str = ORTHOGONAL) -> int:
+    """Number of elements of the distinguished cell with matrix trace beta.
+
+    Orthogonal family: the beta = 1 slot is exclusive and takes precedence
+    (the generic case reads the trace of 1/(beta-1), undefined there).
+    Symplectic family: the special slot sits at beta = 0 with 1/beta generic.
+    """
+    return _trace_counter(n, field, family)[1](beta)
 
 
 def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int, int]:
@@ -119,12 +131,13 @@ def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int
     Checks the two structural facts downstream code relies on: the counts
     sum to the cell size, and the field-weighted sum of traces vanishes.
     """
-    hist = {beta: trace_count(n, field, beta, family) for beta in field.elements()}
-    if sum(hist.values()) != cell_constants(n, field).size:
+    consts, count = _trace_counter(n, field, family)
+    hist = {beta: count(beta) for beta in field.elements()}
+    if sum(hist.values()) != consts.size:
         raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) misses the cell size")
     weighted = 0
-    for beta, count in hist.items():
-        if count & 1:
+    for beta, k in hist.items():
+        if k & 1:
             weighted ^= beta
     if weighted:
         raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) has nonzero trace sum")

@@ -185,14 +185,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
 
-    def mul_table(self) -> list[list[int]]:
-        """Full q x q product table, built from mul; only for small fields."""
-        q = self.q
-        if q > 1 << 11:
-            raise ValueError(f"q={q} too large for a product table")
-        mul = self.mul
-        return [[mul(a, b) for b in range(q)] for a in range(q)]
-
     def inv(self, a: int) -> int:
         if not 0 < a < self.q:
             if a == 0:

@@ -15,11 +15,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 
-from .classical import DEFAULT_BUDGET, ORTHOGONAL, BudgetError, enumerate_double_coset
+from .classical import DEFAULT_BUDGET, ORTHOGONAL, BudgetError, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import kloosterman
-from .matfq import mat_trace
 
 #: Largest code length for which 2^N brute force is allowed.
 BRUTE_LENGTH_LIMIT = 24
@@ -102,13 +101,14 @@ def weight_prefix_closed(
 
 
 def defining_vector(n: int, field: Field, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Traces of the cell elements in the fixed enumeration order.
+    """Traces of the cell elements, one per element, in increasing order.
 
     code_bruteforce_wd and delsarte_check depend only on the multiset of these
     traces: permuting the coordinates permutes every codeword and dual word
     alike, so weights and set equality are unchanged by the order.
     """
-    return [mat_trace(w) for w in enumerate_double_coset(n, n - 1, field, ORTHOGONAL, budget)]
+    hist = dc_trace_histogram(n, n - 1, field, ORTHOGONAL, budget)
+    return [beta for beta, count in sorted(hist.items()) for _ in range(count)]
 
 
 def code_bruteforce_wd(n: int, field: Field) -> dict[int, int]:

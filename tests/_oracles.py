@@ -9,7 +9,7 @@ import math
 from functools import cache
 from itertools import product
 
-from kloosterman.classical import theta_form
+from kloosterman.classical import coset_transversal, sigma_r, theta_form
 from kloosterman.gf2r import Field
 from kloosterman.matfq import Mat
 
@@ -168,3 +168,40 @@ def weight_prefix_dp(hist: dict[int, int], jmax: int) -> list[int]:
                 new[key] = new.get(key, 0) + ways * math.comb(count, nu)
         dp = new
     return [dp.get((j, 0), 0) for j in range(jmax + 1)]
+
+
+def stream_trace_histogram(n: int, r: int, field: Field, family: str) -> dict[int, int]:
+    """Trace histogram of P sigma_r P by streaming every product p sigma_r x,
+    x over `coset_transversal` and p over P, serially.
+
+    For q = 2 the trace of p m is the parity of popcount(rows(p) AND columns(m));
+    for larger q the products come from a table built by this module's mulmod.
+    """
+    data = coset_transversal(n, r, field, family)
+    perm = [row.index(1) for row in sigma_r(n, r, family)]
+    ms = [tuple(x[i] for i in perm) for x in data.transversal]  # sigma_r x
+    q = field.q
+    if q == 2:
+        p_bits = [
+            sum(v << k for k, v in enumerate(e for row in w for e in row)) for w in data.parabolic
+        ]
+        ones = 0
+        for m in ms:
+            m_bits = sum(v << k for k, v in enumerate(e for col in zip(*m) for e in col))
+            ones += sum((p & m_bits).bit_count() & 1 for p in p_bits)
+        return {0: len(p_bits) * len(ms) - ones, 1: ones}
+    table = [product_row(a, field.modulus) for a in range(q)]
+    dim = len(perm)
+    p_sparse = [
+        tuple((i * dim + j, v) for i, row in enumerate(w) for j, v in enumerate(row) if v)
+        for w in data.parabolic
+    ]
+    counts = [0] * q
+    for m in ms:
+        flat = tuple(e for col in zip(*m) for e in col)
+        for sp in p_sparse:
+            s = 0
+            for idx, a in sp:
+                s ^= table[a][flat[idx]]
+            counts[s] += 1
+    return dict(enumerate(counts))

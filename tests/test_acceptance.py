@@ -58,10 +58,10 @@ def test_criterion_02_dc32_enumeration(dc32, f2):
     assert sum(hist.values()) == 602112
     assert hist == {0: 293888, 1: 308224}
     assert hist == closed_histogram(3, f2, ORTHOGONAL)
-    assert elapsed < 60.0, f"single-worker enumeration took {elapsed:.1f}s"
-    assert dc_trace_histogram(3, 2, f2, workers=2) == hist
+    assert elapsed < 60.0, f"streaming the cell took {elapsed:.1f}s"
+    assert dc_trace_histogram(3, 2, f2) == hist
     print(f"PASS criterion 2: DC(3,2) streams 602112 elements "
-          f"({elapsed:.1f}s single worker), worker counts agree")
+          f"({elapsed:.1f}s, one process), the Levi-reduction count agrees")
 
 
 def test_criterion_03_exponential_sum_closed_forms(dc32):

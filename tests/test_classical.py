@@ -1,4 +1,3 @@
-from concurrent.futures import Future
 from itertools import product
 
 import pytest
@@ -29,7 +28,7 @@ from kloosterman.classical import (
 )
 from kloosterman.matfq import all_matrices, identity, mat_mul, mat_trace
 
-from _oracles import theta_isometries
+from _oracles import stream_trace_histogram, theta_isometries
 
 
 def _basis(dim, i):
@@ -236,12 +235,7 @@ def test_transversal_rejects_two_representatives_of_one_coset(f2, monkeypatch, f
 
 
 @pytest.mark.parametrize(
-    "stream",
-    [
-        lambda f: dc_trace_histogram(2, 1, f),
-        lambda f: list(enumerate_double_coset(2, 1, f)),
-    ],
-    ids=["dc_trace_histogram", "enumerate_double_coset"],
+    "stream", [lambda f: list(enumerate_double_coset(2, 1, f))], ids=["enumerate_double_coset"]
 )
 def test_parabolic_is_enumerated_once(f2, monkeypatch, stream):
     calls = []
@@ -305,38 +299,39 @@ def test_histogram_workers_bit_identical(f2, f4):
             assert dc_trace_histogram(n, r, f, workers=workers) == base
 
 
-@pytest.mark.parametrize("cpus,pools", [(64, [6]), (2, [2]), (None, [])])
-def test_histogram_worker_count_is_clamped(f2, monkeypatch, cpus, pools):
-    # (2, 1, q=2) has a 6-element transversal; no real pool is started
-    seen = []
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 4), (1, 8), (1, 16), (2, 2), (2, 4), (3, 2)])
+def test_histogram_matches_streamed_cells(n, q, family):
+    from kloosterman.gf2r import Field
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    f = Field(q.bit_length() - 1)
+    for r in range(n + 1):
+        assert dc_trace_histogram(n, r, f, family) == stream_trace_histogram(n, r, f, family), r
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_histogram_uses_no_enumeration_and_no_kloosterman_sums(f4, monkeypatch):
+    # the checks against expsum_closed and the moments would be circular otherwise
+    from kloosterman import ksum
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dc_trace_histogram must not call this")
 
-    base = dc_trace_histogram(2, 1, f2)
-    monkeypatch.setattr(cl, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cl.os, "cpu_count", lambda: cpus)
-    assert dc_trace_histogram(2, 1, f2, workers=10**6) == base
-    assert seen == pools
+    for name in ("enumerate_parabolic", "coset_transversal"):
+        monkeypatch.setattr(cl, name, forbidden)
+    for name in ("ktable", "kloosterman", "kloosterman_gl"):
+        monkeypatch.setattr(ksum, name, forbidden)
+    for family in (ORTHOGONAL, SYMPLECTIC):
+        for r in range(3):
+            assert sum(dc_trace_histogram(2, r, f4, family).values()) == cell_order(2, r, 4)
 
 
 def test_histogram_budget_errors(f2, f4):
+    # the budget bounds |GL(n-r, q)|, the one group enumerated
+    with pytest.raises(BudgetError, match=r"\|GL\(3,4\)\| = 181440"):
+        dc_trace_histogram(3, 0, f4, budget=10**5)
     with pytest.raises(BudgetError):
-        dc_trace_histogram(3, 2, f4)  # |P(7,4)| alone exceeds the default budget
-    with pytest.raises(BudgetError):
-        dc_trace_histogram(2, 1, f2, budget=100)
+        dc_trace_histogram(2, 0, f2, budget=5)
+    assert sum(dc_trace_histogram(2, 0, f2, budget=6).values()) == cell_order(2, 0, 2)
 
 
 def test_symplectic_histograms_match_orthogonal_sizes(f2, f4):

@@ -138,9 +138,11 @@ def test_histogram_closed_form_needs_distinguished_cell(capsys):
 
 
 def test_histogram_budget_error_mentions_alternatives(capsys):
-    code, _, err = run(capsys, "histogram", "--n", "3", "--q", "4", "--r-coset", "2")
+    code, _, err = run(
+        capsys, "histogram", "--n", "3", "--q", "4", "--r-coset", "0", "--budget", "100000"
+    )
     assert code == 1
-    assert "--closed-form" in err
+    assert "|GL(3,4)| = 181440" in err and "--budget" in err
 
 
 def test_histogram_cache_round_trip(tmp_path, capsys):
@@ -214,7 +216,7 @@ def test_histogram_cache_entry_without_format_is_recomputed(tmp_path, capsys):
     assert "ignoring cache entry" in err and "format=None" in err
     assert json.loads(cache_file.read_text())["format"] == "1"
     _, cached, err = run_json(capsys, *args)
-    assert (cached["results"]["source"], cached["results"]["workers"], err) == ("cache", "0", "")
+    assert (cached["results"]["source"], err) == ("cache", "")
 
 
 def test_cache_store_concurrent_writers(tmp_path):
@@ -238,36 +240,6 @@ def test_cache_store_concurrent_writers(tmp_path):
         sys.setswitchinterval(interval)
     assert cli._cache_load(path, *key) == hist
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_histogram_rejects_nonpositive_workers(capsys, workers):
-    code, _, err = run(
-        capsys, "histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--workers", workers
-    )
-    assert code == 2
-    assert "--workers must be at least 1" in err
-
-
-def test_histogram_workers_flag(capsys):
-    base_code, base, _ = run_json(capsys, "histogram", "--n", "2", "--q", "2", "--r-coset", "1")
-    code, parallel, _ = run_json(
-        capsys, "histogram", "--n", "2", "--q", "2", "--r-coset", "1", "--workers", "2"
-    )
-    assert base_code == code == 0
-    assert parallel["results"]["histogram"] == base["results"]["histogram"]
-    assert base["results"]["workers"] == "1"
-
-
-def test_histogram_reports_workers_used(capsys, monkeypatch):
-    # the cell r = 0 of O(3, 8) has a one-element transversal, so it runs serially
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    code, report, _ = run_json(
-        capsys, "histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--workers", "2"
-    )
-    assert code == 0
-    assert report["parameters"]["workers"] == "2"
-    assert report["results"]["workers"] == "1"
 
 
 def test_histogram_weight_prefix_emission(capsys):

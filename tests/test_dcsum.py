@@ -7,6 +7,7 @@ from kloosterman.classical import (
     dc_order,
     dc_trace_histogram,
     enumerate_parabolic,
+    gl_order,
 )
 from kloosterman.dcsum import (
     cell_constants,
@@ -66,6 +67,21 @@ def test_expsum_dc_equals_specialized_closed_form(f2, f4, f8, f16):
             assert expsum_dc(n, f, c) == expsum_closed(n, n - 1, f, c)
 
 
+# the orthogonal cells at (3, 4) and (5, 2) whose GL(n-r, q) is small enough to count
+GAUSS_SUM_CELLS = [
+    (n, r, q) for n, q in ((3, 4), (5, 2)) for r in range(n + 1) if gl_order(n - r, q) <= 2 * 10**5
+]
+
+
+@pytest.mark.parametrize("n,r,q", GAUSS_SUM_CELLS)
+def test_cell_character_sums_equal_closed_gauss_sums(n, r, q):
+    f = Field(q.bit_length() - 1)
+    hist = dc_trace_histogram(n, r, f, ORTHOGONAL)
+    for c in f.units():
+        charsum = sum(count * f.lam(f.mul(c, beta)) for beta, count in hist.items())
+        assert charsum == expsum_closed(n, r, f, c), c
+
+
 def test_trace_count_orthogonal_examples(f2, f4, f8):
     assert trace_count(1, f8, 1) == 8
     assert trace_count(3, f2, 0) == 293888
@@ -90,7 +106,9 @@ def test_symplectic_counts_against_direct_enumeration(r_field):
 
 
 def test_closed_histograms_match_enumeration(f2, f4, f8, f16):
-    for n, f in ((1, f2), (1, f4), (1, f8), (1, f16)):
+    grid = [(1, f2), (1, f4), (1, f8), (1, f16), (5, f2), (5, f4), (7, f2)]
+    grid += [(3, Field(r)) for r in (2, 3, 6, 10)]
+    for n, f in grid:
         assert closed_histogram(n, f, ORTHOGONAL) == dc_trace_histogram(n, n - 1, f)
         assert closed_histogram(n, f, SYMPLECTIC) == dc_trace_histogram(
             n, n - 1, f, SYMPLECTIC
