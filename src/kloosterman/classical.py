@@ -198,6 +198,50 @@ def is_symplectic(field: Field, w: Mat, n: int) -> bool:
     return mat_mul(field, mat_mul(field, transpose(w), j), w) == j
 
 
+def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> set[Mat]:
+    """Every 2n x 2n matrix w with w^T J w = J, by a column search on the form.
+
+    The columns c_0, c_1, ... of w are chosen one at a time from F_q^(2n).
+    Entry (i, k) of w^T J w is c_i^T J c_k, so it depends on columns i and k
+    alone: once c_k is chosen, the entries (i, k) with i < k are final, and a
+    candidate for c_k is dropped exactly when one of them differs from J.  No
+    completion could repair such an entry, so every solution is found.  The
+    diagonal entries c_k^T J c_k vanish for every vector (the form is
+    alternating) and prune nothing.  Each finished matrix is re-checked with
+    is_symplectic; a failure raises ArithmeticError.
+
+    The search reads the form alone, never the parabolic subgroup, sigma_r or
+    a cell order, so it is an independent side against which the Bruhat cells
+    can be checked.  The closed order q^(n^2) prod (q^(2j) - 1) is used only
+    to refuse, with BudgetError, a group larger than budget.
+    """
+    q, dim = field.q, 2 * n
+    size = q ** (n * n) * math.prod(q ** (2 * j) - 1 for j in range(1, n + 1))
+    if size > budget:
+        raise BudgetError(f"|Sp({dim},{q})| = {size} exceeds enumeration budget {budget}")
+    form, mul = jmat(n), field.mul
+    vectors = list(product(range(q), repeat=dim))
+    # J v swaps the two halves of v, so c^T J v = _dot(c, J v)
+    images = [v[n:] + v[:n] for v in vectors]
+    found: set[Mat] = set()
+
+    def extend(cols: list[tuple[int, ...]]) -> None:
+        k = len(cols)
+        if k == dim:
+            w = transpose(cols)
+            if not is_symplectic(field, w, n):
+                raise ArithmeticError(f"column search produced a non-symplectic matrix {w}")
+            found.add(w)
+            return
+        targets = [row[k] for row in form[:k]]
+        for v, image in zip(vectors, images):
+            if all(_dot(mul, c, image) == t for c, t in zip(cols, targets)):
+                extend(cols + [v])
+
+    extend([])
+    return found
+
+
 def _outer(field: Field, u: tuple[int, ...], v: tuple[int, ...]) -> Mat:
     mul = field.mul
     return tuple(tuple(mul(a, b) for b in v) for a in u)

@@ -29,8 +29,8 @@ from .classical import (
     enumerate_parabolic,
     group_order_data,
     iota,
-    is_symplectic,
     parabolic_order,
+    symplectic_by_form,
     transversal_size,
 )
 from .dcsum import cell_constants, closed_histogram, expsum_closed, expsum_dc, trace_count
@@ -44,7 +44,7 @@ from .ksum import (
     theta_character_sum,
     twisted_sum,
 )
-from .matfq import all_matrices, mat_mul, mat_trace
+from .matfq import mat_mul, mat_trace
 from .pmi import full_moment_identity, mk_via_identity, pless_check, t1k_recursive
 from .wcode import (
     code_bruteforce_wd,
@@ -178,7 +178,7 @@ def suite_groups(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             size = len(classical.coset_transversal(n, r, f, ORTHOGONAL, budget).transversal)
             expected = transversal_size(n, r, f.q)
             _check(results, f"transversal-size-n{n}-r{r}-q{f.q}", expected, size)
-        sp42 = {w for w in all_matrices(f2, 4, 4) if is_symplectic(f2, w, 2)}
+        sp42 = symplectic_by_form(f2, 2, budget)
         _check(results, "sp42-bruteforce-order", 720, len(sp42))
         cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC, budget)) for r in range(3)]
         _check(results, "sp42-cell-sizes", [48, 288, 384], [len(c) for c in cells])
@@ -198,16 +198,16 @@ def suite_groups(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             for w, iw in zip(p5, image)
         )
         _check(results, "iota-multiplicative-p5", True, ok)
+        for r in range(5):
+            for f in (f2, f4):
+                _check(
+                    results,
+                    f"alternating-count-r{r}-q{f.q}",
+                    alternating_count(r, f),
+                    alternating_count_bruteforce(r, f, budget),
+                )
     except BudgetError as exc:
         _check(results, "groups-enumeration-budget", "within budget", str(exc))
-    for r in range(5):
-        for f in (f2, f4):
-            _check(
-                results,
-                f"alternating-count-r{r}-q{f.q}",
-                alternating_count(r, f),
-                alternating_count_bruteforce(r, f, budget),
-            )
     orders = group_order_data(2, f2)
     _check(results, "gl2-order-q2", 6, orders.general_linear)
     _check(results, "qbinom-3-1-q2", 7, classical.q_binom(3, 1, 2))

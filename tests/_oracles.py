@@ -6,8 +6,9 @@ arithmetic on the modulus alone, never from `kloosterman.gf2r`.
 """
 
 import math
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import xor
 
 from kloosterman.classical import coset_transversal, sigma_r, theta_form
 from kloosterman.gf2r import Field
@@ -154,6 +155,28 @@ def ktable_direct(m: int) -> dict[int, int]:
         row = product_row(a, m)
         table[a] = sum(1 - 2 * traces[inverses[y] ^ row[y]] for y in range(1, len(traces)))
     return table
+
+
+def symplectic_exhaustive(m: int, n: int) -> set[Mat]:
+    """Every 2n x 2n matrix w over GF(2)[x]/(m) with w^T J w = J, J the
+    antidiagonal block matrix, by testing all q^(4n^2) matrices.
+
+    Entry (i, j) of w^T J w is the sum over k of c_i[k] c_j[k +- n], c the
+    columns of w; products come from this module's mulmod.
+    """
+    q, dim = 1 << (m.bit_length() - 1), 2 * n
+    table = [product_row(a, m) for a in range(q)]
+    entries_of_j = [(i, j, int(j == (i + n) % dim)) for i in range(dim) for j in range(dim)]
+    found = set()
+    for entries in product(range(q), repeat=dim * dim):
+        cols = [entries[k::dim] for k in range(dim)]
+        partners = [c[n:] + c[:n] for c in cols]
+        if all(
+            reduce(xor, (table[x][y] for x, y in zip(cols[i], partners[j])), 0) == target
+            for i, j, target in entries_of_j
+        ):
+            found.add(tuple(entries[i * dim:(i + 1) * dim] for i in range(dim)))
+    return found
 
 
 def weight_prefix_dp(hist: dict[int, int], jmax: int) -> list[int]:

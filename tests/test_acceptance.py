@@ -10,7 +10,7 @@ from kloosterman.classical import (
     enumerate_double_coset,
     enumerate_group,
     iota,
-    is_symplectic,
+    symplectic_by_form,
 )
 from kloosterman.dcsum import cell_constants, closed_histogram, expsum_closed, expsum_dc
 from kloosterman.gf2r import Field
@@ -22,7 +22,7 @@ from kloosterman.ksum import (
     theta_character_sum,
     twisted_sum,
 )
-from kloosterman.matfq import all_matrices, mat_trace
+from kloosterman.matfq import mat_trace
 from kloosterman.pmi import full_moment_identity, mk_via_identity, pless_check, t1k_recursive
 from kloosterman.wcode import (
     code_bruteforce_wd,
@@ -92,7 +92,7 @@ def test_criterion_03_exponential_sum_closed_forms(dc32):
 
 
 def test_criterion_04_bruhat_partition_and_trace_shift(f2):
-    sp42 = {w for w in all_matrices(f2, 4, 4) if is_symplectic(f2, w, 2)}
+    sp42 = symplectic_by_form(f2, 2)
     assert len(sp42) == 720
     cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC)) for r in range(3)]
     assert [len(c) for c in cells] == [48, 288, 384]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +27,13 @@ from kloosterman.classical import (
     parabolic_order,
     preserves_theta,
     sigma_r,
+    symplectic_by_form,
     theta_form,
     transversal_size,
 )
 from kloosterman.matfq import all_matrices, identity, mat_mul, mat_trace
 
-from _oracles import stream_trace_histogram, theta_isometries
+from _oracles import stream_trace_histogram, symplectic_exhaustive, theta_isometries
 
 
 def _basis(dim, i):
@@ -262,8 +267,49 @@ def test_double_coset_is_pairwise_product_set(f2):
         assert set(cell) == brute
 
 
+@pytest.mark.parametrize(
+    "n, r, order",
+    [(1, 1, 6), (1, 2, 60), (1, 3, 504), (2, 1, 720)],
+    ids=["sp2-q2", "sp2-q4", "sp2-q8", "sp4-q2"],
+)
+def test_symplectic_search_matches_exhaustive(n, r, order):
+    from kloosterman.gf2r import Field
+
+    f = Field(r)
+    found = symplectic_by_form(f, n)
+    assert len(found) == order
+    assert found == symplectic_exhaustive(f.modulus, n)
+
+
+def test_symplectic_search_budget(f2):
+    with pytest.raises(BudgetError):
+        symplectic_by_form(f2, 2, budget=719)
+    assert len(symplectic_by_form(f2, 2, budget=720)) == 720
+
+
+def test_symplectic_search_checks_every_leaf(f2, monkeypatch):
+    # reject one genuine member: the leaf check must catch it
+    real = cl.is_symplectic
+    monkeypatch.setattr(cl, "is_symplectic", lambda f, w, n: real(f, w, n) and w != jmat(n))
+    with pytest.raises(ArithmeticError):
+        symplectic_by_form(f2, 1)
+    src = str(Path(cl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from kloosterman import classical as cl\n"
+        "from kloosterman.gf2r import Field\n"
+        "cl.is_symplectic = lambda f, w, n: w != cl.jmat(n)\n"
+        "print(len(cl.symplectic_by_form(Field(1), 1)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError" in proc.stderr
+
+
 def test_bruhat_cells_partition_sp42(f2):
-    sp42 = {w for w in all_matrices(f2, 4, 4) if is_symplectic(f2, w, 2)}
+    sp42 = symplectic_by_form(f2, 2)
     assert len(sp42) == 720
     cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC)) for r in range(3)]
     assert [len(c) for c in cells] == [48, 288, 384]

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from kloosterman import cli, verify
-from kloosterman.classical import ORTHOGONAL, dc_trace_histogram
+from kloosterman.classical import ORTHOGONAL, BudgetError, dc_trace_histogram
 from kloosterman.cli import main
 from kloosterman.verify import CheckResult
 from kloosterman.gf2r import Field
@@ -66,6 +66,28 @@ def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatc
     code, report, _ = run_json(capsys, "verify", "field")
     assert code == 1
     assert [c["name"] for c in report["results"]["checks"]] == ["field-raised"]
+
+
+def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
+    seen = []
+
+    def search(field, n, budget):
+        seen.append(budget)
+        raise BudgetError(f"|Sp(4,2)| = 720 exceeds enumeration budget {budget}")
+
+    monkeypatch.setattr(verify, "symplectic_by_form", search)
+    code, report, _ = run_json(capsys, "verify", "groups", "--budget", "12345")
+    assert code == 1 and seen == [12345]
+    failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
+    assert failed == ["groups-enumeration-budget"]
+
+
+def test_verify_groups_small_budget_keeps_the_partial_report(capsys):
+    # |P(2,4)| = 11520 and the 4^6 alternating 4 x 4 matrices over GF(4) both exceed 1000
+    code, report, _ = run_json(capsys, "verify", "groups", "--budget", "1000")
+    assert code == 1
+    failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
+    assert failed == ["groups-enumeration-budget"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
