@@ -198,35 +198,19 @@ def cmd_histogram(args) -> int:
     n, r, family = args.n, args.r_coset, args.family
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r-coset <= n, got n={n}, r={r}")
-    closed_available = n % 2 == 1 and r == n - 1
-
-    source = None
-    enumerated = None
-    if args.closed_form:
-        if not closed_available:
-            raise ValueError(
-                "the closed form covers the cell r = n-1 with odd n only; "
-                f"got n={n}, r={r}"
-            )
-        hist = closed_histogram(n, field, family)
-        source = "closed-form"
-    else:
-        cache_file = None
-        if args.cache_dir:
-            cache_file = _cache_path(args.cache_dir, family, n, r, field.q, field.modulus)
-            enumerated = _cache_load(cache_file, family, n, r, field.q, field.modulus)
-            if enumerated is not None:
-                source = "cache"
-        if enumerated is None:
-            try:
-                enumerated = dc_trace_histogram(n, r, field, family, budget=args.budget)
-            except BudgetError as exc:
-                print(f"error: {exc}; rerun with a larger --budget", file=sys.stderr)
-                return EXIT_FAIL
-            source = "enumeration"
-            if cache_file is not None:
-                _cache_store(cache_file, family, n, r, field.q, field.modulus, enumerated)
-        hist = enumerated
+    hist = cache_file = None
+    if args.cache_dir:
+        cache_file = _cache_path(args.cache_dir, family, n, r, field.q, field.modulus)
+        hist = _cache_load(cache_file, family, n, r, field.q, field.modulus)
+    source = "enumeration" if hist is None else "cache"
+    if hist is None:
+        try:
+            hist = dc_trace_histogram(n, r, field, family, budget=args.budget)
+        except BudgetError as exc:
+            print(f"error: {exc}; rerun with a larger --budget", file=sys.stderr)
+            return EXIT_FAIL
+        if cache_file is not None:
+            _cache_store(cache_file, family, n, r, field.q, field.modulus, hist)
 
     results = {
         "family": family,
@@ -238,9 +222,9 @@ def cmd_histogram(args) -> int:
     if args.jmax is not None:
         results["weight_prefix"] = [str(c) for c in weight_prefix(field, hist, args.jmax)]
     verdicts = {}
-    if enumerated is not None and closed_available:
+    if n % 2 == 1 and r == n - 1:  # the distinguished cell has a closed form
         closed = closed_histogram(n, field, family)
-        mismatches = [beta for beta in field.elements() if closed[beta] != enumerated.get(beta, 0)]
+        mismatches = [beta for beta in field.elements() if closed[beta] != hist.get(beta, 0)]
         verdicts["closed_form_agreement"] = "match" if not mismatches else "mismatch"
         if mismatches:
             verdicts["mismatched_traces"] = [str(b) for b in mismatches]
@@ -328,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--q", type=int, required=True)
     p_hist.add_argument("--r-coset", type=int, required=True, dest="r_coset")
     p_hist.add_argument("--family", choices=FAMILIES, default=ORTHOGONAL)
-    p_hist.add_argument("--closed-form", action="store_true", dest="closed_form")
     p_hist.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_hist.add_argument("--jmax", type=int, help="also emit the code weight prefix up to jmax")
     p_hist.add_argument("--cache-dir", dest="cache_dir")

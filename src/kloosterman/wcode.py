@@ -48,11 +48,9 @@ def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> in
 
 
 def dual_kernel(n: int, field: Field) -> set[int]:
-    """All a whose dual codeword is zero: tr(a*beta) = 0 on the histogram support."""
+    """All a whose dual codeword is zero, i.e. has weight 0 on the cell's histogram."""
     hist = closed_histogram(n, field, ORTHOGONAL)
-    support = [beta for beta, count in hist.items() if count > 0]
-    mul, trace = field.mul, field.trace
-    return {a for a in field.elements() if all(trace(mul(a, beta)) == 0 for beta in support)}
+    return {a for a in field.elements() if dual_weight_from_histogram(field, hist, a) == 0}
 
 
 def distinct_dual_count(n: int, field: Field) -> int:

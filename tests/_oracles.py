@@ -5,7 +5,6 @@ used to check.  Field facts come from this module's own carry-less GF(2)[x]
 arithmetic on the modulus alone, never from `kloosterman.gf2r`.
 """
 
-import math
 from functools import cache, reduce
 from itertools import product
 from operator import xor
@@ -177,20 +176,6 @@ def symplectic_exhaustive(m: int, n: int) -> set[Mat]:
         ):
             found.add(tuple(entries[i * dim:(i + 1) * dim] for i in range(dim)))
     return found
-
-
-def weight_prefix_dp(hist: dict[int, int], jmax: int) -> list[int]:
-    """Codeword counts by weight 0..jmax, by dynamic programming over
-    (weight so far, partial field sum); the field sum of traces is their XOR."""
-    dp: dict[tuple[int, int], int] = {(0, 0): 1}
-    for beta, count in hist.items():
-        new: dict[tuple[int, int], int] = {}
-        for (j, s), ways in dp.items():
-            for nu in range(min(jmax - j, count) + 1):
-                key = (j + nu, s ^ (beta if nu & 1 else 0))
-                new[key] = new.get(key, 0) + ways * math.comb(count, nu)
-        dp = new
-    return [dp.get((j, 0), 0) for j in range(jmax + 1)]
 
 
 def stream_trace_histogram(n: int, r: int, field: Field, family: str) -> dict[int, int]:

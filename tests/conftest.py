@@ -4,6 +4,7 @@ import pytest
 
 from kloosterman.classical import ORTHOGONAL
 from kloosterman.gf2r import Field
+from kloosterman.verify import run_suite
 
 from _oracles import stream_trace_histogram
 
@@ -39,3 +40,25 @@ def dc32(f2):
     t0 = time.perf_counter()
     hist = stream_trace_histogram(3, 2, f2, ORTHOGONAL)
     return hist, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """Every check of `verify all`, in order, run once per session."""
+    return run_suite("all")
+
+
+@pytest.fixture(scope="session")
+def verify_passed(verify_all):
+    """Asserts that the named checks of `verify all` ran and passed.
+
+    The identities those checks cover are computed once, in the suites;
+    tests name the checks instead of restating them.
+    """
+    by_name = {check.name: check for check in verify_all}
+
+    def passed(*names):
+        bad = [name for name in names if name not in by_name or not by_name[name].ok]
+        assert not bad, f"verify checks missing or failing: {bad}"
+
+    return passed

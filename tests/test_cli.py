@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -36,14 +37,22 @@ def run_json(capsys, *argv):
 @pytest.mark.parametrize("suite", SUITE_CHECKS)
 def test_verify_suite_passes(capsys, suite):
     code, report, _ = run_json(capsys, "verify", suite)
-    assert code == 0
+    failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
+    assert code == 0, f"failing checks: {failed}"
     assert report["verdicts"]["all_checks"] == "pass"
     assert report["verdicts"]["failures"] == "0"
     assert report["verdicts"]["checks_run"] == str(SUITE_CHECKS[suite])
 
 
+def test_verify_check_names_are_unique(verify_all):
+    # the verify_passed fixture and the --json report key checks by name
+    names = Counter(check.name for check in verify_all)
+    assert [name for name, count in names.items() if count > 1] == []
+
+
 def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatch):
     def broken(budget):
+        yield CheckResult("first-check", "1", "1", True)
         raise ArithmeticError("broken identity")
 
     def later(budget):
@@ -53,6 +62,7 @@ def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatc
     code, report, err = run_json(capsys, "verify", "all")
     assert code == 1
     assert report["results"]["checks"] == [
+        {"name": "first-check", "expected": "1", "actual": "1", "verdict": "pass"},
         {
             "name": "field-raised",
             "expected": "no exception",
@@ -65,7 +75,7 @@ def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatc
     assert "broken identity" in err  # the traceback
     code, report, _ = run_json(capsys, "verify", "field")
     assert code == 1
-    assert [c["name"] for c in report["results"]["checks"]] == ["field-raised"]
+    assert [c["name"] for c in report["results"]["checks"]] == ["first-check", "field-raised"]
 
 
 def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
@@ -88,6 +98,17 @@ def test_verify_groups_small_budget_keeps_the_partial_report(capsys):
     assert code == 1
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
     assert failed == ["groups-enumeration-budget"]
+
+
+def test_verify_kloosterman_small_budget_keeps_the_partial_report(capsys):
+    # the brute-force GL(2,4) Kloosterman sum walks 4^4 = 256 > 100 matrices
+    code, report, _ = run_json(capsys, "verify", "kloosterman", "--budget", "100")
+    assert code == 1
+    checks = report["results"]["checks"]
+    assert [c["verdict"] for c in checks] == ["pass"] * 47 + ["fail"]
+    assert checks[-1]["name"] == "kloosterman-enumeration-budget"
+    assert checks[0]["name"] == "k-value-q2"
+    assert checks[-2]["name"] == "gl-recursion-vs-bruteforce-t2-q2"  # GL(2,2) is within budget
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -142,21 +163,6 @@ def test_histogram_large_cell_enumeration(capsys):
     assert code == 0
     assert report["results"]["histogram"] == {"0": "293888", "1": "308224"}
     assert report["verdicts"]["closed_form_agreement"] == "match"
-
-
-def test_histogram_closed_form_only(capsys):
-    code, report, _ = run_json(
-        capsys, "histogram", "--n", "3", "--q", "4", "--r-coset", "2", "--closed-form"
-    )
-    assert code == 0
-    assert report["results"]["source"] == "closed-form"
-    assert report["results"]["total"] == str(264241152 * 3780)
-
-
-def test_histogram_closed_form_needs_distinguished_cell(capsys):
-    code, _, err = run(capsys, "histogram", "--n", "2", "--q", "2", "--r-coset", "1", "--closed-form")
-    assert code == 2
-    assert "closed form" in err
 
 
 def test_histogram_budget_error_mentions_alternatives(capsys):

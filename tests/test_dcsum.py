@@ -17,7 +17,6 @@ from kloosterman.dcsum import (
     trace_count,
 )
 from kloosterman.gf2r import Field
-from kloosterman.ksum import kloosterman
 from kloosterman.matfq import mat_trace
 
 
@@ -128,19 +127,14 @@ def test_closed_histogram_totals_and_weighted_sum(f16):
 
 
 @pytest.mark.parametrize("n,r_field", [(3, 1), (3, 2), (5, 1)])
-def test_all_traces_hit_for_n_at_least_3(n, r_field):
-    f = Field(r_field)
-    for beta in f.elements():
-        assert trace_count(n, f, beta) > 0
+def test_all_traces_hit_for_n_at_least_3(verify_passed, n, r_field):
+    verify_passed(f"all-traces-hit-n{n}-q{2 ** r_field}")
 
 
-def test_character_inversion_recovers_counts(f2, f4, f8):
+def test_character_inversion_recovers_counts(verify_passed):
     # q * n(beta) = size + sum over a of lambda(a beta) * (cell character sum at a)
-    for n, f in ((1, f2), (1, f4), (1, f8), (3, f2)):
-        size = cell_constants(n, f).size
-        for beta in f.elements():
-            twisted = sum(f.lam(f.mul(a, beta)) * expsum_dc(n, f, a) for a in f.units())
-            assert f.q * trace_count(n, f, beta) == size + twisted
+    cells = ((1, 2), (1, 4), (1, 8), (3, 2))
+    verify_passed(*(f"orthogonality-inversion-n{n}-q{q}" for n, q in cells))
 
 
 def test_trace_count_rejects_bad_inputs(f2):
