@@ -9,8 +9,10 @@ r = 0..n, where sigma_r swaps the first r "plus" coordinates with their
 
 Everything here is exact and deterministic: parabolic elements and coset
 transversals are generated from their parameters in a fixed lexicographic
-order, and trace histograms are counted from P's Levi factor alone, without
-enumerating the cells.
+order, and trace histograms are counted from P's Levi factor alone.  That
+count enumerates no group: the trace pairs of GL(n-r,q) come from the GL(t,q)
+Kloosterman recursion (the one ksum.kloosterman_gl applies) run on
+Walsh-Hadamard transforms, and it reads nothing from ksum.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
-from .gf2r import Field
+from .gf2r import Field, walsh_hadamard
 from .matfq import (
     Mat,
     _dot,
@@ -30,7 +32,6 @@ from .matfq import (
     mat_add,
     mat_inv,
     mat_mul,
-    mat_trace,
     mat_vec,
     transpose,
 )
@@ -494,34 +495,43 @@ def enumerate_group(
 # trace histograms by the Levi reduction
 
 
-def _trace_pair_counts(m: int, field: Field, budget: int) -> list[int]:
+def _trace_pair_counts(m: int, field: Field) -> list[int]:
     """g_m(gamma) = #{D in GL(m,q) : tr D + tr D^-1 = gamma}, indexed by gamma.
 
-    g_0 counts the empty matrix at gamma = 0 and g_1 runs over x in F_q^*;
-    from m = 2 on, GL(m,q) is enumerated, within budget.
+    No group is enumerated.  g_0 counts the empty matrix at gamma = 0 and g_1
+    is counted over x in F_q^*.  From m = 2 on, the Walsh-Hadamard transform
+    W_1 of g_1 holds the Kloosterman sums of every additive character, s = 0
+    giving the trivial one.  For each nontrivial character the GL(t,q) sums
+    obey the recursion that ksum.kloosterman_gl applies,
+    W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2) with W_0 = 1,
+    and W_t(0) = |GL(t,q)|; transforming W_m back gives q g_m, and the
+    division by q is checked.  The expsum checks with n - r >= 2 therefore
+    share this recursion with their closed side; the brute-force count in
+    the tests anchors it.  Cost: O(m q + q log q) integer operations.
     """
-    counts = [0] * field.q
+    q = field.q
+    counts = [0] * q
     if m == 0:
         counts[0] = 1
-    elif m == 1:
-        for x in field.units():
-            counts[x ^ field.inv(x)] += 1
-    else:
-        size = gl_order(m, field.q)
-        if size > budget:
-            raise BudgetError(f"|GL({m},{field.q})| = {size} exceeds enumeration budget {budget}")
-        for d in gl_iter(field, m):
-            counts[mat_trace(d) ^ mat_trace(mat_inv(field, d))] += 1
-    return counts
+        return counts
+    for x in field.units():
+        counts[x ^ field.inv(x)] += 1
+    if m == 1:
+        return counts
+    walsh = [[1] * q, walsh_hadamard(counts)]  # W_0, W_1
+    for t in range(2, m + 1):
+        ratio, carry = q ** (t - 1), q ** (2 * t - 2) * (q ** (t - 1) - 1)
+        w_t = [ratio * k * w1 + carry * w2 for k, w1, w2 in zip(walsh[1], walsh[-1], walsh[-2])]
+        w_t[0] = gl_order(t, q)
+        walsh.append(w_t)
+    scaled = walsh_hadamard(walsh[m])
+    if any(total % q for total in scaled):
+        raise ArithmeticError(f"inverse transform of the GL({m},{q}) sums is not a multiple of q")
+    return [total // q for total in scaled]
 
 
 def dc_trace_histogram(
-    n: int,
-    r: int,
-    field: Field,
-    family: str = ORTHOGONAL,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    n: int, r: int, field: Field, family: str = ORTHOGONAL, *, workers: int = 1
 ) -> dict[int, int]:
     """Trace histogram of the double coset P sigma_r P, a dense map beta -> count.
 
@@ -540,17 +550,17 @@ def dc_trace_histogram(
 
     With U = q^binom(n+1,2) and g_m as in _trace_pair_counts,
     hist[beta] = |T| (U S g_(n-r)(beta + eps) + (|GL(n,q)| - S |GL(n-r,q)|) U / q),
-    eps = 1 (orthogonal) or 0 (symplectic).  The division by q and the total
-    against cell_order are checked.  budget bounds |GL(n-r,q)|, the only
-    group enumerated, and only for even r with n - r >= 2.  workers is
-    accepted and ignored: the count runs in the calling process.
+    eps = 1 (orthogonal) or 0 (symplectic).  No group is enumerated: g_m comes
+    from the Walsh-domain recursion, never from ksum.  The division by q and
+    the total against cell_order are checked.  workers is accepted and
+    ignored: the count runs in the calling process.
     """
     _check_family(family)
     q = field.q
     size = cell_order(n, r, q)
     unipotent = q ** math.comb(n + 1, 2)
     special = alternating_count(r, field) * q ** (r * (n - r))
-    g = _trace_pair_counts(n - r, field, budget) if special else [0] * q
+    g = _trace_pair_counts(n - r, field) if special else [0] * q
     rest = (gl_order(n, q) - special * gl_order(n - r, q)) * unipotent
     if rest % q:
         raise ArithmeticError(f"equidistributed part {rest} is not a multiple of q={q}")

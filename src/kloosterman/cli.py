@@ -1,30 +1,22 @@
 """Command-line frontend: verification suites, recursion reports, cell trace
-histograms with a persistent cache, and Kloosterman sum tables.
+histograms, and Kloosterman sum tables.
 
 Reports are deterministic for fixed flags except the wall-time field; every
 integer is serialized as a decimal string so arbitrarily large exact values
-survive the trip through JSON.  Exit status: 0 all verdicts pass, 1 mismatch
-or enumeration failure, 2 usage or range error.
+survive the trip through JSON.  A histogram is counted from the Levi factor's
+trace pairs, which enumerates no group, so only `verify` takes a `--budget`.
+Every subcommand accepts q <= 2^16.  Exit status: 0 all verdicts pass, 1
+mismatch or a failing check, 2 usage or range error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-from .classical import (
-    DEFAULT_BUDGET,
-    FAMILIES,
-    ORTHOGONAL,
-    BudgetError,
-    cell_order,
-    dc_trace_histogram,
-)
+from .classical import DEFAULT_BUDGET, FAMILIES, ORTHOGONAL, dc_trace_histogram
 from .dcsum import closed_histogram
 from .gf2r import Field
 from .ksum import ktable, moments
@@ -41,6 +33,8 @@ def _make_field(q: int, modulus_hex: str | None) -> Field:
     r = q.bit_length() - 1
     if q < 2 or 1 << r != q:
         raise ValueError(f"q must be a power of two, got {q}")
+    if q > 1 << 16:  # tables and histograms take O(q) memory and time
+        raise ValueError(f"fields are limited to q <= {1 << 16}, got {q}")
     modulus = int(modulus_hex, 16) if modulus_hex else None
     return Field(r, modulus)
 
@@ -74,62 +68,6 @@ def _emit(report: dict, as_json: bool) -> None:
     for key, value in report.get("verdicts", {}).items():
         print(f"verdict {key}: {value}")
     print(f"wall_time_seconds: {report['wall_time_seconds']}")
-
-
-# ----------------------------------------------------------------------------
-# histogram cache
-
-
-def _cache_path(cache_dir: str, family: str, n: int, r: int, q: int, modulus: int) -> Path:
-    return Path(cache_dir) / f"hist_{family}_n{n}_r{r}_q{q}_m{modulus:x}.json"
-
-
-def _cache_key(family: str, n: int, r: int, q: int, modulus: int) -> dict[str, str]:
-    """The fields an entry must carry to be trusted for these parameters.
-
-    "format" changes with the entry layout, so an entry in an older layout is
-    recomputed.
-    """
-    key = {"format": "1", "family": family, "n": n, "r": r, "q": q, "modulus": modulus}
-    return {k: str(v) for k, v in key.items()}
-
-
-def _cache_load(path: Path, family: str, n: int, r: int, q: int, modulus: int) -> dict[int, int] | None:
-    if not path.is_file():
-        return None
-    try:
-        data = json.loads(path.read_text())
-        key = _cache_key(family, n, r, q, modulus)
-        stale = [f"{k}={data.get(k)!r}" for k in key if str(data.get(k)) != key[k]]
-        hist = {int(beta): int(count) for beta, count in data["histogram"].items()}
-    except (OSError, ValueError, KeyError, AttributeError, TypeError) as exc:
-        problem = f"unreadable ({type(exc).__name__}: {exc})"
-    else:
-        total, size = sum(hist.values()), cell_order(n, r, q)
-        if stale:
-            problem = f"stale key {', '.join(stale)}"
-        elif total == size:
-            return hist
-        else:
-            problem = f"histogram total {total} != cell size {size}"
-    print(f"warning: ignoring cache entry {path}: {problem}; recomputing", file=sys.stderr)
-    return None
-
-
-def _cache_store(path: Path, family: str, n: int, r: int, q: int, modulus: int, hist: dict[int, int]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entry = _cache_key(family, n, r, q, modulus)
-    entry["histogram"] = {str(beta): str(count) for beta, count in sorted(hist.items())}
-    # write-then-rename keeps concurrent readers from seeing a torn entry; a
-    # unique temp name keeps concurrent writers from sharing one
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as out:
-            out.write(json.dumps(entry, indent=2))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 # ----------------------------------------------------------------------------
@@ -198,24 +136,10 @@ def cmd_histogram(args) -> int:
     n, r, family = args.n, args.r_coset, args.family
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r-coset <= n, got n={n}, r={r}")
-    hist = cache_file = None
-    if args.cache_dir:
-        cache_file = _cache_path(args.cache_dir, family, n, r, field.q, field.modulus)
-        hist = _cache_load(cache_file, family, n, r, field.q, field.modulus)
-    source = "enumeration" if hist is None else "cache"
-    if hist is None:
-        try:
-            hist = dc_trace_histogram(n, r, field, family, budget=args.budget)
-        except BudgetError as exc:
-            print(f"error: {exc}; rerun with a larger --budget", file=sys.stderr)
-            return EXIT_FAIL
-        if cache_file is not None:
-            _cache_store(cache_file, family, n, r, field.q, field.modulus, hist)
-
+    hist = dc_trace_histogram(n, r, field, family)
     results = {
         "family": family,
         "modulus": str(field.modulus),
-        "source": source,
         "histogram": {str(beta): str(count) for beta, count in sorted(hist.items())},
         "total": str(sum(hist.values())),
     }
@@ -235,7 +159,6 @@ def cmd_histogram(args) -> int:
             "r_coset": str(r),
             "q": str(field.q),
             "family": family,
-            "budget": str(args.budget),
         },
         "results": results,
         "verdicts": verdicts,
@@ -248,8 +171,6 @@ def cmd_histogram(args) -> int:
 
 def cmd_tables(args) -> int:
     started = time.perf_counter()
-    if args.q > 1 << 16:
-        raise ValueError(f"tables are limited to q <= {1 << 16}, got {args.q}")
     field = _make_field(args.q, args.modulus)
     table = ktable(field)
     moment_rows = [moments(field, h) for h in range(args.hmax + 1)]
@@ -312,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--q", type=int, required=True)
     p_hist.add_argument("--r-coset", type=int, required=True, dest="r_coset")
     p_hist.add_argument("--family", choices=FAMILIES, default=ORTHOGONAL)
-    p_hist.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_hist.add_argument("--jmax", type=int, help="also emit the code weight prefix up to jmax")
-    p_hist.add_argument("--cache-dir", dest="cache_dir")
     p_hist.add_argument("--modulus", help="hex override for the field modulus")
     p_hist.add_argument("--json", action="store_true")
     p_hist.set_defaults(func=cmd_histogram)
@@ -339,9 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
 x & mask, where bit i of the mask is tr(x^i).  The log/antilog tables take
 O(q) memory and are built on first use, so constructing a Field costs nothing
-in q.
+in q.  walsh_hadamard turns a function on the additive group into its sums
+against every additive character, in O(q log q) additions.
 """
 
 from __future__ import annotations
@@ -215,3 +216,24 @@ class Field:
         if a == 0:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
+
+
+def walsh_hadamard(values: list[int]) -> list[int]:
+    """The Walsh-Hadamard transform F[s] = sum of values[x] * (-1)^popcount(s & x).
+
+    len(values) must be a power of two.  The transform is its own inverse up
+    to the factor len(values).  Since the trace form is nondegenerate, the
+    functionals x -> popcount(s & x) mod 2 are exactly the x -> tr(c x), so F
+    lists the additive-character sums of values in some order of c.
+    """
+    size = len(values)
+    if size & (size - 1) or not size:
+        raise ValueError(f"transform length {size} is not a power of two")
+    out, half = list(values), 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for i in range(start, start + half):
+                x, y = out[i], out[i + half]
+                out[i], out[i + half] = x + y, x - y
+        half *= 2
+    return out

@@ -211,7 +211,7 @@ def suite_expsum(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     for n, f in ((1, Field(1)), (1, Field(2)), (2, Field(1)), (2, Field(2)),
                  (1, Field(3)), (1, Field(4))):
         for r in range(n + 1):
-            hist = dc_trace_histogram(n, r, f, ORTHOGONAL, budget)
+            hist = dc_trace_histogram(n, r, f, ORTHOGONAL)
             ok = all(
                 expsum_closed(n, r, f, c) == _hist_expsum(f, hist, c) for c in f.units()
             )
@@ -225,7 +225,7 @@ def suite_expsum(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     for n, f in ((1, Field(1)), (1, Field(2)), (1, Field(3)), (1, Field(4)), (3, Field(1))):
         ok = all(expsum_dc(n, f, c) == expsum_closed(n, n - 1, f, c) for c in f.units())
         yield _check(f"dc-sum-two-routes-n{n}-q{f.q}", True, ok)
-    hist32 = dc_trace_histogram(3, 2, Field(1), ORTHOGONAL, budget)
+    hist32 = dc_trace_histogram(3, 2, Field(1), ORTHOGONAL)
     yield _check("dc32-histogram", {0: 293888, 1: 308224}, hist32)
     yield _check("dc32-closed-histogram-matches", closed_histogram(3, Field(1), ORTHOGONAL), hist32)
     ok = all(
@@ -234,7 +234,7 @@ def suite_expsum(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     )
     yield _check("dc32-sum-vs-enumeration", True, ok)
     for n, f in ((1, Field(1)), (1, Field(2)), (1, Field(3))):
-        hist = dc_trace_histogram(1, 0, f, SYMPLECTIC, budget)
+        hist = dc_trace_histogram(1, 0, f, SYMPLECTIC)
         yield _check(
             f"symplectic-cell-closed-vs-enumerated-n1-q{f.q}",
             closed_histogram(1, f, SYMPLECTIC),
@@ -292,7 +292,7 @@ def suite_codes(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     for n, f in ((1, f4), (1, f8), (1, f16)):
         hist = closed_histogram(n, f, ORTHOGONAL)
         yield _check(
-            f"weight-prefix-dp-vs-naive-n{n}-q{f.q}",
+            f"weight-prefix-dp-vs-character-sum-n{n}-q{f.q}",
             weight_prefix_dp(hist, 5),
             weight_prefix(f, hist, 5),
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 
-from .classical import DEFAULT_BUDGET, ORTHOGONAL, BudgetError, dc_trace_histogram
+from .classical import ORTHOGONAL, BudgetError, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import kloosterman
@@ -98,14 +98,14 @@ def weight_prefix_closed(
     return weight_prefix(field, closed_histogram(n, field, family), jmax)
 
 
-def defining_vector(n: int, field: Field, budget: int = DEFAULT_BUDGET) -> list[int]:
+def defining_vector(n: int, field: Field) -> list[int]:
     """Traces of the cell elements, one per element, in increasing order.
 
     code_bruteforce_wd and delsarte_check depend only on the multiset of these
     traces: permuting the coordinates permutes every codeword and dual word
     alike, so weights and set equality are unchanged by the order.
     """
-    hist = dc_trace_histogram(n, n - 1, field, ORTHOGONAL, budget)
+    hist = dc_trace_histogram(n, n - 1, field, ORTHOGONAL)
     return [beta for beta, count in sorted(hist.items()) for _ in range(count)]
 
 

@@ -1,8 +1,10 @@
 """Independent brute-force oracles shared by the tests.
 
-Nothing here reuses the closed forms or block-relation membership tests it is
-used to check.  Field facts come from this module's own carry-less GF(2)[x]
-arithmetic on the modulus alone, never from `kloosterman.gf2r`.
+Nothing here reuses the closed forms, recursions or block-relation membership
+tests it is used to check.  Field facts come from this module's own
+carry-less GF(2)[x] arithmetic on the modulus alone, never from
+`kloosterman.gf2r`, except in `gl_trace_pair_counts`, which walks GL(m,q)
+with `kloosterman.matfq`.
 """
 
 from functools import cache, reduce
@@ -11,7 +13,7 @@ from operator import xor
 
 from kloosterman.classical import coset_transversal, sigma_r, theta_form
 from kloosterman.gf2r import Field
-from kloosterman.matfq import Mat
+from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_trace
 
 
 def theta_isometries(field: Field, n: int) -> set[Mat]:
@@ -59,6 +61,15 @@ def theta_isometries(field: Field, n: int) -> set[Mat]:
 
     extend([])
     return found
+
+
+def gl_trace_pair_counts(m: int, field: Field) -> list[int]:
+    """#{D in GL(m,q) : tr D + tr D^-1 = gamma} for each gamma (m >= 1), by
+    inverting every invertible m x m matrix."""
+    counts = [0] * field.q
+    for d in gl_iter(field, m):
+        counts[mat_trace(d) ^ mat_trace(mat_inv(field, d))] += 1
+    return counts
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from kloosterman.classical import ORTHOGONAL
 from kloosterman.gf2r import Field
-from kloosterman.verify import run_suite
+from kloosterman.verify import SUITES, run_suite
 
 from _oracles import stream_trace_histogram
 
@@ -43,9 +43,15 @@ def dc32(f2):
 
 
 @pytest.fixture(scope="session")
-def verify_all():
-    """Every check of `verify all`, in order, run once per session."""
-    return run_suite("all")
+def verify_suites():
+    """Each `verify` suite's checks, in order, every suite run once per session."""
+    return {name: run_suite(name) for name in SUITES}
+
+
+@pytest.fixture(scope="session")
+def verify_all(verify_suites):
+    """Every check of `verify all`, in order."""
+    return [check for checks in verify_suites.values() for check in checks]
 
 
 @pytest.fixture(scope="session")

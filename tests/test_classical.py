@@ -32,7 +32,12 @@ from kloosterman.classical import (
 from kloosterman.gf2r import Field
 from kloosterman.matfq import all_matrices, identity, mat_mul, mat_trace
 
-from _oracles import stream_trace_histogram, symplectic_exhaustive, theta_isometries
+from _oracles import (
+    gl_trace_pair_counts,
+    stream_trace_histogram,
+    symplectic_exhaustive,
+    theta_isometries,
+)
 
 
 def _basis(dim, i):
@@ -320,6 +325,8 @@ def test_histogram_workers_bit_identical(f2, f4):
         base = dc_trace_histogram(n, r, f)
         for workers in (2, 3):
             assert dc_trace_histogram(n, r, f, workers=workers) == base
+    with pytest.raises(TypeError):  # workers is keyword-only, so a stray positional fails
+        dc_trace_histogram(2, 1, f2, ORTHOGONAL, 10**8)
 
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
@@ -337,7 +344,7 @@ def test_histogram_uses_no_enumeration_and_no_kloosterman_sums(f4, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dc_trace_histogram must not call this")
 
-    for name in ("enumerate_parabolic", "coset_transversal"):
+    for name in ("enumerate_parabolic", "coset_transversal", "gl_iter", "mat_inv"):
         monkeypatch.setattr(cl, name, forbidden)
     for name in ("ktable", "kloosterman", "kloosterman_gl"):
         monkeypatch.setattr(ksum, name, forbidden)
@@ -346,13 +353,10 @@ def test_histogram_uses_no_enumeration_and_no_kloosterman_sums(f4, monkeypatch):
             assert sum(dc_trace_histogram(2, r, f4, family).values()) == cell_order(2, r, 4)
 
 
-def test_histogram_budget_errors(f2, f4):
-    # the budget bounds |GL(n-r, q)|, the one group enumerated
-    with pytest.raises(BudgetError, match=r"\|GL\(3,4\)\| = 181440"):
-        dc_trace_histogram(3, 0, f4, budget=10**5)
-    with pytest.raises(BudgetError):
-        dc_trace_histogram(2, 0, f2, budget=5)
-    assert sum(dc_trace_histogram(2, 0, f2, budget=6).values()) == cell_order(2, 0, 2)
+@pytest.mark.parametrize("m,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (2, 8), (2, 16), (3, 4)])
+def test_trace_pair_counts_match_gl_enumeration(m, q):
+    f = Field(q.bit_length() - 1)
+    assert cl._trace_pair_counts(m, f) == gl_trace_pair_counts(m, f)
 
 
 def test_symplectic_histograms_match_orthogonal_sizes(f2, f4):

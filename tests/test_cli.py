@@ -1,15 +1,12 @@
 import json
-import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kloosterman import cli, verify
-from kloosterman.classical import ORTHOGONAL, BudgetError, dc_trace_histogram
+from kloosterman import verify
+from kloosterman.classical import BudgetError
 from kloosterman.cli import main
 from kloosterman.verify import CheckResult
-from kloosterman.gf2r import Field
 
 # checks each verify suite runs; `verify all` runs their sum, 256
 SUITE_CHECKS = {
@@ -35,13 +32,20 @@ def run_json(capsys, *argv):
 
 
 @pytest.mark.parametrize("suite", SUITE_CHECKS)
-def test_verify_suite_passes(capsys, suite):
-    code, report, _ = run_json(capsys, "verify", suite)
-    failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
-    assert code == 0, f"failing checks: {failed}"
-    assert report["verdicts"]["all_checks"] == "pass"
-    assert report["verdicts"]["failures"] == "0"
-    assert report["verdicts"]["checks_run"] == str(SUITE_CHECKS[suite])
+def test_verify_suite_passes(verify_suites, suite):
+    checks = verify_suites[suite]
+    assert [c.name for c in checks if not c.ok] == [], "failing checks"
+    assert len(checks) == SUITE_CHECKS[suite]
+
+
+def test_verify_report_and_exit_code(capsys, verify_suites):
+    code, report, _ = run_json(capsys, "verify", "field")
+    assert code == 0
+    checks_run = str(SUITE_CHECKS["field"])
+    assert report["verdicts"] == {"checks_run": checks_run, "failures": "0", "all_checks": "pass"}
+    assert [c["name"] for c in report["results"]["checks"]] == [
+        c.name for c in verify_suites["field"]
+    ]
 
 
 def test_verify_check_names_are_unique(verify_all):
@@ -165,111 +169,6 @@ def test_histogram_large_cell_enumeration(capsys):
     assert report["verdicts"]["closed_form_agreement"] == "match"
 
 
-def test_histogram_budget_error_mentions_alternatives(capsys):
-    code, _, err = run(
-        capsys, "histogram", "--n", "3", "--q", "4", "--r-coset", "0", "--budget", "100000"
-    )
-    assert code == 1
-    assert "|GL(3,4)| = 181440" in err and "--budget" in err
-
-
-def test_histogram_cache_round_trip(tmp_path, capsys):
-    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
-    code, first, _ = run_json(capsys, *args)
-    assert code == 0 and first["results"]["source"] == "enumeration"
-    cache_files = list(tmp_path.glob("hist_*.json"))
-    assert len(cache_files) == 1
-    code, second, _ = run_json(capsys, *args)
-    assert code == 0 and second["results"]["source"] == "cache"
-    assert second["results"]["histogram"] == first["results"]["histogram"]
-
-
-def test_histogram_cache_invalidated_on_modulus_mismatch(tmp_path, capsys):
-    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
-    run_json(capsys, *args)
-    [cache_file] = tmp_path.glob("hist_*.json")
-    entry = json.loads(cache_file.read_text())
-    entry["modulus"] = "9999"
-    cache_file.write_text(json.dumps(entry))
-    code, report, _ = run_json(capsys, *args)
-    assert code == 0
-    assert report["results"]["source"] == "enumeration"  # stale entry was not trusted
-
-
-def _wrong_total(entry):
-    entry["histogram"]["1"] = str(int(entry["histogram"]["1"]) + 1)
-    return json.dumps(entry)
-
-
-def _bad_count(entry):
-    entry["histogram"]["1"] = "x"
-    return json.dumps(entry)
-
-
-@pytest.mark.parametrize(
-    "corrupt,reason",
-    [
-        (_wrong_total, "!= cell size 56"),
-        (_bad_count, "ValueError"),
-        (lambda entry: json.dumps([entry]), "AttributeError"),
-        (lambda entry: "{", "JSONDecodeError"),
-    ],
-    ids=["wrong-total", "bad-count", "not-an-object", "truncated"],
-)
-def test_histogram_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt, reason):
-    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
-    _, first, _ = run_json(capsys, *args)
-    [cache_file] = tmp_path.glob("hist_*.json")
-    cache_file.write_text(corrupt(json.loads(cache_file.read_text())))
-    code, report, err = run_json(capsys, *args)
-    assert code == 0
-    assert report["results"]["source"] == "enumeration"
-    assert report["results"]["histogram"] == first["results"]["histogram"]
-    assert "ignoring cache entry" in err and reason in err
-    # the recomputed histogram replaced the corrupt entry
-    assert json.loads(cache_file.read_text())["histogram"] == first["results"]["histogram"]
-
-
-def test_histogram_cache_entry_without_format_is_recomputed(tmp_path, capsys):
-    args = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--cache-dir", str(tmp_path))
-    _, first, _ = run_json(capsys, *args)
-    [cache_file] = tmp_path.glob("hist_*.json")
-    entry = json.loads(cache_file.read_text())
-    assert entry.pop("format") == "1"
-    cache_file.write_text(json.dumps(entry))  # an entry written before the key had a format
-    code, report, err = run_json(capsys, *args)
-    assert code == 0
-    assert report["results"]["source"] == "enumeration"
-    assert report["results"]["histogram"] == first["results"]["histogram"]
-    assert "ignoring cache entry" in err and "format=None" in err
-    assert json.loads(cache_file.read_text())["format"] == "1"
-    _, cached, err = run_json(capsys, *args)
-    assert (cached["results"]["source"], err) == ("cache", "")
-
-
-def test_cache_store_concurrent_writers(tmp_path):
-    f8 = Field(3)
-    hist = dc_trace_histogram(1, 0, f8)
-    key = (ORTHOGONAL, 1, 0, f8.q, f8.modulus)
-    path = cli._cache_path(str(tmp_path), *key)
-
-    def write_many():
-        for _ in range(25):
-            cli._cache_store(path, *key, hist)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(write_many) for _ in range(8)]
-            for future in futures:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert cli._cache_load(path, *key) == hist
-    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
-
-
 def test_histogram_weight_prefix_emission(capsys):
     code, report, _ = run_json(
         capsys, "histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--jmax", "2"
@@ -298,6 +197,21 @@ def test_tables_moments_q4(capsys):
     assert code == 0
     assert report["results"]["moments"]["1"]["mk"] == "1"
     assert report["results"]["moments"]["2"]["mk"] == "11"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables",),
+        ("recursion", "--n", "1", "--h", "1"),
+        ("histogram", "--n", "1", "--r-coset", "0"),
+    ],
+    ids=["tables", "recursion", "histogram"],
+)
+def test_every_subcommand_rejects_huge_field(capsys, argv):
+    code, _, err = run(capsys, *argv, "--q", str(1 << 17))
+    assert code == 2
+    assert "limited to q <= 65536" in err
 
 
 def test_tables_rejects_huge_field(capsys):

@@ -7,7 +7,6 @@ from kloosterman.classical import (
     dc_order,
     dc_trace_histogram,
     enumerate_parabolic,
-    gl_order,
 )
 from kloosterman.dcsum import (
     cell_constants,
@@ -66,10 +65,8 @@ def test_expsum_dc_equals_specialized_closed_form(f2, f4, f8, f16):
             assert expsum_dc(n, f, c) == expsum_closed(n, n - 1, f, c)
 
 
-# the orthogonal cells at (3, 4) and (5, 2) whose GL(n-r, q) is small enough to count
-GAUSS_SUM_CELLS = [
-    (n, r, q) for n, q in ((3, 4), (5, 2)) for r in range(n + 1) if gl_order(n - r, q) <= 2 * 10**5
-]
+# every orthogonal cell at (3, 4) and (5, 2)
+GAUSS_SUM_CELLS = [(n, r, q) for n, q in ((3, 4), (5, 2)) for r in range(n + 1)]
 
 
 @pytest.mark.parametrize("n,r,q", GAUSS_SUM_CELLS)

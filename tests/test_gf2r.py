@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from kloosterman.gf2r import MAX_DEGREE, MODULI, Field, is_irreducible
+from kloosterman.gf2r import MAX_DEGREE, MODULI, Field, is_irreducible, walsh_hadamard
 
 from _oracles import irreducibles, is_primitive, mulmod, product_row, trace
 
@@ -152,3 +152,20 @@ def test_tables_are_built_on_first_use_and_linear_in_q():
     assert not isinstance(f._exp, list)
     assert f.mul(2, 3) == 6
     assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 1024])
+def test_walsh_hadamard_is_its_own_inverse_up_to_size(size):
+    values = [(7 * x * x - 3 * x + 1) % 23 - 11 for x in range(size)]
+    once = walsh_hadamard(values)
+    assert walsh_hadamard(once) == [size * v for v in values]
+    if size <= 16:
+        assert once == [
+            sum(v * (-1) ** (s & x).bit_count() for x, v in enumerate(values)) for s in range(size)
+        ]
+
+
+def test_walsh_hadamard_rejects_other_lengths():
+    for size in (0, 3, 6):
+        with pytest.raises(ValueError):
+            walsh_hadamard([1] * size)

@@ -61,7 +61,7 @@ def test_weight_prefix_closed_spot_values(f2):
 
 
 def test_weight_prefix_matches_naive_enumeration(verify_passed):
-    verify_passed(*(f"weight-prefix-dp-vs-naive-n1-q{q}" for q in (4, 8, 16)))
+    verify_passed(*(f"weight-prefix-dp-vs-character-sum-n1-q{q}" for q in (4, 8, 16)))
 
 
 @pytest.mark.parametrize("jmax", JMAX)
