@@ -28,8 +28,7 @@ from .matfq import (
     _dot,
     gl_iter,
     identity,
-    is_alternating,
-    mat_add,
+    is_invertible,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -130,8 +129,6 @@ def alternating_count(r: int, field: Field) -> int:
 
 def alternating_count_bruteforce(r: int, field: Field, budget: int = DEFAULT_BUDGET) -> int:
     """Count nonsingular alternating matrices by exhaustion (small r only)."""
-    from .matfq import is_invertible
-
     if r == 0:
         return 1
     total = field.q ** (r * (r - 1) // 2)
@@ -195,8 +192,7 @@ def jmat(n: int) -> Mat:
 def is_symplectic(field: Field, w: Mat, n: int) -> bool:
     if len(w) != 2 * n or len(w[0]) != 2 * n:
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix")
-    j = jmat(n)
-    return mat_mul(field, mat_mul(field, transpose(w), j), w) == j
+    return mat_mul(field, transpose(w), w[n:] + w[:n]) == jmat(n)  # J w swaps w's row halves
 
 
 def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> set[Mat]:
@@ -243,36 +239,23 @@ def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> se
     return found
 
 
-def _outer(field: Field, u: tuple[int, ...], v: tuple[int, ...]) -> Mat:
-    mul = field.mul
-    return tuple(tuple(mul(a, b) for b in v) for a in u)
-
-
-def _blocks(w: Mat, n: int):
-    a = tuple(row[:n] for row in w[:n])
-    b = tuple(row[n : 2 * n] for row in w[:n])
-    c = tuple(row[:n] for row in w[n : 2 * n])
-    d = tuple(row[n : 2 * n] for row in w[n : 2 * n])
-    g = w[2 * n][:n]
-    h = w[2 * n][n : 2 * n]
-    return a, b, c, d, g, h
-
-
 def is_orthogonal(field: Field, w: Mat, n: int) -> bool:
-    """Membership test for the isometry group of theta, via the block relations."""
+    """Membership in the isometry group of theta, read through the form.
+
+    With columns c_j of w, theta(wx) = sum x_j^2 theta(c_j) + sum_(j<k) x_j x_k B(c_j, c_k), where
+    the polar form B(u, v) = theta(u + v) + theta(u) + theta(v) reads only the first 2n coordinates,
+    on which it is J.  Putting x = e_j and e_j + e_k, theta(wx) = theta(x) for all x exactly when
+    theta(c_j) = theta(e_j) and B(c_j, c_k) = B(e_j, e_k): the last column is e_(2n+1) (forced by
+    B and theta(c_(2n+1)) = 1), the top-left 2n x 2n block is symplectic and theta(c_j) = 0, j < 2n.
+    """
     dim = 2 * n + 1
     if len(w) != dim or len(w[0]) != dim:
         raise ValueError(f"expected a {dim} x {dim} matrix")
-    # last column must be the last standard basis vector
     if w[dim - 1][dim - 1] != 1 or any(w[i][dim - 1] for i in range(dim - 1)):
         return False
-    a, b, c, d, g, h = _blocks(w, n)
-    at, bt, ct = transpose(a), transpose(b), transpose(c)
-    if not is_alternating(mat_add(mat_mul(field, at, c), _outer(field, g, g))):
+    if any(theta_form(field, c, n) for c in transpose(w)[:-1]):
         return False
-    if not is_alternating(mat_add(mat_mul(field, bt, d), _outer(field, h, h))):
-        return False
-    return mat_add(mat_mul(field, at, d), mat_mul(field, ct, b)) == identity(n)
+    return is_symplectic(field, tuple(row[:-1] for row in w[:-1]), n)
 
 
 def preserves_theta(field: Field, w: Mat, n: int) -> bool:
@@ -285,7 +268,7 @@ def preserves_theta(field: Field, w: Mat, n: int) -> bool:
 
 
 def iota(field: Field, w: Mat, n: int) -> Mat:
-    """The group isomorphism onto Sp(2n,q): drop the last row and column."""
+    """The isomorphism onto Sp(2n,q): the top-left block, which is_orthogonal found symplectic."""
     if not is_orthogonal(field, w, n):
         raise ValueError("iota is defined on the orthogonal group only")
     return tuple(row[: 2 * n] for row in w[: 2 * n])

@@ -4,7 +4,8 @@ histograms, and Kloosterman sum tables.
 Reports are deterministic for fixed flags except the wall-time field; every
 integer is serialized as a decimal string so arbitrarily large exact values
 survive the trip through JSON.  A histogram is counted from the Levi factor's
-trace pairs, which enumerates no group, so only `verify` takes a `--budget`.
+trace pairs, which enumerates no group, so only `verify` takes a `--budget`,
+and only its `kloosterman` and `groups` suites (and `all`) are bounded by it.
 Every subcommand accepts q <= 2^16.  Exit status: 0 all verdicts pass, 1
 mismatch or a failing check, 2 usage or range error.
 """
@@ -215,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="cap on each set "
+                          "the kloosterman and groups suites (and all) enumerate; others ignore it")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .classical import DEFAULT_BUDGET, BudgetError
 from .gf2r import Field
-from .matfq import SingularMatrixError, all_matrices, mat_inv, mat_trace
+from .matfq import gl_iter, mat_inv, mat_trace
 
 _KTABLE_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -121,12 +121,8 @@ def kloosterman_gl_bruteforce(
         raise BudgetError(f"{field.q ** (t * t)} candidate matrices exceed budget {budget}")
     mul, lam = field.mul, field.lam
     total = 0
-    for w in all_matrices(field, t, t):
-        try:
-            winv = mat_inv(field, w)
-        except SingularMatrixError:
-            continue
-        total += lam(mul(c, mat_trace(w) ^ mul(a, mat_trace(winv))))
+    for w in gl_iter(field, t):
+        total += lam(mul(c, mat_trace(w) ^ mul(a, mat_trace(mat_inv(field, w)))))
     return total
 
 

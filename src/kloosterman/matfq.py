@@ -7,7 +7,8 @@ xor and needs no field.  Nothing here is numerical: every operation is exact.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import filterfalse, product
+from operator import xor
 from typing import Iterator
 
 from .gf2r import Field
@@ -27,12 +28,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        raise ValueError("dimension mismatch in matrix sum")
-    return tuple(tuple(x ^ y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _dot(mul, row, col) -> int:
     s = 0
     for x, y in zip(row, col):
@@ -42,11 +37,19 @@ def _dot(mul, row, col) -> int:
 
 
 def mat_mul(field: Field, a: Mat, b: Mat) -> Mat:
+    """Row i of ab is the sum of a_ij b_j over the nonzero a_ij; mul only for a_ij != 1."""
     if len(a[0]) != len(b):
         raise ValueError(f"dimension mismatch: {len(a[0])} columns vs {len(b)} rows")
-    mul = field.mul
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(mul, row, col) for col in cols) for row in a)
+    mul, out = field.mul, []
+    for row in a:
+        acc = (0,) * len(b[0])
+        for x, b_row in zip(row, b):
+            if x == 1:
+                acc = tuple(map(xor, acc, b_row))
+            elif x:
+                acc = tuple([s ^ mul(x, y) for s, y in zip(acc, b_row)])
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_vec(field: Field, a: Mat, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,7 +135,20 @@ def all_matrices(field: Field, rows: int, cols: int) -> Iterator[Mat]:
 
 
 def gl_iter(field: Field, n: int) -> Iterator[Mat]:
-    """All invertible n x n matrices, in the all_matrices order."""
-    for a in all_matrices(field, n, n):
-        if is_invertible(field, a):
-            yield a
+    """All invertible n x n matrices, in the all_matrices order: built row by row,
+    each row running in product order over the vectors outside the span above it."""
+    q, mul = field.q, field.mul
+    vectors = list(product(range(q), repeat=n))
+
+    def extend(rows: Mat, span: set[tuple[int, ...]]) -> Iterator[Mat]:
+        if len(rows) == n:
+            yield rows
+            return
+        for v in filterfalse(span.__contains__, vectors):
+            wider = span if len(rows) == n - 1 else {  # the last span is never read
+                tuple(map(xor, s, m))
+                for m in [[mul(c, x) for x in v] for c in range(q)] for s in span
+            }
+            yield from extend(rows + (v,), wider)
+
+    yield from extend((), {(0,) * n})

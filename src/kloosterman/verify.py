@@ -154,14 +154,17 @@ def suite_kloosterman(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
 
 def suite_groups(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     f2, f4 = Field(1), Field(2)
-    for n, f in ((1, f2), (2, f2), (3, f2), (1, f4), (2, f4)):
-        count = sum(1 for _ in enumerate_parabolic(n, f, ORTHOGONAL, budget))
-        yield _check(f"parabolic-count-n{n}-q{f.q}", parabolic_order(n, f.q), count)
-    for n, r, f in ((1, 0, f2), (2, 1, f2), (3, 2, f2)):
-        # CosetData carries P; keep only the size so P is freed before the next check
-        size = len(classical.coset_transversal(n, r, f, ORTHOGONAL, budget).transversal)
-        expected = transversal_size(n, r, f.q)
-        yield _check(f"transversal-size-n{n}-r{r}-q{f.q}", expected, size)
+    transversals = {}
+    for n in (1, 2, 3):  # one P(n,2) per n serves both its count and a transversal
+        data = classical.coset_transversal(n, n - 1, f2, ORTHOGONAL, budget)
+        count, transversals[n] = len(data.parabolic), len(data.transversal)
+        del data  # free P before the next, larger one is built
+        yield _check(f"parabolic-count-n{n}-q2", parabolic_order(n, 2), count)
+    for n in (1, 2):
+        count = sum(1 for _ in enumerate_parabolic(n, f4, ORTHOGONAL, budget))
+        yield _check(f"parabolic-count-n{n}-q4", parabolic_order(n, 4), count)
+    for n, size in transversals.items():
+        yield _check(f"transversal-size-n{n}-r{n - 1}-q2", transversal_size(n, n - 1, 2), size)
     sp42 = symplectic_by_form(f2, 2, budget)
     yield _check("sp42-bruteforce-order", 720, len(sp42))
     cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC, budget)) for r in range(3)]

@@ -1,6 +1,6 @@
 """Independent brute-force oracles shared by the tests.
 
-Nothing here reuses the closed forms, recursions or block-relation membership
+Nothing here reuses the closed forms, recursions or form-based membership
 tests it is used to check.  Field facts come from this module's own
 carry-less GF(2)[x] arithmetic on the modulus alone, never from
 `kloosterman.gf2r`, except in `gl_trace_pair_counts`, which walks GL(m,q)

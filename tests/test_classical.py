@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -94,13 +95,24 @@ def test_orthogonal_iff_theta_preserving_n2(f2):
     assert found == group
     assert len(found) == 720
     assert all(is_orthogonal(f2, w, 2) for w in found)
-    # spot negatives: damaging any group element must break both predicates
-    w = next(iter(group))
-    rows = [list(r) for r in w]
-    rows[0][0] ^= 1
-    damaged = tuple(tuple(r) for r in rows)
-    if damaged not in group:
+    # negatives: flipping one entry of a group element leaves O(5,2) here, and
+    # both predicates must say so
+    rng, elements = random.Random(5), sorted(group)
+    for _ in range(250):
+        rows = [list(row) for row in rng.choice(elements)]
+        rows[rng.randrange(5)][rng.randrange(5)] ^= 1
+        damaged = tuple(map(tuple, rows))
         assert not preserves_theta(f2, damaged, 2) and not is_orthogonal(f2, damaged, 2)
+
+
+def test_orthogonal_iff_theta_preserving_sampled_q4(f4):
+    rng, verdicts = random.Random(4), set()
+    for _ in range(2000):
+        w = tuple(tuple(rng.randrange(4) for _ in range(2)) + (int(i == 2),) for i in range(3))
+        verdict = is_orthogonal(f4, w, 1)
+        assert verdict == preserves_theta(f4, w, 1), w
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ----------------------------------------------------------------------------
@@ -123,6 +135,10 @@ def test_iota_examples(f2):
     assert mat_trace(sigma_r(1, 1)) == 1 and mat_trace(iota(f2, sigma_r(1, 1), 1)) == 0
     with pytest.raises(ValueError):
         iota(f2, tuple(tuple(0 for _ in range(5)) for _ in range(5)), 2)
+
+
+def test_iota_image_is_symplectic(f2):
+    assert all(is_symplectic(f2, iota(f2, w, 2), 2) for w in enumerate_group(2, f2))
 
 
 def test_iota_is_multiplicative_bijection_on_parabolic(verify_passed):

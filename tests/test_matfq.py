@@ -1,18 +1,34 @@
+import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
+from kloosterman.gf2r import Field
 from kloosterman.matfq import (
     SingularMatrixError,
     all_matrices,
     gl_iter,
     identity,
     is_alternating,
+    is_invertible,
     mat_inv,
     mat_mul,
     mat_trace,
     transpose,
 )
 from kloosterman.classical import gl_order
+
+from _oracles import mulmod
+
+
+def _schoolbook(m, a, b):
+    """The triple-loop product, with entries multiplied modulo m by the oracle."""
+    return tuple(
+        tuple(reduce(xor, (mulmod(x, b[k][j], m) for k, x in enumerate(row)), 0)
+              for j in range(len(b[0])))
+        for row in a
+    )
 
 
 def test_identity_is_neutral(f4):
@@ -29,6 +45,27 @@ def test_swap_is_involution(f2):
 def test_scalar_square_over_f4(f4):
     g = ((2, 0), (0, 2))
     assert mat_mul(f4, g, g) == ((3, 0), (0, 3))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_mul_matches_schoolbook_oracle(r):
+    field, rng = Field(r), random.Random(r)
+
+    def sample(rows, cols):
+        # plain entries, with an all-zero row and unit entries mixed in
+        m = [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)]
+        m[rng.randrange(rows)] = [0] * cols
+        for _ in range(rows):
+            m[rng.randrange(rows)][rng.randrange(cols)] = 1
+        return tuple(map(tuple, m))
+
+    shapes = [(1, k, m) for k in range(1, 8) for m in (1, 7)]
+    shapes += [(k, m, 1) for k in range(1, 8) for m in (1, 7)]
+    shapes += [(k, rng.randint(1, 7), m) for k in range(1, 8) for m in range(1, 8)]
+    for rows, inner, cols in shapes:
+        a, b = sample(rows, inner), sample(inner, cols)
+        assert mat_mul(field, a, b) == _schoolbook(field.modulus, a, b)
+        assert mat_mul(field, identity(rows), a) == a == mat_mul(field, a, identity(inner))
 
 
 def test_mul_dimension_mismatch(f2):
@@ -86,6 +123,13 @@ def test_alternating_examples():
     assert not is_alternating(identity(2))
     with pytest.raises(ValueError):
         is_alternating(((0, 1),))
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (2, 2), (2, 3)])
+def test_gl_iter_is_filtered_all_matrices(n, r):
+    field = Field(r)
+    expected = [a for a in all_matrices(field, n, n) if is_invertible(field, a)]
+    assert list(gl_iter(field, n)) == expected
 
 
 def test_gl_counts(f2, f4):
