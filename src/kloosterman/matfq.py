@@ -113,30 +113,10 @@ def is_invertible(field: Field, a: Mat) -> bool:
     return True
 
 
-def is_alternating(a: Mat) -> bool:
-    """Zero diagonal and symmetric off-diagonal (characteristic-2 alternating)."""
-    n = len(a)
-    if n != len(a[0]):
-        raise ValueError("alternating test on a non-square matrix")
-    for i in range(n):
-        if a[i][i]:
-            return False
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                return False
-    return True
-
-
-def all_matrices(field: Field, rows: int, cols: int) -> Iterator[Mat]:
-    """All rows x cols matrices in lexicographic order of flattened entries."""
-    q = field.q
-    for entries in product(range(q), repeat=rows * cols):
-        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
-
-
 def gl_iter(field: Field, n: int) -> Iterator[Mat]:
-    """All invertible n x n matrices, in the all_matrices order: built row by row,
-    each row running in product order over the vectors outside the span above it."""
+    """All invertible n x n matrices, in lexicographic order of flattened entries:
+    built row by row, each row running in product order over the vectors
+    outside the span above it."""
     q, mul = field.q, field.mul
     vectors = list(product(range(q), repeat=n))
 

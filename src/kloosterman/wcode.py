@@ -5,9 +5,14 @@ The code of a cell is the set of binary words orthogonal (in the field) to
 the vector of element traces.  Dual codewords arise by tracing multiples a
 of the defining vector, with closed-form Hamming weights w_a.  The additive
 characters count the codewords of weight j as C_j = (1/q) sum_a [x^j]
-(1 + x)^(N - w_a) (1 - x)^(w_a); weight_prefix counts the w_a from the trace
-histogram, not by the Kloosterman closed form, since the moments derived
-from C_j are checked against the Kloosterman table.
+(1 + x)^(N - w_a) (1 - x)^(w_a).  As a runs over the field, beta -> tr(a beta)
+runs over every F_2-linear functional, so the multiset {w_a} is
+{(N - F[s]) / 2} for F the Walsh-Hadamard transform of the dense trace
+histogram: one O(q log q) pass of additions, with no field product or trace.
+weight_prefix reads the w_a from the histogram alone, not from the
+Kloosterman closed form, since the moments derived from C_j are checked
+against the Kloosterman table; weight_prefix_closed keeps each cell's
+multiset, so the recursion transforms each cell once.
 """
 
 from __future__ import annotations
@@ -17,11 +22,14 @@ from collections import Counter
 
 from .classical import ORTHOGONAL, BudgetError, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
-from .gf2r import Field
+from .gf2r import Field, walsh_hadamard
 from .ksum import kloosterman
 
 #: Largest code length for which 2^N brute force is allowed.
 BRUTE_LENGTH_LIMIT = 24
+
+# (n, r, modulus, family) -> (N, ((w, multiplicity), ...)) of the cell's dual weights
+_DUAL_MEMO: dict[tuple[int, int, int, str], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 def dual_weight(n: int, field: Field, a: int) -> int:
@@ -42,7 +50,8 @@ def dual_weight(n: int, field: Field, a: int) -> int:
 
 
 def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> int:
-    """Weight of the dual codeword as counted from a trace histogram."""
+    """Weight of the dual codeword as counted from a trace histogram, one
+    product and trace per class; an oracle for the transform route."""
     mul, trace = field.mul, field.trace
     return sum(count for beta, count in hist.items() if trace(mul(a, beta)) == 1)
 
@@ -54,33 +63,45 @@ def dual_kernel(n: int, field: Field) -> set[int]:
 
 
 def distinct_dual_count(n: int, field: Field) -> int:
-    """Number of distinct dual codewords (q over the kernel size)."""
-    return field.q // len(dual_kernel(n, field))
+    """Number of distinct dual codewords: q over the kernel size, the number
+    of transform entries F[s] equal to N."""
+    return field.q // dict(_cell_dual_weights(n, field, ORTHOGONAL)[1])[0]
 
 
-def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
-    """Exact codeword counts by weight, for weights 0..jmax.
+def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(N, sorted (w, multiplicity) pairs) of the multiset {w_a}, from one
+    Walsh-Hadamard transform of the dense histogram."""
+    dense = [0] * q
+    for beta, count in hist.items():
+        dense[beta] += count
+    length = sum(dense)
+    weights = Counter((length - f) // 2 for f in walsh_hadamard(dense))
+    return length, tuple(sorted(weights.items()))
 
-    The code has N = sum(hist) coordinates, hist[beta] of them carrying beta;
-    a word is a codeword when the betas it selects sum to 0.  With w_a the
-    weight of dual word a, the additive characters give
-    C_j = (1/q) sum_a [x^j] (1 + x)^(N - w_a) (1 - x)^(w_a), and the division
-    is exact or an ArithmeticError.  The w_a are counted from hist alone:
-    taken from the Kloosterman closed form (dual_weight), they would make
-    the recursion's check against the direct moments circular.
-    """
+
+def _cell_dual_weights(
+    n: int, field: Field, family: str
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """_dual_weights of the cell's closed-form histogram, kept per cell."""
+    key = (n, field.r, field.modulus, family)
+    cached = _DUAL_MEMO.get(key)
+    if cached is None:
+        cached = _DUAL_MEMO[key] = _dual_weights(field.q, closed_histogram(n, field, family))
+    return cached
+
+
+def _krawtchouk_prefix(
+    q: int, length: int, dual_weights: tuple[tuple[int, int], ...], jmax: int
+) -> list[int]:
+    """C_j = (1/q) sum over (w, mult) of mult * K_j(w) for j = 0..jmax, with
+    K_j = [x^j] (1 + x)^(length - w) (1 - x)^w; the division is exact or an
+    ArithmeticError."""
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    q = field.q
-    bad = [(beta, count) for beta, count in hist.items() if not 0 <= beta < q or count < 0]
-    if bad:
-        raise ValueError(f"histogram entries {bad} are not counts >= 0 of elements of GF({q})")
-    length = sum(hist.values())
-    dual_weights = Counter(dual_weight_from_histogram(field, hist, a) for a in field.elements())
     totals = [0] * (jmax + 1)
-    for w, mult in dual_weights.items():
-        # the Krawtchouk values K_j = [x^j] (1 + x)^(N - w) (1 - x)^w, all integers,
-        # by (j + 1) K_(j+1) = (N - 2w) K_j - (N - j + 1) K_(j-1)
+    for w, mult in dual_weights:
+        # the Krawtchouk values are all integers, by
+        # (j + 1) K_(j+1) = (N - 2w) K_j - (N - j + 1) K_(j-1)
         prev, cur = 0, 1
         for j in range(jmax + 1):
             totals[j] += mult * cur
@@ -91,11 +112,32 @@ def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     return [total // q for total in totals]
 
 
+def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
+    """Exact codeword counts by weight, for weights 0..jmax.
+
+    The code has N = sum(hist) coordinates, hist[beta] of them carrying beta;
+    a word is a codeword when the betas it selects sum to 0.  With w_a the
+    weight of dual word a, the additive characters give
+    C_j = (1/q) sum_a [x^j] (1 + x)^(N - w_a) (1 - x)^(w_a), and the division
+    is exact or an ArithmeticError.  The multiset {w_a} is {(N - F[s]) / 2}
+    for F the Walsh-Hadamard transform of hist made dense, since the trace
+    form is nondegenerate; it reads hist alone.  Taken from the Kloosterman
+    closed form (dual_weight), the w_a would make the recursion's check
+    against the direct moments circular.
+    """
+    q = field.q
+    bad = [(beta, count) for beta, count in hist.items() if not 0 <= beta < q or count < 0]
+    if bad:
+        raise ValueError(f"histogram entries {bad} are not counts >= 0 of elements of GF({q})")
+    return _krawtchouk_prefix(q, *_dual_weights(q, hist), jmax)
+
+
 def weight_prefix_closed(
     n: int, field: Field, jmax: int, family: str = ORTHOGONAL
 ) -> list[int]:
-    """Weight prefix of the cell code straight from its closed-form histogram."""
-    return weight_prefix(field, closed_histogram(n, field, family), jmax)
+    """Weight prefix of the cell code from its closed-form histogram; the
+    dual-weight multiset is computed once per cell and kept."""
+    return _krawtchouk_prefix(field.q, *_cell_dual_weights(n, field, family), jmax)
 
 
 def defining_vector(n: int, field: Field) -> list[int]:

@@ -16,6 +16,12 @@ from kloosterman.gf2r import Field
 from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_trace
 
 
+def all_matrices(field: Field, rows: int, cols: int):
+    """All rows x cols matrices in lexicographic order of flattened entries."""
+    for entries in product(range(field.q), repeat=rows * cols):
+        yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+
+
 def theta_isometries(field: Field, n: int) -> set[Mat]:
     """Every matrix with theta(wx) = theta(x) for all x, by exhaustive search.
 

@@ -31,9 +31,10 @@ from kloosterman.classical import (
     transversal_size,
 )
 from kloosterman.gf2r import Field
-from kloosterman.matfq import all_matrices, identity, mat_mul, mat_trace
+from kloosterman.matfq import identity, mat_mul, mat_trace
 
 from _oracles import (
+    all_matrices,
     gl_trace_pair_counts,
     stream_trace_histogram,
     symplectic_exhaustive,

@@ -7,10 +7,8 @@ import pytest
 from kloosterman.gf2r import Field
 from kloosterman.matfq import (
     SingularMatrixError,
-    all_matrices,
     gl_iter,
     identity,
-    is_alternating,
     is_invertible,
     mat_inv,
     mat_mul,
@@ -19,7 +17,7 @@ from kloosterman.matfq import (
 )
 from kloosterman.classical import gl_order
 
-from _oracles import mulmod
+from _oracles import all_matrices, mulmod
 
 
 def _schoolbook(m, a, b):
@@ -115,14 +113,6 @@ def test_transpose_reverses_products(f2):
     for a in mats:
         for b in mats:
             assert transpose(mat_mul(f2, a, b)) == mat_mul(f2, transpose(b), transpose(a))
-
-
-def test_alternating_examples():
-    assert is_alternating(((0, 0), (0, 0)))
-    assert is_alternating(((0, 1), (1, 0)))
-    assert not is_alternating(identity(2))
-    with pytest.raises(ValueError):
-        is_alternating(((0, 1),))
 
 
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (2, 2), (2, 3)])

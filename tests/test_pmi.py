@@ -90,6 +90,13 @@ def test_recursion_at_q256_up_to_h25():
         assert t1k_recursive(1, f, h, compare=True).match, h
 
 
+@pytest.mark.parametrize("n,r_field", [(1, 12), (5, 8), (7, 6)])
+def test_recursion_matches_direct_up_to_h25(n, r_field):
+    f = Field(r_field)
+    for h in range(1, 26, 2):
+        assert t1k_recursive(n, f, h, compare=True).match, h
+
+
 def test_recursion_range_guards(f2, f4, f8):
     with pytest.raises(ValueError):
         t1k_recursive(1, f2, 1)

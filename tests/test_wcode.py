@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from kloosterman import wcode
+from kloosterman import pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
@@ -12,6 +14,7 @@ from kloosterman.wcode import (
     distinct_dual_count,
     dual_enumerate,
     dual_weight,
+    dual_weight_from_histogram,
     weight_prefix,
     weight_prefix_closed,
 )
@@ -58,6 +61,8 @@ def test_weight_prefix_basics(f8):
 def test_weight_prefix_closed_spot_values(f2):
     assert weight_prefix_closed(3, f2, 1, ORTHOGONAL) == [1, 293888]
     assert weight_prefix_closed(3, f2, 1, SYMPLECTIC) == [1, 308224]
+    with pytest.raises(ValueError):
+        weight_prefix_closed(3, f2, -1)  # also once the cell is memoised
 
 
 def test_weight_prefix_matches_naive_enumeration(verify_passed):
@@ -101,11 +106,56 @@ def test_weight_prefix_rejects_bad_histograms(f8, hist):
         weight_prefix(f8, hist, 3)
 
 
-def test_weight_prefix_nonintegral_total_raises(f4, monkeypatch):
+def test_weight_prefix_nonintegral_total_raises():
     # every nonzero a claiming weight 1 on a length-1 code gives C_1 = (1 - 3)/4
-    monkeypatch.setattr(wcode, "dual_weight_from_histogram", lambda field, hist, a: int(a != 0))
     with pytest.raises(ArithmeticError, match="not multiples of q=4"):
-        weight_prefix(f4, {1: 1}, 1)
+        wcode._krawtchouk_prefix(4, 1, ((0, 1), (1, 3)), 1)
+
+
+@pytest.mark.parametrize("r", [3, 6, 8])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_transform_dual_weights_match_the_per_a_count(family, n, r):
+    f = Field(r)
+    hist = closed_histogram(n, f, family)
+    length, weights = wcode._dual_weights(f.q, hist)
+    assert length == sum(hist.values())
+    assert dict(weights) == Counter(dual_weight_from_histogram(f, hist, a) for a in f.elements())
+
+
+def test_weight_prefix_calls_no_field_product_or_trace(monkeypatch):
+    f = Field(6)
+    hist = closed_histogram(3, f, SYMPLECTIC)
+    expected = weight_prefix_dp(hist, 4)
+
+    def forbidden(*args):
+        raise AssertionError("weight_prefix used a field product or trace")
+
+    monkeypatch.setattr(Field, "mul", forbidden)
+    monkeypatch.setattr(Field, "trace", forbidden)
+    assert weight_prefix(f, hist, 4) == expected
+
+
+def test_recursion_builds_each_cell_histogram_once(monkeypatch):
+    calls = []
+
+    def counted(n, field, family=ORTHOGONAL):
+        calls.append((n, field.q, family))
+        return closed_histogram(n, field, family)
+
+    monkeypatch.setattr(wcode, "closed_histogram", counted)
+    monkeypatch.setattr(wcode, "_DUAL_MEMO", {})
+    monkeypatch.setattr(pmi, "_T1K_MEMO", {})
+    for n, f in ((1, Field(5)), (3, Field(2))):
+        for h in range(1, 26, 2):
+            assert pmi.t1k_recursive(n, f, h).h == h
+    cells = [(n, q, family) for n, q in ((1, 32), (3, 4)) for family in (ORTHOGONAL, SYMPLECTIC)]
+    assert calls == cells
+    # a second field object with the same modulus is the same cell
+    assert weight_prefix_closed(1, Field(5), 3, SYMPLECTIC) == weight_prefix_closed(
+        1, Field(5), 3, SYMPLECTIC
+    )
+    assert calls == cells
 
 
 def test_tiny_code_full_distribution(verify_passed, f2):
