@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .gf2r import Field, walsh_hadamard
 from .matfq import (
@@ -182,8 +183,9 @@ def theta_form(field: Field, x: tuple[int, ...], n: int) -> int:
     return s
 
 
+@cache
 def jmat(n: int) -> Mat:
-    """The antidiagonal block matrix defining the symplectic form."""
+    """The antidiagonal block matrix defining the symplectic form (built once per n)."""
     return tuple(
         tuple(1 if j == (i + n) % (2 * n) else 0 for j in range(2 * n)) for i in range(2 * n)
     )
@@ -204,8 +206,9 @@ def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> se
     candidate for c_k is dropped exactly when one of them differs from J.  No
     completion could repair such an entry, so every solution is found.  The
     diagonal entries c_k^T J c_k vanish for every vector (the form is
-    alternating) and prune nothing.  Each finished matrix is re-checked with
-    is_symplectic; a failure raises ArithmeticError.
+    alternating) and prune nothing.  The row c_i^T J v over all v is computed
+    once per chosen c_i, so candidates are tested by index.  Each finished
+    matrix is re-checked with is_symplectic; a failure raises ArithmeticError.
 
     The search reads the form alone, never the parabolic subgroup, sigma_r or
     a cell order, so it is an independent side against which the Bruhat cells
@@ -222,7 +225,7 @@ def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> se
     images = [v[n:] + v[:n] for v in vectors]
     found: set[Mat] = set()
 
-    def extend(cols: list[tuple[int, ...]]) -> None:
+    def extend(cols: list[tuple[int, ...]], forms: list[list[int]]) -> None:
         k = len(cols)
         if k == dim:
             w = transpose(cols)
@@ -230,12 +233,14 @@ def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> se
                 raise ArithmeticError(f"column search produced a non-symplectic matrix {w}")
             found.add(w)
             return
+        if cols:  # the row of the newest column; a leaf never needs one
+            forms = forms + [[_dot(mul, cols[-1], image) for image in images]]
         targets = [row[k] for row in form[:k]]
-        for v, image in zip(vectors, images):
-            if all(_dot(mul, c, image) == t for c, t in zip(cols, targets)):
-                extend(cols + [v])
+        for i, v in enumerate(vectors):
+            if all(f[i] == t for f, t in zip(forms, targets)):
+                extend(cols + [v], forms)
 
-    extend([])
+    extend([], [])
     return found
 
 
@@ -256,15 +261,6 @@ def is_orthogonal(field: Field, w: Mat, n: int) -> bool:
     if any(theta_form(field, c, n) for c in transpose(w)[:-1]):
         return False
     return is_symplectic(field, tuple(row[:-1] for row in w[:-1]), n)
-
-
-def preserves_theta(field: Field, w: Mat, n: int) -> bool:
-    """Direct isometry check: theta(wx) = theta(x) for every vector x."""
-    dim = 2 * n + 1
-    for x in product(range(field.q), repeat=dim):
-        if theta_form(field, mat_vec(field, w, x), n) != theta_form(field, x, n):
-            return False
-    return True
 
 
 def iota(field: Field, w: Mat, n: int) -> Mat:
@@ -333,11 +329,11 @@ def _levi_rows(field: Field, a: Mat, family: str) -> tuple[Mat, Mat]:
     return ait, tuple(zero + row + tail for row in ait)
 
 
-def _p_element(a: Mat, top: Mat, levi: Mat, h: tuple | None) -> Mat:
-    """The element of P with rows (a | top | 0), levi and, if h is not None, (0 | h | 1)."""
-    if h is None:
+def _p_element(a: Mat, top: Iterable[tuple], levi: Mat, last: tuple | None) -> Mat:
+    """The element of P with rows (a | top | 0), levi and, if not None, the closing row last."""
+    if last is None:
         return tuple(x + y for x, y in zip(a, top)) + levi
-    return tuple(x + y + (0,) for x, y in zip(a, top)) + levi + ((0,) * len(a) + h + (1,),)
+    return tuple(x + y + (0,) for x, y in zip(a, top)) + levi + (last,)
 
 
 def enumerate_parabolic(
@@ -348,17 +344,23 @@ def enumerate_parabolic(
     Each element is l(a) u(b, h): the Levi factor diag(a, a^-T[, 1]) times
     the unipotent factor with top rows (1 | b) and, orthogonal family only,
     last row (0 | h | 1).  The parameters run as in _unipotents, a outermost,
-    which fixes the element ordering used everywhere downstream.
+    which fixes the element ordering used everywhere downstream.  With a
+    fixed, v -> a v is computed once on the q^n column vectors and a b is read
+    off b's columns, which, like the closing row (0 | h | 1), are built once.
     """
     _check_family(family)
     count = parabolic_order(n, field.q)
     if count > budget:
         raise BudgetError(f"|P| = {count} exceeds enumeration budget {budget}")
-    unipotents = list(_unipotents(field, n, n, family))
+    unipotents = [
+        (transpose(b), None if h is None else (0,) * n + h + (1,))
+        for b, h in _unipotents(field, n, n, family)
+    ]
     for a in gl_iter(field, n):
         _, levi = _levi_rows(field, a, family)
-        for b, h in unipotents:
-            yield _p_element(a, mat_mul(field, a, b), levi, h)
+        image = {v: mat_vec(field, a, v) for v in product(range(field.q), repeat=n)}
+        for columns, last in unipotents:
+            yield _p_element(a, zip(*[image[c] for c in columns]), levi, last)
 
 
 # ----------------------------------------------------------------------------
@@ -437,8 +439,8 @@ def coset_transversal(
     for a in _subspace_representatives(field, n, r):
         ait, levi = _levi_rows(field, a, family)
         for b, h in shifts:  # u(b, h) l(a) has rows (a | b a^-T | 0), levi, (0 | h a^-T | 1)
-            h_ait = None if h is None else mat_mul(field, (h,), ait)[0]
-            transversal.append(_p_element(a, mat_mul(field, b, ait), levi, h_ait))
+            last = None if h is None else (0,) * n + mat_mul(field, (h,), ait)[0] + (1,)
+            transversal.append(_p_element(a, mat_mul(field, b, ait), levi, last))
 
     expected_t = transversal_size(n, r, q)
     if len(transversal) != expected_t:
@@ -454,16 +456,22 @@ def coset_transversal(
 def enumerate_double_coset(
     n: int, r: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Mat]:
-    """Stream P sigma_r P in the fixed order: transversal outer, P inner."""
+    """Stream P sigma_r P in the fixed order: transversal outer, P inner.
+
+    Each element is p m with m = sigma_r x fixed over P, so u -> u m is computed
+    once per x on the few distinct rows u of P's elements, and p m is read row by row.
+    """
     data = coset_transversal(n, r, field, family, budget)
     if data.cell_size > budget:
         raise BudgetError(f"cell size {data.cell_size} exceeds budget {budget}")
     dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
     perm = _sigma_perm(n, r, dim)
+    rows = tuple({u for p in data.parabolic for u in p})
     for x in data.transversal:
         m = tuple(x[perm[i]] for i in range(dim))  # sigma_r * x
+        image = dict(zip(rows, mat_mul(field, rows, m)))
         for p in data.parabolic:
-            yield mat_mul(field, p, m)
+            yield tuple(map(image.__getitem__, p))
 
 
 def enumerate_group(

@@ -18,8 +18,8 @@ against every additive character, in O(q log q) additions.
 from __future__ import annotations
 
 # Lowest-weight irreducible polynomial per degree, lexicographically smallest
-# among minimal-weight candidates.  Re-verified irreducible at construction,
-# so a bad entry fails loudly rather than corrupting results.
+# among minimal-weight candidates.  Rabin's test re-verifies each one at
+# construction, so a bad entry fails loudly rather than corrupting results.
 MODULI = {
     1: 0x3,
     2: 0x7,
@@ -58,18 +58,35 @@ def _poly_mod(a: int, b: int) -> int:
     return a
 
 
+def _mul_raw(a: int, b: int, modulus: int) -> int:
+    """Shift-and-add product of a and b, both reduced, modulo the polynomial modulus."""
+    r, p = modulus.bit_length() - 1, 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a >> r:
+            a ^= modulus
+    return p
+
+
 def is_irreducible(poly: int, degree: int) -> bool:
-    """Exhaustive factor search: no divisor of degree 1..degree//2."""
-    if poly.bit_length() - 1 != degree:
+    """Rabin's test: x^(2^d) = x mod poly, and gcd(x^(2^(d/p)) - x, poly) = 1 for primes p | d."""
+    if degree < 1 or poly.bit_length() - 1 != degree:
         return False
-    if degree == 1:
-        return True
-    if poly & 1 == 0:
+    x = _poly_mod(2, poly)
+    frobenius = [x]  # x^(2^k) modulo poly for k = 0..degree
+    for _ in range(degree):
+        frobenius.append(_mul_raw(frobenius[-1], frobenius[-1], poly))
+    if frobenius[degree] != x:
         return False
-    for d in range(1, degree // 2 + 1):
-        for g in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(poly, g) == 0:
-                return False
+    for p in _prime_factors(degree):
+        a, b = poly, frobenius[degree // p] ^ x
+        while b:  # Euclid's algorithm in GF(2)[x]
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
+            return False
     return True
 
 
@@ -126,7 +143,7 @@ class Field:
             # tr(x^i) = x^i + (x^i)^2 + ... + (x^i)^(2^(r-1)), landing in {0, 1}
             t = x = 1 << i
             for _ in range(r - 1):
-                x = self._mul_raw(x, x)
+                x = _mul_raw(x, x, modulus)
                 t ^= x
             mask |= t << i
         self._trace_mask = mask
@@ -140,25 +157,12 @@ class Field:
     def __hash__(self):
         return hash((self.r, self.modulus))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Shift-and-add product; used only to build the tables and the trace mask."""
-        m, r = self.modulus, self.r
-        p = 0
-        while b:
-            if b & 1:
-                p ^= a
-            b >>= 1
-            a <<= 1
-            if a >> r:
-                a ^= m
-        return p
-
     def _pow_raw(self, a: int, e: int) -> int:
         result = 1
         while e:
             if e & 1:
-                result = self._mul_raw(result, a)
-            a = self._mul_raw(a, a)
+                result = _mul_raw(result, a, self.modulus)
+            a = _mul_raw(a, a, self.modulus)
             e >>= 1
         return result
 
@@ -179,7 +183,7 @@ class Field:
         for k in range(order):
             powers[k] = x
             log[x] = k
-            x = self._mul_raw(x, g)  # g is small, so this loop is short
+            x = _mul_raw(x, g, self.modulus)  # g is small, so this loop is short
         self._log = log
         self._exp = powers + powers + [0] * (2 * q - 1)
 

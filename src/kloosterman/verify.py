@@ -179,10 +179,12 @@ def suite_groups(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     p4 = set(enumerate_parabolic(2, f2, SYMPLECTIC, budget))
     image = [iota(f2, w, 2) for w in p5]
     yield _check("iota-bijection-p5-p4", True, set(image) == p4 and len(set(image)) == len(p5))
+    known = dict(zip(p5, image))  # iota is pure; a product outside p5 still meets its guard
     ok = all(
-        iota(f2, mat_mul(f2, v, w), 2) == mat_mul(f2, iv, iw)
+        (known.get(vw) or iota(f2, vw, 2)) == mat_mul(f2, iv, iw)
         for v, iv in zip(p5, image)
         for w, iw in zip(p5, image)
+        for vw in [mat_mul(f2, v, w)]
     )
     yield _check("iota-multiplicative-p5", True, ok)
     for r in range(5):

@@ -11,15 +11,42 @@ from functools import cache, reduce
 from itertools import product
 from operator import xor
 
-from kloosterman.classical import coset_transversal, sigma_r, theta_form
+from kloosterman.classical import (
+    _levi_rows,
+    _p_element,
+    _unipotents,
+    coset_transversal,
+    sigma_r,
+    theta_form,
+)
 from kloosterman.gf2r import Field
-from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_trace
+from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_mul, mat_trace, mat_vec
 
 
 def all_matrices(field: Field, rows: int, cols: int):
     """All rows x cols matrices in lexicographic order of flattened entries."""
     for entries in product(range(field.q), repeat=rows * cols):
         yield tuple(entries[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def preserves_theta(field: Field, w: Mat, n: int) -> bool:
+    """Direct isometry check: theta(wx) = theta(x) for every vector x."""
+    dim = 2 * n + 1
+    for x in product(range(field.q), repeat=dim):
+        if theta_form(field, mat_vec(field, w, x), n) != theta_form(field, x, n):
+            return False
+    return True
+
+
+def parabolic_by_products(n: int, field: Field, family: str):
+    """Each l(a) u(b, h) of P with its top block a b from one mat_mul, in the
+    order of enumerate_parabolic: a over gl_iter outermost, then (b, h)."""
+    unipotents = list(_unipotents(field, n, n, family))
+    for a in gl_iter(field, n):
+        _, levi = _levi_rows(field, a, family)
+        for b, h in unipotents:
+            last = None if h is None else (0,) * n + h + (1,)
+            yield _p_element(a, mat_mul(field, a, b), levi, last)
 
 
 def theta_isometries(field: Field, n: int) -> set[Mat]:

@@ -24,7 +24,6 @@ from kloosterman.classical import (
     is_symplectic,
     jmat,
     parabolic_order,
-    preserves_theta,
     sigma_r,
     symplectic_by_form,
     theta_form,
@@ -36,6 +35,8 @@ from kloosterman.matfq import identity, mat_mul, mat_trace
 from _oracles import (
     all_matrices,
     gl_trace_pair_counts,
+    parabolic_by_products,
+    preserves_theta,
     stream_trace_histogram,
     symplectic_exhaustive,
     theta_isometries,
@@ -166,6 +167,13 @@ def test_parabolic_counts(n, r_field, expected):
     assert len(sympl) == len(set(sympl)) == expected
 
 
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+@pytest.mark.parametrize("n, r_field", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_parabolic_matches_product_construction(n, r_field, family):
+    f = Field(r_field)
+    assert list(enumerate_parabolic(n, f, family)) == list(parabolic_by_products(n, f, family))
+
+
 def test_parabolic_elements_lie_in_the_groups(f2, f4):
     for n, f in ((1, f2), (2, f2), (1, f4)):
         for w in enumerate_parabolic(n, f, ORTHOGONAL):
@@ -271,6 +279,17 @@ def test_double_coset_is_pairwise_product_set(f2):
         cell = list(enumerate_double_coset(2, r, f2, SYMPLECTIC))
         assert len(cell) == len(set(cell)) == cell_order(2, r, 2)
         assert set(cell) == brute
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_double_coset_is_product_in_order(f2, family):
+    for r in range(3):
+        data = coset_transversal(2, r, f2, family)
+        s = sigma_r(2, r, family)
+        expected = [
+            mat_mul(f2, p, mat_mul(f2, s, x)) for x in data.transversal for p in data.parabolic
+        ]
+        assert list(enumerate_double_coset(2, r, f2, family)) == expected
 
 
 @pytest.mark.parametrize(

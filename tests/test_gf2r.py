@@ -40,6 +40,11 @@ def test_reducible_override_rejected(bad):
         Field(4, modulus=bad)
 
 
+def test_rabin_test_matches_sieve():
+    for r in range(1, 13):
+        assert [p for p in range(1 << r, 1 << (r + 1)) if is_irreducible(p, r)] == irreducibles(r)
+
+
 def test_wrong_degree_modulus_rejected():
     with pytest.raises(ValueError):
         Field(4, modulus=0b1011)  # irreducible, but of degree 3
