@@ -3,8 +3,11 @@
 Nothing here reuses the closed forms, recursions or form-based membership
 tests it is used to check.  Field facts come from this module's own
 carry-less GF(2)[x] arithmetic on the modulus alone, never from
-`kloosterman.gf2r`, except in `gl_trace_pair_counts`, which walks GL(m,q)
-with `kloosterman.matfq`.
+`kloosterman.gf2r`, except where `kloosterman.matfq` multiplies:
+`gl_trace_pair_counts` walks GL(m,q), `preserves_theta` maps every vector,
+and `parabolic_by_products` builds P from the parameters that
+`enumerate_parabolic` reads, with one `mat_mul` per element in place of its
+memoized Levi action.
 """
 
 from functools import cache, reduce
