@@ -16,7 +16,7 @@ from .classical import (
     group_order_data,
     sigma_r,
 )
-from .dcsum import CellConstants, cell_constants, closed_histogram, expsum_closed, expsum_dc, trace_count
+from .dcsum import CellConstants, cell_constants, closed_histogram, expsum_closed, expsum_dc
 from .gf2r import Field
 from .ksum import kloosterman, kloosterman_gl, kloosterman_gl_bruteforce, ktable, moments
 from .pmi import RecursionReport, full_moment_identity, mk_via_identity, pless_check, stirling2, t1k_recursive

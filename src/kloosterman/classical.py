@@ -10,9 +10,10 @@ r = 0..n, where sigma_r swaps the first r "plus" coordinates with their
 Everything here is exact and deterministic: parabolic elements and coset
 transversals are generated from their parameters in a fixed lexicographic
 order, and trace histograms are counted from P's Levi factor alone.  That
-count enumerates no group: the trace pairs of GL(n-r,q) come from the GL(t,q)
-Kloosterman recursion (the one ksum.kloosterman_gl applies) run on
-Walsh-Hadamard transforms, and it reads nothing from ksum.
+count enumerates no group: the trace pairs of GL(n-r,q) come from
+gl_recursion, the one GL(t,q) Kloosterman recursion (ksum.kloosterman_gl
+applies it to a single sum), run on Walsh-Hadamard transforms, and it reads
+nothing from ksum.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _check_cell(n: int, r: int) -> None:
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+
+
 # ----------------------------------------------------------------------------
 # closed-form orders
 
@@ -64,8 +70,7 @@ def gl_order(n: int, q: int) -> int:
 
 def q_binom(n: int, r: int, q: int) -> int:
     """Gaussian binomial coefficient counting r-dimensional subspaces of F_q^n."""
-    if not 0 <= r <= n:
-        raise ValueError(f"q-binomial needs 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     num = math.prod(q ** (n - j) - 1 for j in range(r))
     den = math.prod(q ** (r - j) - 1 for j in range(r))
     if num % den:
@@ -80,8 +85,7 @@ def parabolic_order(n: int, q: int) -> int:
 
 def stabilizer_order(n: int, r: int, q: int) -> int:
     """Order of A_r = P intersected with its sigma_r-conjugate."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     # r*(2n-3r-1) is always even; the combined exponent is >= 0 on 0 <= r <= n
     exponent = math.comb(n + 1, 2) + r * (2 * n - 3 * r - 1) // 2
     return gl_order(r, q) * gl_order(n - r, q) * q**exponent
@@ -89,15 +93,13 @@ def stabilizer_order(n: int, r: int, q: int) -> int:
 
 def transversal_size(n: int, r: int, q: int) -> int:
     """Number of right cosets of A_r in P."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     return q ** math.comb(r + 1, 2) * q_binom(n, r, q)
 
 
 def cell_order(n: int, r: int, q: int) -> int:
     """|P sigma_r P|, identical for the orthogonal and symplectic families."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     return (
         q ** (n * n)
         * q_binom(n, r, q)
@@ -280,8 +282,7 @@ def _sigma_perm(n: int, r: int, dim: int) -> list[int]:
 def sigma_r(n: int, r: int, family: str = ORTHOGONAL) -> Mat:
     """The Weyl representative swapping the first r plus/minus coordinate pairs."""
     _check_family(family)
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
     perm = _sigma_perm(n, r, dim)
     return tuple(tuple(1 if j == perm[i] else 0 for j in range(dim)) for i in range(dim))
@@ -386,10 +387,6 @@ def _conjugate_zero_positions(n: int, r: int, family: str) -> tuple[tuple[int, i
 class CosetData:
     """A right-coset transversal of A_r in P, P itself in enumeration order, and the cell size."""
 
-    n: int
-    r: int
-    family: str
-    field: Field
     parabolic: tuple[Mat, ...]
     stabilizer_order: int
     transversal: tuple[Mat, ...]
@@ -450,7 +447,7 @@ def coset_transversal(
         for ycols in inverse_cols[:k]:
             if all(_dot(mul, x[i], ycols[j]) == 0 for i, j in positions):
                 raise ArithmeticError(f"two representatives share a right coset of A_{r}")
-    return CosetData(n, r, family, field, parabolic, a_count, tuple(transversal))
+    return CosetData(parabolic, a_count, tuple(transversal))
 
 
 def enumerate_double_coset(
@@ -486,19 +483,29 @@ def enumerate_group(
 # trace histograms by the Levi reduction
 
 
+def gl_recursion(k1: list[int], t: int, q: int) -> list[int]:
+    """GL(t,q) Kloosterman sums of nontrivial characters from their GL(1,q) sums W_1 = k1,
+    elementwise: W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2), W_0 = 1."""
+    if t < 0:
+        raise ValueError("matrix size must be nonnegative")
+    prev, cur = [1] * len(k1), (list(k1) if t else [1] * len(k1))
+    for s in range(2, t + 1):
+        ratio, carry = q ** (s - 1), q ** (2 * s - 2) * (q ** (s - 1) - 1)
+        prev, cur = cur, [ratio * k * w1 + carry * w2 for k, w1, w2 in zip(k1, cur, prev)]
+    return cur
+
+
 def _trace_pair_counts(m: int, field: Field) -> list[int]:
     """g_m(gamma) = #{D in GL(m,q) : tr D + tr D^-1 = gamma}, indexed by gamma.
 
     No group is enumerated.  g_0 counts the empty matrix at gamma = 0 and g_1
     is counted over x in F_q^*.  From m = 2 on, the Walsh-Hadamard transform
     W_1 of g_1 holds the Kloosterman sums of every additive character, s = 0
-    giving the trivial one.  For each nontrivial character the GL(t,q) sums
-    obey the recursion that ksum.kloosterman_gl applies,
-    W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2) with W_0 = 1,
-    and W_t(0) = |GL(t,q)|; transforming W_m back gives q g_m, and the
-    division by q is checked.  The expsum checks with n - r >= 2 therefore
-    share this recursion with their closed side; the brute-force count in
-    the tests anchors it.  Cost: O(m q + q log q) integer operations.
+    giving the trivial one.  gl_recursion, the recursion ksum.kloosterman_gl
+    applies too, maps them to W_m, and W_m(0) = |GL(m,q)|; transforming W_m
+    back gives q g_m, and the division by q is checked.  The expsum checks
+    with n - r >= 2 therefore share gl_recursion with their closed side; the
+    brute-force count in the tests anchors it.  Cost: O(m q + q log q).
     """
     q = field.q
     counts = [0] * q
@@ -509,13 +516,9 @@ def _trace_pair_counts(m: int, field: Field) -> list[int]:
         counts[x ^ field.inv(x)] += 1
     if m == 1:
         return counts
-    walsh = [[1] * q, walsh_hadamard(counts)]  # W_0, W_1
-    for t in range(2, m + 1):
-        ratio, carry = q ** (t - 1), q ** (2 * t - 2) * (q ** (t - 1) - 1)
-        w_t = [ratio * k * w1 + carry * w2 for k, w1, w2 in zip(walsh[1], walsh[-1], walsh[-2])]
-        w_t[0] = gl_order(t, q)
-        walsh.append(w_t)
-    scaled = walsh_hadamard(walsh[m])
+    walsh = gl_recursion(walsh_hadamard(counts), m, q)
+    walsh[0] = gl_order(m, q)
+    scaled = walsh_hadamard(walsh)
     if any(total % q for total in scaled):
         raise ArithmeticError(f"inverse transform of the GL({m},{q}) sums is not a multiple of q")
     return [total // q for total in scaled]

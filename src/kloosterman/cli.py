@@ -77,6 +77,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    if args.budget < 0:
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
     checks = run_suite(args.suite, args.budget)
     failures = sum(1 for c in checks if not c.ok)
     report = {
@@ -135,8 +137,6 @@ def cmd_histogram(args) -> int:
     started = time.perf_counter()
     field = _make_field(args.q, args.modulus)
     n, r, family = args.n, args.r_coset, args.family
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r-coset <= n, got n={n}, r={r}")
     hist = dc_trace_histogram(n, r, field, family)
     results = {
         "family": family,
@@ -172,6 +172,8 @@ def cmd_histogram(args) -> int:
 
 def cmd_tables(args) -> int:
     started = time.perf_counter()
+    if args.hmax < 0:
+        raise ValueError(f"--hmax must be nonnegative, got {args.hmax}")
     field = _make_field(args.q, args.modulus)
     table = ktable(field)
     moment_rows = [moments(field, h) for h in range(args.hmax + 1)]

@@ -9,10 +9,9 @@ in the cell's character sum and cofactor the complementary factor.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classical import FAMILIES, ORTHOGONAL, q_binom
+from .classical import ORTHOGONAL, _check_cell, _check_family, q_binom
 from .gf2r import Field
 from .ksum import kloosterman, kloosterman_gl
 
@@ -59,8 +58,7 @@ def expsum_closed(n: int, r: int, field: Field, c: int = 1) -> int:
     Zero for odd r; for even r a power-of-q prefactor times a q-binomial,
     an odd-exponent product, and the GL(n-r) Kloosterman sum at argument 1.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    _check_cell(n, r)
     if c == 0:
         raise ValueError("character index c must be nonzero")
     if r % 2 == 1:
@@ -88,57 +86,33 @@ def expsum_dc(n: int, field: Field, c: int = 1) -> int:
     return field.lam(c) * consts.scale * kloosterman(field, c)
 
 
-def _trace_counter(
-    n: int, field: Field, family: str
-) -> tuple[CellConstants, Callable[[int], int]]:
-    """The distinguished cell's constants, computed once, and its beta -> count map."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    _check_odd(n)
+def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int, int]:
+    """Dense trace histogram beta -> count of the distinguished cell, in closed form.
+
+    Each count is (size + scale * bump) / q.  The symplectic special slot is
+    gamma = beta = 0 (bump 1); elsewhere bump is q + 1 or 1 - q as tr(1/gamma)
+    is 0 or 1.  The orthogonal histogram is the symplectic one shifted by the
+    trace of iota, gamma = beta + 1, so its special slot beta = 1 is exclusive.
+    Checks the two structural facts downstream code relies on: the counts
+    sum to the cell size, and the field-weighted sum of traces vanishes.
+    """
+    _check_family(family)
     q = field.q
     consts = cell_constants(n, field)
     if consts.size % q or consts.scale % q:
         raise ArithmeticError(f"cell factors at (n={n}, q={q}) are not multiples of q")
-    base, unit = consts.size // q, consts.scale // q
-
-    def count(beta: int) -> int:
-        # the orthogonal histogram is the symplectic one shifted by the trace of iota
-        gamma = beta ^ 1 if family == ORTHOGONAL else beta
-        if gamma == 0:
-            bump = 1
-        elif field.trace(field.inv(gamma)) == 0:
-            bump = q + 1
-        else:
-            bump = -q + 1
-        return base + unit * bump
-
-    return consts, count
-
-
-def trace_count(n: int, field: Field, beta: int, family: str = ORTHOGONAL) -> int:
-    """Number of elements of the distinguished cell with matrix trace beta.
-
-    Orthogonal family: the beta = 1 slot is exclusive and takes precedence
-    (the generic case reads the trace of 1/(beta-1), undefined there).
-    Symplectic family: the special slot sits at beta = 0 with 1/beta generic.
-    """
-    return _trace_counter(n, field, family)[1](beta)
-
-
-def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int, int]:
-    """Dense trace histogram of the distinguished cell from the closed forms.
-
-    Checks the two structural facts downstream code relies on: the counts
-    sum to the cell size, and the field-weighted sum of traces vanishes.
-    """
-    consts, count = _trace_counter(n, field, family)
-    hist = {beta: count(beta) for beta in field.elements()}
+    base, unit, shift = consts.size // q, consts.scale // q, 1 if family == ORTHOGONAL else 0
+    hist = {}
+    for beta in field.elements():
+        gamma = beta ^ shift
+        bump = 1 if gamma == 0 else 1 - q if field.trace(field.inv(gamma)) else q + 1
+        hist[beta] = base + unit * bump
     if sum(hist.values()) != consts.size:
-        raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) misses the cell size")
+        raise ArithmeticError(f"{family} histogram at (n={n}, q={q}) misses the cell size")
     weighted = 0
     for beta, k in hist.items():
         if k & 1:
             weighted ^= beta
     if weighted:
-        raise ArithmeticError(f"{family} histogram at (n={n}, q={field.q}) has nonzero trace sum")
+        raise ArithmeticError(f"{family} histogram at (n={n}, q={q}) has nonzero trace sum")
     return hist

@@ -9,9 +9,9 @@ Every field size takes one path.  Multiplication and inversion go through
 discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 (the polynomial x is not always one: the default moduli for r = 9, 12, 14 and
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
-x & mask, where bit i of the mask is tr(x^i).  The log/antilog tables take
-O(q) memory and are built on first use, so constructing a Field costs nothing
-in q.  walsh_hadamard turns a function on the additive group into its sums
+x & mask, where bit i of the mask is tr(x^i), read off the modulus by
+Newton's identities.  The log/antilog tables take O(q) memory and are built
+on first use, so constructing a Field costs nothing in q.  walsh_hadamard turns a function on the additive group into its sums
 against every additive character, in O(q log q) additions.
 """
 
@@ -138,15 +138,14 @@ class Field:
         # plain attributes rather than properties keep mul's lookups on the fast path
         self._exp: list[int] | _Unbuilt = _Unbuilt(self, "_exp")
         self._log: list[int] | _Unbuilt = _Unbuilt(self, "_log")
-        mask = 0
-        for i in range(r):
-            # tr(x^i) = x^i + (x^i)^2 + ... + (x^i)^(2^(r-1)), landing in {0, 1}
-            t = x = 1 << i
-            for _ in range(r - 1):
-                x = _mul_raw(x, x, modulus)
-                t ^= x
-            mask |= t << i
-        self._trace_mask = mask
+        # bit k is tr(x^k) = p_k, the k-th power sum of the modulus's roots, by Newton's
+        # identities mod 2: p_0 = r, p_k = e_1 p_(k-1) + ... + e_(k-1) p_1 + k e_k, with
+        # e_j the coefficient of x^(r-j)
+        e = [modulus >> (r - j) & 1 for j in range(r)]
+        p = [r & 1]
+        for k in range(1, r):
+            p.append((sum(e[j] & p[k - j] for j in range(1, k)) + k * e[k]) & 1)
+        self._trace_mask = sum(bit << k for k, bit in enumerate(p))
 
     def __repr__(self):
         return f"Field(r={self.r}, modulus={self.modulus:#x})"

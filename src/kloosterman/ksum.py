@@ -19,7 +19,7 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .classical import DEFAULT_BUDGET, BudgetError
+from .classical import DEFAULT_BUDGET, BudgetError, gl_recursion
 from .gf2r import Field
 from .matfq import gl_iter, mat_inv, mat_trace
 
@@ -96,18 +96,9 @@ def moments(field: Field, h: int) -> Moments:
 
 
 def kloosterman_gl(field: Field, t: int, a: int, c: int = 1) -> int:
-    """K over GL(t,q) via its two-term recursion; t = 0 is 1, t = 1 is K itself."""
+    """K over GL(t,q) by classical.gl_recursion; t = 0 is 1, t = 1 is K itself."""
     _require_elements(field, 1, a=a, c=c)
-    if t < 0:
-        raise ValueError("matrix size must be nonnegative")
-    if t == 0:
-        return 1
-    q = field.q
-    k1 = kloosterman(field, a, c)
-    prev, cur = 1, k1
-    for s in range(2, t + 1):
-        prev, cur = cur, q ** (s - 1) * cur * k1 + q ** (2 * s - 2) * (q ** (s - 1) - 1) * prev
-    return cur
+    return gl_recursion([kloosterman(field, a, c) if t else 1], t, field.q)[0]  # W_0 reads no K
 
 
 def kloosterman_gl_bruteforce(

@@ -4,7 +4,8 @@ recursion producing trace-one Kloosterman moments from code weight data.
 Everything is computed in exact rational arithmetic; any result that fails to
 clear its denominator is a hard error, never a rounding event.  One kernel,
 _stirling_side, evaluates the Stirling/binomial double sum that every
-identity here shares; each caller only scales it.
+identity here shares; each caller only scales it.  Both it and stirling2
+read t! S(h,t) from one list, _onto.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ORTHOGONAL, SYMPLECTIC
-from .dcsum import CellConstants, cell_constants
+from .dcsum import CellConstants, _check_odd, cell_constants
 from .gf2r import Field
 from .ksum import moments
 from .wcode import weight_prefix_closed
@@ -23,14 +24,20 @@ from .wcode import weight_prefix_closed
 _T1K_MEMO: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
 
+def _onto(h: int, tmax: int) -> list[int]:
+    """t! S(h,t), the number of maps from h points onto t, for t = 0..tmax, as an alternating sum."""
+    return [
+        sum((-1) ** (t - i) * math.comb(t, i) * i**h for i in range(t + 1)) for t in range(tmax + 1)
+    ]
+
+
 def stirling2(h: int, t: int) -> int:
-    """Stirling number of the second kind via its alternating sum; S(0,0) = 1."""
+    """Stirling number of the second kind, t! S(h,t) / t!; S(0,0) = 1."""
     if h < 0 or t < 0:
         raise ValueError("Stirling numbers need nonnegative arguments")
     if t > h:
         return 0
-    total = sum((-1) ** (t - j) * math.comb(t, j) * j**h for j in range(t + 1))
-    return _integral(Fraction(total, math.factorial(t)), f"S({h},{t})")
+    return _integral(Fraction(_onto(h, t)[t], math.factorial(t)), f"S({h},{t})")
 
 
 def _integral(value: Fraction, what: str) -> int:
@@ -44,16 +51,11 @@ def _stirling_side(length: int, prefix: list[int], h: int) -> Fraction:
     """Sum over j of (-1)^j prefix[j] times the sum over t of
     t! S(h,t) 2^(-t) C(length-j, t-j), with j <= t <= min(h, length).
 
-    t! S(h,t), the number of maps from h points onto t, is formed directly
-    as its alternating sum, so nothing divides until the single power of two
+    With t! S(h,t) from _onto, nothing divides until the single power of two
     at the end.
     """
     tmax = min(h, length)
-    powers = [i**h for i in range(tmax + 1)]
-    onto = [
-        sum((-1) ** (t - i) * math.comb(t, i) * powers[i] for i in range(t + 1))
-        for t in range(tmax + 1)
-    ]
+    onto = _onto(h, tmax)
     total = sum(
         (-1) ** j
         * prefix[j]
@@ -84,8 +86,7 @@ def pless_check(
 
 
 def _check_recursion_range(n: int, field: Field) -> None:
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"the recursion needs odd n, got n={n}")
+    _check_odd(n)
     if n == 1 and field.q < 8:
         raise ValueError(
             f"outside the supported range: n=1 requires q >= 8, got q={field.q} "

@@ -49,17 +49,9 @@ def dual_weight(n: int, field: Field, a: int) -> int:
     return value // 2
 
 
-def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> int:
-    """Weight of the dual codeword as counted from a trace histogram, one
-    product and trace per class; an oracle for the transform route."""
-    mul, trace = field.mul, field.trace
-    return sum(count for beta, count in hist.items() if trace(mul(a, beta)) == 1)
-
-
 def dual_kernel(n: int, field: Field) -> set[int]:
-    """All a whose dual codeword is zero, i.e. has weight 0 on the cell's histogram."""
-    hist = closed_histogram(n, field, ORTHOGONAL)
-    return {a for a in field.elements() if dual_weight_from_histogram(field, hist, a) == 0}
+    """All a whose dual codeword is zero: the zeros of the closed-form weights."""
+    return {a for a, w in dual_enumerate(n, field) if w == 0}
 
 
 def distinct_dual_count(n: int, field: Field) -> int:

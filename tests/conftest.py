@@ -30,11 +30,6 @@ def f16():
 
 
 @pytest.fixture(scope="session")
-def f32():
-    return Field(5)
-
-
-@pytest.fixture(scope="session")
 def dc32(f2):
     """The 602112-element cell's histogram, streamed by the oracle, with wall time."""
     t0 = time.perf_counter()

@@ -12,14 +12,11 @@ from kloosterman.dcsum import cell_constants, closed_histogram, expsum_dc
 from kloosterman.gf2r import Field
 from kloosterman.ksum import ktable, moments
 from kloosterman.pmi import full_moment_identity, mk_via_identity, t1k_recursive
+from kloosterman.verify import _hist_expsum
 from kloosterman.wcode import dual_enumerate, dual_kernel, weight_prefix
 
 RECURSION_GRID = [(1, 3), (1, 4), (1, 5), (3, 1), (3, 2)]  # (n, field degree)
 THMA_GRID = [(1, 8), (1, 16), (3, 2)]  # the (n, q) of RECURSION_GRID that `verify thma` runs
-
-
-def _hist_charsum(field, hist, c):
-    return sum(count * field.lam(field.mul(c, beta)) for beta, count in hist.items())
 
 
 def test_criterion_01_recursion_reproduces_trace_one_moments(verify_passed):
@@ -61,7 +58,7 @@ def test_criterion_03_exponential_sum_closed_forms(verify_passed, dc32):
     consts = cell_constants(3, f2)
     for a in f2.units():
         cor_d = f2.lam(a) * consts.scale * ktable(f2)[a]
-        assert expsum_dc(3, f2, a) == cor_d == _hist_charsum(f2, hist32, a)
+        assert expsum_dc(3, f2, a) == cor_d == _hist_expsum(f2, hist32, a)
     print("PASS criterion 3: closed exponential sums equal histogram sums on all "
           "target cells, odd cells vanish, distinguished-cell form holds")
 

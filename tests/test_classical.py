@@ -331,10 +331,6 @@ def test_symplectic_search_checks_every_leaf(f2, monkeypatch):
     assert "ArithmeticError" in proc.stderr
 
 
-def test_bruhat_cells_partition_sp42(verify_passed):
-    verify_passed("sp42-bruteforce-order", "sp42-cell-sizes", "sp42-bruhat-partition")
-
-
 # ----------------------------------------------------------------------------
 # histograms
 

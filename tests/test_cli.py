@@ -214,6 +214,21 @@ def test_every_subcommand_rejects_huge_field(capsys, argv):
     assert "limited to q <= 65536" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("tables", "--q", "8", "--hmax", "-1"), "--hmax must be nonnegative"),
+        (("verify", "groups", "--budget", "-5"), "--budget must be nonnegative"),
+        (("histogram", "--n", "1", "--q", "2", "--r-coset", "2"), "need 0 <= r <= n"),
+    ],
+    ids=["negative-hmax", "negative-budget", "r-coset-above-n"],
+)
+def test_range_errors_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_tables_rejects_huge_field(capsys):
     code, _, err = run(capsys, "tables", "--q", str(1 << 17))
     assert code == 2

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +22,15 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "perfbench").glob("*.py")), ids=lambda p: p.stem)
+def test_benchmark_imports_resolve(script):
+    # pytest does not collect perfbench/, so the library names it imports are checked here:
+    # its `from kloosterman... import ...` statements run alone, and a missing name raises
+    imports = [
+        node
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kloosterman"
+    ]
+    exec(compile(ast.Module(imports, type_ignores=[]), str(script), "exec"), {})

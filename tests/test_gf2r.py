@@ -45,6 +45,13 @@ def test_rabin_test_matches_sieve():
         assert [p for p in range(1 << r, 1 << (r + 1)) if is_irreducible(p, r)] == irreducibles(r)
 
 
+def test_trace_mask_matches_repeated_squaring():
+    # the mask comes from the modulus by Newton's identities; bit k is tr(x^k)
+    for m in (m for r in range(1, 13) for m in irreducibles(r)):
+        f = Field(m.bit_length() - 1, m)
+        assert [f.trace(1 << k) for k in range(f.r)] == [trace(1 << k, m) for k in range(f.r)], m
+
+
 def test_wrong_degree_modulus_rejected():
     with pytest.raises(ValueError):
         Field(4, modulus=0b1011)  # irreducible, but of degree 3

@@ -6,7 +6,7 @@ from kloosterman import pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
-from kloosterman.verify import weight_prefix_dp
+from kloosterman.verify import dual_weight_from_histogram, weight_prefix_dp
 from kloosterman.wcode import (
     code_bruteforce_wd,
     defining_vector,
@@ -14,7 +14,6 @@ from kloosterman.wcode import (
     distinct_dual_count,
     dual_enumerate,
     dual_weight,
-    dual_weight_from_histogram,
     weight_prefix,
     weight_prefix_closed,
 )
@@ -182,10 +181,6 @@ def test_dual_enumerate_examples(f2, f4):
     assert sorted(w for _, w in dual_enumerate(1, f2)) == [0, 2]
     weights4 = {w for _, w in dual_enumerate(1, f4)}
     assert weights4 == {0, 4}  # only two distinct dual codewords at (1,4)
-
-
-def test_delsarte_dual_set_equality(verify_passed):
-    verify_passed("delsarte-dual-set-1-2", "delsarte-dual-set-1-4")
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
