@@ -8,7 +8,7 @@ the argument, and their size is pinned down by the Weil bound K^2 <= 4q.
 """
 
 from kloosterman import Field, ktable, moments
-from kloosterman.ksum import theta_character_sum, twisted_sum
+from kloosterman.ksum import theta_character_sums, twisted_sums
 
 for r in (1, 2, 3, 4):
     f = Field(r)
@@ -29,9 +29,8 @@ for r in (1, 2, 3, 4):
 f = Field(4)
 table = ktable(f)
 print(f"\nIdentities over GF(16):")
-ok1 = all(theta_character_sum(f, b) == table[b] - 1 for b in f.units())
+theta, twisted = theta_character_sums(f), twisted_sums(f)
+ok1 = all(theta[b] == table[b] - 1 for b in f.units())
 print(f"  sum of lambda(b/(x^2+x)) over x != 0,1  ==  K(lambda;b) - 1: {ok1}")
-ok2 = all(
-    twisted_sum(f, b) == (f.q * f.lam(f.inv(b)) + 1 if b else 1) for b in f.elements()
-)
+ok2 = all(twisted[b] == (f.q * f.lam(f.inv(b)) + 1 if b else 1) for b in f.elements())
 print(f"  sum of lambda(ab) K(lambda;a) over a != 0  ==  q lambda(1/b) + 1: {ok2}")

@@ -426,7 +426,14 @@ def coset_transversal(
     positions = _conjugate_zero_positions(n, r, family)
     parabolic = tuple(enumerate_parabolic(n, field, family, budget))
 
-    a_count = sum(1 for w in parabolic if all(w[i][j] == 0 for i, j in positions))
+    zero_cols: dict[int, list[int]] = {}
+    for i, j in positions:
+        zero_cols.setdefault(i, []).append(j)
+    members = parabolic  # narrowed one constrained row index at a time
+    for i, cols in zero_cols.items():  # P's elements share rows: judge each distinct row once
+        passing = {u for u in {w[i] for w in members} if not any(u[j] for j in cols)}
+        members = [w for w in members if w[i] in passing]
+    a_count = len(members)
     expected_a = stabilizer_order(n, r, q)
     if a_count != expected_a:
         raise ArithmeticError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")

@@ -11,8 +11,10 @@ discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
 x & mask, where bit i of the mask is tr(x^i), read off the modulus by
 Newton's identities.  The log/antilog tables take O(q) memory and are built
-on first use, so constructing a Field costs nothing in q.  walsh_hadamard turns a function on the additive group into its sums
-against every additive character, in O(q log q) additions.
+on first use, so constructing a Field costs nothing in q.  walsh_hadamard turns
+a function on the additive group into its sums against every additive
+character, in O(q log q) additions, and character_sums reads those sums off
+by the multiplier c of lambda(c x).
 """
 
 from __future__ import annotations
@@ -226,8 +228,9 @@ def walsh_hadamard(values: list[int]) -> list[int]:
 
     len(values) must be a power of two.  The transform is its own inverse up
     to the factor len(values).  Since the trace form is nondegenerate, the
-    functionals x -> popcount(s & x) mod 2 are exactly the x -> tr(c x), so F
-    lists the additive-character sums of values in some order of c.
+    functionals x -> popcount(s & x) mod 2 are exactly the x -> tr(c x): F[s]
+    is the additive-character sum of values at the c whose trace-dual index
+    is s (see character_sums).
     """
     size = len(values)
     if size & (size - 1) or not size:
@@ -240,3 +243,22 @@ def walsh_hadamard(values: list[int]) -> list[int]:
                 out[i], out[i + half] = x + y, x - y
         half *= 2
     return out
+
+
+def character_sums(field: Field, values: list[int]) -> list[int]:
+    """Entry c is the sum of values[x] * lambda(c x) over x, for every c in the field.
+
+    One walsh_hadamard of values, read at the trace-dual index s(c) of each c:
+    bit i of s(c) is tr(c x^i), so popcount(s(c) & x) = tr(c x) mod 2.  s is
+    F_2-linear in c, so all q indices come from the r basis images by xor.
+    """
+    if len(values) != field.q:
+        raise ValueError(f"{len(values)} values for a field of {field.q} elements")
+    index = [0]
+    for j in range(field.r):  # index[c + 2^j] = index[c] ^ s(x^j) for c < 2^j
+        image = sum(
+            field.trace(_mul_raw(1 << j, 1 << i, field.modulus)) << i for i in range(field.r)
+        )
+        index += [s ^ image for s in index]
+    walsh = walsh_hadamard(values)
+    return [walsh[s] for s in index]

@@ -10,33 +10,36 @@ sequence b.  C is computed exactly as one big-integer square (Kronecker
 substitution: one fixed-width slot per b_j, wide enough that no coefficient
 carries).  A twisted character needs no sum of its own: substituting y = c*x
 shows that K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals
-K(lambda; c^2 * a).
+K(lambda; c^2 * a).  The sides of the two character identities checked
+against the table, theta_character_sums and twisted_sums, are read for every
+argument at once from gf2r.character_sums (one Walsh-Hadamard transform),
+which shares no code with the convolution.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from typing import NamedTuple
 
 from .classical import DEFAULT_BUDGET, BudgetError, gl_recursion
-from .gf2r import Field
+from .gf2r import Field, character_sums
 from .matfq import gl_iter, mat_inv, mat_trace
 
 _KTABLE_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
-def _require_elements(field: Field, low: int, **args: int) -> None:
-    """Raise ValueError unless low <= value < q for each named argument (low = 1: a unit)."""
+def _require_units(field: Field, **args: int) -> None:
+    """Raise ValueError unless 0 < value < q for each named argument."""
     for name, x in args.items():
-        if not low <= x < field.q:
-            kind = "a nonzero element" if low else "an element"
-            raise ValueError(f"{name}={x} is not {kind} of GF({field.q})")
+        if not 0 < x < field.q:
+            raise ValueError(f"{name}={x} is not a nonzero element of GF({field.q})")
 
 
 def kloosterman(field: Field, a: int, c: int = 1) -> int:
     """The sum of lambda(c * (x + a/x)) over nonzero x; c = 1 gives K(lambda; a)."""
-    _require_elements(field, 1, a=a, c=c)
+    _require_units(field, a=a, c=c)
     mul = field.mul
     return ktable(field)[mul(mul(c, c), a)]
 
@@ -97,45 +100,47 @@ def moments(field: Field, h: int) -> Moments:
 
 def kloosterman_gl(field: Field, t: int, a: int, c: int = 1) -> int:
     """K over GL(t,q) by classical.gl_recursion; t = 0 is 1, t = 1 is K itself."""
-    _require_elements(field, 1, a=a, c=c)
+    _require_units(field, a=a, c=c)
     return gl_recursion([kloosterman(field, a, c) if t else 1], t, field.q)[0]  # W_0 reads no K
 
 
 def kloosterman_gl_bruteforce(
-    field: Field, t: int, a: int, c: int = 1, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Direct sum of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w."""
-    _require_elements(field, 1, a=a, c=c)
+    field: Field, t: int, c: int = 1, budget: int = DEFAULT_BUDGET
+) -> dict[int, int]:
+    """Direct sums of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w, for every unit a.
+
+    Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
+    """
+    _require_units(field, c=c)
     if t == 0:
-        return 1
+        return dict.fromkeys(field.units(), 1)
     if field.q ** (t * t) > budget:
         raise BudgetError(f"{field.q ** (t * t)} candidate matrices exceed budget {budget}")
+    pairs = Counter((mat_trace(w), mat_trace(mat_inv(field, w))) for w in gl_iter(field, t))
     mul, lam = field.mul, field.lam
-    total = 0
-    for w in gl_iter(field, t):
-        total += lam(mul(c, mat_trace(w) ^ mul(a, mat_trace(mat_inv(field, w)))))
-    return total
+    return {
+        a: sum(n * lam(mul(c, u ^ mul(a, v))) for (u, v), n in pairs.items())
+        for a in field.units()
+    }
 
 
-def theta_character_sum(field: Field, beta: int) -> int:
-    """Sum of lambda(beta / (x^2 + x)) over x outside {0, 1}.
+def theta_character_sums(field: Field) -> list[int]:
+    """Entry beta is the sum of lambda(beta / (x^2 + x)) over x outside {0, 1}.
 
-    Equals K(lambda; beta) - 1; both sides are exposed so the identity stays
-    a testable fact rather than an assumption.
+    For beta != 0 this equals K(lambda; beta) - 1; both sides are exposed so
+    the identity stays a testable fact rather than an assumption.  The
+    multiset {1/(x^2 + x)} is counted once, then character_sums reads every beta.
     """
-    _require_elements(field, 1, beta=beta)
-    mul, inv, lam = field.mul, field.inv, field.lam
-    return sum(
-        lam(mul(beta, inv(mul(x, x) ^ x))) for x in field.elements() if x not in (0, 1)
-    )
+    mul, inv = field.mul, field.inv
+    counts = [0] * field.q
+    for x in range(2, field.q):
+        counts[inv(mul(x, x) ^ x)] += 1
+    return character_sums(field, counts)
 
 
-def twisted_sum(field: Field, beta: int) -> int:
-    """Sum of lambda(a * beta) K(lambda; a) over nonzero a.
+def twisted_sums(field: Field) -> list[int]:
+    """Entry beta is the sum of lambda(a * beta) K(lambda; a) over nonzero a.
 
     Closed form: q * lambda(1/beta) + 1 for beta != 0, and 1 at beta = 0.
     """
-    _require_elements(field, 0, beta=beta)
-    table = ktable(field)
-    mul, lam = field.mul, field.lam
-    return sum(lam(mul(a, beta)) * k for a, k in table.items())
+    return character_sums(field, [0, *ktable(field).values()])

@@ -193,6 +193,7 @@ def kloosterman_direct(m: int, a: int, c: int = 1) -> int:
     return sum(1 - 2 * traces[mulmod(c, x ^ mulmod(a, inverses[x], m), m)] for x in range(1, len(traces)))
 
 
+@cache
 def ktable_direct(m: int) -> dict[int, int]:
     """K(lambda; a) for every nonzero a modulo m, by the O(q^2) sum over x = 1/y."""
     traces, inverses = _traces_and_inverses(m)
@@ -201,6 +202,28 @@ def ktable_direct(m: int) -> dict[int, int]:
         row = product_row(a, m)
         table[a] = sum(1 - 2 * traces[inverses[y] ^ row[y]] for y in range(1, len(traces)))
     return table
+
+
+def character_sum_direct(m: int, values: list[int], c: int) -> int:
+    """The sum of values[x] * lambda(c x) over x modulo m."""
+    traces, _ = _traces_and_inverses(m)
+    row = product_row(c, m)
+    return sum(v * (1 - 2 * traces[row[x]]) for x, v in enumerate(values))
+
+
+def theta_character_sum(m: int, beta: int) -> int:
+    """The sum of lambda(beta / (x^2 + x)) over x outside {0, 1} modulo m."""
+    traces, inverses = _traces_and_inverses(m)
+    return sum(
+        1 - 2 * traces[mulmod(beta, inverses[mulmod(x, x, m) ^ x], m)]
+        for x in range(2, len(traces))
+    )
+
+
+def twisted_sum(m: int, beta: int) -> int:
+    """The sum of lambda(a beta) K(lambda; a) over nonzero a modulo m, K by ktable_direct."""
+    traces, _ = _traces_and_inverses(m)
+    return sum((1 - 2 * traces[mulmod(a, beta, m)]) * k for a, k in ktable_direct(m).items())
 
 
 def symplectic_exhaustive(m: int, n: int) -> set[Mat]:

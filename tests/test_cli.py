@@ -229,12 +229,6 @@ def test_range_errors_are_usage_errors(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_tables_rejects_huge_field(capsys):
-    code, _, err = run(capsys, "tables", "--q", str(1 << 17))
-    assert code == 2
-    assert "limited to q <= 65536" in err
-
-
 def test_tables_largest_field(capsys):
     q = 1 << 16
     code, report, _ = run_json(capsys, "tables", "--q", str(q), "--hmax", "2")

@@ -2,9 +2,23 @@ from itertools import product
 
 import pytest
 
-from kloosterman.gf2r import MAX_DEGREE, MODULI, Field, is_irreducible, walsh_hadamard
+from kloosterman.gf2r import (
+    MAX_DEGREE,
+    MODULI,
+    Field,
+    character_sums,
+    is_irreducible,
+    walsh_hadamard,
+)
 
-from _oracles import irreducibles, is_primitive, mulmod, product_row, trace
+from _oracles import (
+    character_sum_direct,
+    irreducibles,
+    is_primitive,
+    mulmod,
+    product_row,
+    trace,
+)
 
 # every irreducible modulus of degree <= 8, primitive or not (e.g. 0x1F)
 SMALL_MODULI = [m for r in range(1, 9) for m in irreducibles(r)]
@@ -181,3 +195,16 @@ def test_walsh_hadamard_rejects_other_lengths():
     for size in (0, 3, 6):
         with pytest.raises(ValueError):
             walsh_hadamard([1] * size)
+
+
+@pytest.mark.parametrize("m", [m for r in range(1, 7) for m in irreducibles(r)], ids=hex)
+def test_character_sums_match_definition(m):
+    f = Field(m.bit_length() - 1, m)
+    values = [(7 * x * x - 3 * x + 1) % 23 - 11 for x in f.elements()]  # signed, no symmetry
+    assert character_sums(f, values) == [character_sum_direct(m, values, c) for c in f.elements()]
+
+
+def test_character_sums_rejects_other_lengths(f8):
+    for size in (4, 16):
+        with pytest.raises(ValueError):
+            character_sums(f8, [1] * size)

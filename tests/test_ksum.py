@@ -8,11 +8,19 @@ from kloosterman.ksum import (
     kloosterman_gl_bruteforce,
     ktable,
     moments,
+    theta_character_sums,
+    twisted_sums,
+)
+
+from _oracles import (
+    irreducibles,
+    is_primitive,
+    kloosterman_direct,
+    ktable_direct,
+    mulmod,
     theta_character_sum,
     twisted_sum,
 )
-
-from _oracles import irreducibles, is_primitive, kloosterman_direct, ktable_direct, mulmod
 
 # one non-primitive modulus other than the default for each degree <= 10 that has one
 NON_PRIMITIVE = {
@@ -44,10 +52,7 @@ def test_arguments_outside_the_field_are_rejected(f8, bad):
         lambda: kloosterman(f8, 1, bad),
         lambda: kloosterman_gl(f8, 2, bad),
         lambda: kloosterman_gl(f8, 0, bad),
-        lambda: kloosterman_gl_bruteforce(f8, 1, bad),
-        lambda: kloosterman_gl_bruteforce(f8, 1, 1, bad),
-        lambda: twisted_sum(f8, bad),
-        lambda: theta_character_sum(f8, bad),
+        lambda: kloosterman_gl_bruteforce(f8, 1, c=bad),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="element of GF"):
@@ -132,25 +137,33 @@ def test_gl_recursion_matches_bruteforce(verify_passed, t, r):
     verify_passed(f"gl-recursion-vs-bruteforce-t{t}-q{f.q}")  # every a, canonical character
     # a non-canonical character too
     if f.q > 2:
-        assert kloosterman_gl(f, t, 1, c=2) == kloosterman_gl_bruteforce(f, t, 1, c=2)
+        brute = kloosterman_gl_bruteforce(f, t, c=2)
+        assert brute == {a: kloosterman_gl(f, t, a, c=2) for a in f.units()}
 
 
 def test_gl_bruteforce_trivial_cases(f4):
-    assert kloosterman_gl_bruteforce(f4, 1, 2) == kloosterman(f4, 2)
-    assert kloosterman_gl_bruteforce(f4, 0, 1) == 1
+    assert kloosterman_gl_bruteforce(f4, 1) == ktable(f4)
+    assert kloosterman_gl_bruteforce(f4, 0) == {1: 1, 2: 1, 3: 1}
     with pytest.raises(BudgetError):
-        kloosterman_gl_bruteforce(f4, 5, 1)
+        kloosterman_gl_bruteforce(f4, 5)
 
 
 def test_theta_character_sum(f2, f4, f8):
-    assert theta_character_sum(f2, 1) == 0  # empty sum, and K(lambda;1) - 1 = 0
-    assert theta_character_sum(f4, 1) == 2
-    assert theta_character_sum(f8, 1) == -6
-    with pytest.raises(ValueError):
-        theta_character_sum(f4, 0)
+    assert theta_character_sums(f2)[1] == 0  # empty sum, and K(lambda;1) - 1 = 0
+    assert theta_character_sums(f4)[1] == 2
+    assert theta_character_sums(f8)[1] == -6
+    assert theta_character_sums(f8)[0] == 6  # lambda(0) = 1 for each of the q - 2 terms
 
 
 def test_twisted_sum(f4, f8):
-    assert twisted_sum(f8, 0) == 1
-    assert twisted_sum(f8, 1) == -7  # q*lambda(1) + 1
-    assert twisted_sum(f4, 1) == 5
+    assert twisted_sums(f8)[0] == 1
+    assert twisted_sums(f8)[1] == -7  # q*lambda(1) + 1
+    assert twisted_sums(f4)[1] == 5
+
+
+@pytest.mark.parametrize("m", [m for r in range(1, 7) for m in irreducibles(r)], ids=hex)
+def test_character_identity_sides_match_literal_sums(m):
+    # every irreducible modulus of degree <= 6, each beta summed from the definition
+    f = Field(m.bit_length() - 1, m)
+    assert theta_character_sums(f) == [theta_character_sum(m, b) for b in f.elements()]
+    assert twisted_sums(f) == [twisted_sum(m, b) for b in f.elements()]
