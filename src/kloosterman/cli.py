@@ -40,12 +40,8 @@ def _make_field(q: int, modulus_hex: str | None) -> Field:
     return Field(r, modulus)
 
 
-def _finish_report(report: dict, started: float) -> dict:
+def _emit(report: dict, started: float, as_json: bool) -> None:
     report["wall_time_seconds"] = round(time.perf_counter() - started, 6)
-    return report
-
-
-def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
         return
@@ -101,7 +97,7 @@ def cmd_verify(args) -> int:
             "all_checks": "pass" if failures == 0 else "fail",
         },
     }
-    _emit(_finish_report(report, started), args.json)
+    _emit(report, started, args.json)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
@@ -127,10 +123,8 @@ def cmd_recursion(args) -> int:
         "results": results,
         "verdicts": verdicts,
     }
-    _emit(_finish_report(report, started), args.json)
-    if args.compare and not rep.match:
-        return EXIT_FAIL
-    return EXIT_PASS
+    _emit(report, started, args.json)
+    return EXIT_FAIL if args.compare and not rep.match else EXIT_PASS
 
 
 def cmd_histogram(args) -> int:
@@ -155,19 +149,12 @@ def cmd_histogram(args) -> int:
             verdicts["mismatched_traces"] = [str(b) for b in mismatches]
     report = {
         "command": "histogram",
-        "parameters": {
-            "n": str(n),
-            "r_coset": str(r),
-            "q": str(field.q),
-            "family": family,
-        },
+        "parameters": {"n": str(n), "r_coset": str(r), "q": str(field.q), "family": family},
         "results": results,
         "verdicts": verdicts,
     }
-    _emit(_finish_report(report, started), args.json)
-    if verdicts.get("closed_form_agreement") == "mismatch":
-        return EXIT_FAIL
-    return EXIT_PASS
+    _emit(report, started, args.json)
+    return EXIT_FAIL if verdicts.get("closed_form_agreement") == "mismatch" else EXIT_PASS
 
 
 def cmd_tables(args) -> int:
@@ -199,7 +186,7 @@ def cmd_tables(args) -> int:
         },
         "verdicts": {},
     }
-    _emit(_finish_report(report, started), args.json)
+    _emit(report, started, args.json)
     return EXIT_PASS
 
 

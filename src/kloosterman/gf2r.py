@@ -124,7 +124,8 @@ class Field:
     Semantically immutable after construction; all operations are pure, so
     instances are safe to share across threads and processes.  The log and
     antilog tables are built lazily and idempotently on the first lookup,
-    which is the only internal state.
+    which is the only internal state.  Every operation raises ValueError on
+    an int outside 0..q-1.
     """
 
     def __init__(self, r: int, modulus: int | None = None):
@@ -137,7 +138,7 @@ class Field:
         self.r = r
         self.q = 1 << r
         self.modulus = modulus
-        # plain attributes rather than properties keep mul's lookups on the fast path
+        # plain attributes keep mul fast; a property or a __getattr__ on Field slows every lookup
         self._exp: list[int] | _Unbuilt = _Unbuilt(self, "_exp")
         self._log: list[int] | _Unbuilt = _Unbuilt(self, "_log")
         # bit k is tr(x^k) = p_k, the k-th power sum of the modulus's roots, by Newton's
@@ -148,6 +149,10 @@ class Field:
         for k in range(1, r):
             p.append((sum(e[j] & p[k - j] for j in range(1, k)) + k * e[k]) & 1)
         self._trace_mask = sum(bit << k for k, bit in enumerate(p))
+
+    def _outside(self, *values: int) -> ValueError:
+        bad = next(a for a in values if a >> self.r)
+        return ValueError(f"{bad} is not an element of GF(2^{self.r})")
 
     def __repr__(self):
         return f"Field(r={self.r}, modulus={self.modulus:#x})"
@@ -189,20 +194,20 @@ class Field:
         self._exp = powers + powers + [0] * (2 * q - 1)
 
     def mul(self, a: int, b: int) -> int:
+        if (a | b) >> self.r:  # a negative value shifts to -1
+            raise self._outside(a, b)
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        if not 0 < a < self.q:
-            if a == 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            raise ValueError(f"{a} is not an element of GF(2^{self.r})")
-        return self._exp[self.q - 1 - self._log[a]]
+        return self.pow(a, -1)
 
     def powers(self) -> list[int]:
         """The units as g^0, g^1, ..., g^(q-2) for the field's fixed generator g."""
         return self._exp[: self.q - 1]
 
     def trace(self, a: int) -> int:
+        if a >> self.r:
+            raise self._outside(a)
         return (a & self._trace_mask).bit_count() & 1
 
     def lam(self, a: int) -> int:
@@ -216,9 +221,11 @@ class Field:
         return range(1, self.q)
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
+        if a >> self.r:
+            raise self._outside(a)
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
 

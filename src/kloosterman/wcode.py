@@ -143,22 +143,24 @@ def defining_vector(n: int, field: Field) -> list[int]:
     return [beta for beta, count in sorted(hist.items()) for _ in range(count)]
 
 
+def _brute_force_vector(n: int, field: Field) -> list[int]:
+    """defining_vector of a cell code short enough for 2^N brute force, else BudgetError."""
+    length = cell_constants(n, field).size
+    if length > BRUTE_LENGTH_LIMIT:
+        raise BudgetError(f"length {length} exceeds brute-force limit {BRUTE_LENGTH_LIMIT}")
+    return defining_vector(n, field)
+
+
 def code_bruteforce_wd(n: int, field: Field) -> dict[int, int]:
     """Full weight distribution of the cell code by 2^N exhaustion (N <= 24).
 
     Walks binary words in Gray-code order, maintaining the field-valued dot
     product with the defining vector incrementally.
     """
-    consts = cell_constants(n, field)
-    length = consts.size
-    if length > BRUTE_LENGTH_LIMIT:
-        raise BudgetError(f"length {length} exceeds brute-force limit {BRUTE_LENGTH_LIMIT}")
-    v = defining_vector(n, field)
+    v = _brute_force_vector(n, field)
     dist: dict[int, int] = {0: 1}
-    s = 0
-    weight = 0
-    word = 0
-    for u in range(1, 1 << length):
+    s = weight = word = 0
+    for u in range(1, 1 << len(v)):
         gray = u ^ (u >> 1)
         flipped = (gray ^ word).bit_length() - 1
         word = gray
@@ -221,11 +223,8 @@ def delsarte_check(n: int, field: Field) -> bool:
     its dual is recomputed by plain GF(2) linear algebra and compared, as
     vector sets, against the traced multiples of the defining vector.
     """
-    consts = cell_constants(n, field)
-    length = consts.size
-    if length > BRUTE_LENGTH_LIMIT:
-        raise BudgetError(f"length {length} exceeds brute-force limit {BRUTE_LENGTH_LIMIT}")
-    v = defining_vector(n, field)
+    v = _brute_force_vector(n, field)
+    length = len(v)
     mul, trace = field.mul, field.trace
     traced = {
         sum(trace(mul(a, vj)) << j for j, vj in enumerate(v)) for a in field.elements()

@@ -52,6 +52,8 @@ def test_criterion_03_exponential_sum_closed_forms(verify_passed, dc32):
         *(f"expsum-closed-vs-enumerated-n{n}-r{r}-q{q}" for n, q in grid for r in range(n + 1)),
         *(f"expsum-odd-cell-vanishes-n{n}-r1-q{q}" for n, q in grid),
         *(f"dc-sum-two-routes-n1-q{q}" for q in (2, 4, 8, 16)),
+        *(f"orthogonality-inversion-n{n}-q{q}" for n, q in ((1, 2), (1, 4), (1, 8), (3, 2))),
+        *(f"all-traces-hit-n{n}-q{q}" for n, q in ((3, 2), (3, 4), (5, 2))),
     )
     hist32, _ = dc32
     f2 = Field(1)
@@ -60,27 +62,30 @@ def test_criterion_03_exponential_sum_closed_forms(verify_passed, dc32):
         cor_d = f2.lam(a) * consts.scale * ktable(f2)[a]
         assert expsum_dc(3, f2, a) == cor_d == _hist_expsum(f2, hist32, a)
     print("PASS criterion 3: closed exponential sums equal histogram sums on all "
-          "target cells, odd cells vanish, distinguished-cell form holds")
+          "target cells, odd cells vanish, distinguished-cell form holds, character "
+          "inversion recovers the trace counts, every trace is hit for n >= 3")
 
 
 def test_criterion_04_bruhat_partition_and_trace_shift(verify_passed):
     verify_passed(
         "sp42-bruteforce-order", "sp42-cell-sizes", "sp42-bruhat-partition",
-        "o52-order", "trace-shift-under-iota-o52",
+        "o52-order", "trace-shift-under-iota-o52", "iota-bijection-p5-p4", "iota-multiplicative-p5",
     )
     print("PASS criterion 4: Sp(4,2) splits 48/288/384 over brute force; "
-          "trace shifts by one under iota on all of O(5,2)")
+          "trace shifts by one under iota on all of O(5,2); iota maps P(5) onto P(4) "
+          "multiplicatively")
 
 
 def test_criterion_05_character_identities(verify_passed):
     identities = ("frobenius-argument-invariance", "artin-schreier-character-identity",
-                  "twisted-sum-identity")
+                  "twisted-sum-identity", "moment-partition")
     verify_passed(
         *(f"weil-bound-r{r}" for r in range(1, 11)),
         *(f"{identity}-r{r}" for identity in identities for r in range(1, 9)),
+        *(f"inverse-property-r{r}" for r in range(1, 7)),
     )
-    print("PASS criterion 5: Weil bound to q=1024; Frobenius, Artin-Schreier and "
-          "twisted-sum identities exact to q=256")
+    print("PASS criterion 5: Weil bound to q=1024; Frobenius, Artin-Schreier, "
+          "twisted-sum and MK = T0K + T1K identities exact to q=256; x * inv(x) = 1 to q=64")
 
 
 def test_criterion_06_gl_recursion_vs_bruteforce(verify_passed):
@@ -91,20 +96,26 @@ def test_criterion_06_gl_recursion_vs_bruteforce(verify_passed):
 
 def test_criterion_07_code_level_checks(verify_passed):
     verify_passed(
-        "bruteforce-wd-1-2", "closed-wd-1-2", "closed-vs-bruteforce-wd-1-4", "weight-symmetry-1-4",
-        *(f"dual-kernel-n1-q{q}" for q in (2, 4, 8, 16)),
+        "bruteforce-wd-1-2", "closed-wd-1-2", "bruteforce-codeword-count-1-4",
+        "closed-vs-bruteforce-wd-1-4", "weight-symmetry-1-4",
+        *(f"dual-kernel-n1-q{q}" for q in (2, 4, 8, 16)), "dual-kernel-n3-q2",
+        *(f"dual-weight-closed-vs-histogram-n{n}-q{q}" for n, q in ((1, 4), (1, 8), (1, 16), (3, 2))),
+        *(f"weight-prefix-dp-vs-character-sum-n1-q{q}" for q in (4, 8, 16)),
         "delsarte-dual-set-1-2", "delsarte-dual-set-1-4",
     )
     print("PASS criterion 7: brute-force distributions equal the closed formula, "
-          "are palindromic; kernels and Delsarte duals as expected")
+          "are palindromic; dual weights and weight prefixes agree across routes; "
+          "kernels and Delsarte duals as expected")
 
 
 def test_criterion_08_pless_identity(verify_passed):
     verify_passed(
-        "pless-1-8-h1-worked-value", *(f"pless-1-{q}-h{h}" for q in (8, 16) for h in range(1, 11))
+        "pless-1-8-h1-worked-value",
+        *(f"pless-1-{q}-h{h}" for q in (4, 8, 16) for h in range(1, 11)),
+        *(f"pless-degenerate-h{h}" for h in (1, 2, 3)),
     )
-    print("PASS criterion 8: Pless identity exact for (1,8) and (1,16), h <= 10; "
-          "worked value 224 reproduced")
+    print("PASS criterion 8: Pless identity exact for (1,4), (1,8) and (1,16), h <= 10, "
+          "and on a degenerate code; worked value 224 reproduced")
 
 
 def test_criterion_09_full_moment_identity(verify_passed):

@@ -143,14 +143,6 @@ def test_iota_image_is_symplectic(f2):
     assert all(is_symplectic(f2, iota(f2, w, 2), 2) for w in enumerate_group(2, f2))
 
 
-def test_iota_is_multiplicative_bijection_on_parabolic(verify_passed):
-    verify_passed("iota-bijection-p5-p4", "iota-multiplicative-p5")
-
-
-def test_trace_shift_under_iota_on_whole_group(verify_passed):
-    verify_passed("o52-order", "trace-shift-under-iota-o52")
-
-
 # ----------------------------------------------------------------------------
 # parabolic subgroups
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,21 @@ def test_verify_suite_passes(verify_suites, suite):
     assert len(checks) == SUITE_CHECKS[suite]
 
 
+def test_verify_all_passes_under_optimize():
+    # python -O strips every assert, so no exactness check may rest on one
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kloosterman.cli", "verify", "all", "--json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks_run = str(sum(SUITE_CHECKS.values()))
+    assert json.loads(proc.stdout)["verdicts"] == {
+        "checks_run": checks_run, "failures": "0", "all_checks": "pass"
+    }
+
+
 def test_verify_report_and_exit_code(capsys, verify_suites):
     code, report, _ = run_json(capsys, "verify", "field")
     assert code == 0
@@ -49,7 +68,7 @@ def test_verify_report_and_exit_code(capsys, verify_suites):
 
 
 def test_verify_check_names_are_unique(verify_all):
-    # the verify_passed fixture and the --json report key checks by name
+    # the acceptance criteria and the --json report key checks by name
     names = Counter(check.name for check in verify_all)
     assert [name for name, count in names.items() if count > 1] == []
 

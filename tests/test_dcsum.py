@@ -115,17 +115,6 @@ def test_closed_histogram_totals_and_weighted_sum(f16):
             assert weighted == 0
 
 
-@pytest.mark.parametrize("n,r_field", [(3, 1), (3, 2), (5, 1)])
-def test_all_traces_hit_for_n_at_least_3(verify_passed, n, r_field):
-    verify_passed(f"all-traces-hit-n{n}-q{2 ** r_field}")
-
-
-def test_character_inversion_recovers_counts(verify_passed):
-    # q * n(beta) = size + sum over a of lambda(a beta) * (cell character sum at a)
-    cells = ((1, 2), (1, 4), (1, 8), (3, 2))
-    verify_passed(*(f"orthogonality-inversion-n{n}-q{q}" for n, q in cells))
-
-
 def test_trace_count_rejects_bad_inputs(f2):
     with pytest.raises(ValueError):
         closed_histogram(2, f2)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -86,9 +88,14 @@ def test_mul_examples():
             assert f.mul(x, 0) == 0
 
 
-@pytest.mark.parametrize("r", range(1, 7))
-def test_inverse_property_exhaustive(verify_passed, r):
-    verify_passed(f"inverse-property-r{r}")
+@pytest.mark.parametrize(
+    "op,args",
+    [("mul", (-1, 1)), ("mul", (8, 1)), ("trace", (9,))],
+    ids=["mul-negative", "mul-past-q", "trace-past-q"],
+)
+def test_values_outside_the_field_are_rejected(f8, op, args):
+    with pytest.raises(ValueError, match=r"is not an element of GF\(2\^3\)"):
+        getattr(f8, op)(*args)
 
 
 def test_inverse_examples():
@@ -176,6 +183,7 @@ def test_tables_are_built_on_first_use_and_linear_in_q():
     assert not isinstance(Field(MAX_DEGREE)._log, list)
     f = Field(10)
     assert not isinstance(f._exp, list)
+    assert [g.mul(2, 3) for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f))] == [6, 6]
     assert f.mul(2, 3) == 6
     assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)
 

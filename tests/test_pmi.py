@@ -29,21 +29,6 @@ def test_stirling_recurrence():
             assert stirling2(h, t) == t * stirling2(h - 1, t) + stirling2(h - 1, t - 1)
 
 
-@pytest.mark.parametrize("h", range(1, 11))
-def test_pless_identity_on_traced_duals(verify_passed, h):
-    verify_passed(f"pless-1-8-h{h}", f"pless-1-16-h{h}")
-
-
-def test_pless_degenerate_code(verify_passed):
-    # B = {0} of length 6: dual is the full space, prefix is plain binomials
-    verify_passed("pless-degenerate-h1", "pless-degenerate-h2", "pless-degenerate-h3")
-
-
-@pytest.mark.parametrize("h", range(1, 11))
-def test_pless_on_bruteforced_length12_code(verify_passed, h):
-    verify_passed(f"pless-1-4-h{h}")
-
-
 def test_pless_nonintegral_side_raises_even_under_optimize():
     # the Stirling side is -1/2 here; it must never be truncated to an int
     with pytest.raises(ArithmeticError):
@@ -68,12 +53,6 @@ def test_recursion_report_fields(f2):
     assert report.n == 3 and report.q == 2 and report.h == 1
     assert report.d_values == (0, -14336)  # D_1 = -scale
     assert report.direct == 1 and report.match is True
-
-
-@pytest.mark.parametrize("n,r_field", [(1, 3), (3, 1)])
-@pytest.mark.parametrize("h", [1, 3])
-def test_recursion_matches_direct_moments(verify_passed, n, r_field, h):
-    verify_passed(f"recursion-vs-direct-n{n}-q{2 ** r_field}-h{h}")
 
 
 def test_recursion_at_q256_up_to_h25():

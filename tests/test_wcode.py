@@ -33,15 +33,6 @@ def test_dual_weight_zero_is_flagged(f8):
         assert dual_weight(1, f8, 0) == 0
 
 
-def test_dual_weight_matches_histogram_route(verify_passed):
-    cells = ((1, 4), (1, 8), (1, 16), (3, 2))
-    verify_passed(*(f"dual-weight-closed-vs-histogram-n{n}-q{q}" for n, q in cells))
-
-
-def test_dual_kernel(verify_passed):
-    verify_passed(*(f"dual-kernel-n{n}-q{q}" for n, q in ((1, 2), (1, 4), (1, 8), (1, 16), (3, 2))))
-
-
 def test_distinct_dual_counts(f2, f4, f8, f16):
     # the dual has dimension r exactly when the kernel is trivial
     assert distinct_dual_count(1, f4) == 2
@@ -62,10 +53,6 @@ def test_weight_prefix_closed_spot_values(f2):
     assert weight_prefix_closed(3, f2, 1, SYMPLECTIC) == [1, 308224]
     with pytest.raises(ValueError):
         weight_prefix_closed(3, f2, -1)  # also once the cell is memoised
-
-
-def test_weight_prefix_matches_naive_enumeration(verify_passed):
-    verify_passed(*(f"weight-prefix-dp-vs-character-sum-n1-q{q}" for q in (4, 8, 16)))
 
 
 @pytest.mark.parametrize("jmax", JMAX)
@@ -155,19 +142,6 @@ def test_recursion_builds_each_cell_histogram_once(monkeypatch):
         1, Field(5), 3, SYMPLECTIC
     )
     assert calls == cells
-
-
-def test_tiny_code_full_distribution(verify_passed, f2):
-    # the length-2 code {00, 11}
-    verify_passed("bruteforce-wd-1-2", "closed-wd-1-2")
-    assert defining_vector(1, f2) == [1, 1]
-
-
-def test_length12_code_full_distribution(verify_passed):
-    # dimension 11 = 12 - 1, closed form equals brute force, palindromic
-    verify_passed(
-        "bruteforce-codeword-count-1-4", "closed-vs-bruteforce-wd-1-4", "weight-symmetry-1-4"
-    )
 
 
 def test_bruteforce_respects_length_limit(f8):
