@@ -138,7 +138,8 @@ class Field:
         self.r = r
         self.q = 1 << r
         self.modulus = modulus
-        # plain attributes keep mul fast; a property or a __getattr__ on Field slows every lookup
+        # plain attributes keep mul fast: a property would slow these reads, and a
+        # __getattr__ on Field would slow every attribute read on the instance
         self._exp: list[int] | _Unbuilt = _Unbuilt(self, "_exp")
         self._log: list[int] | _Unbuilt = _Unbuilt(self, "_log")
         # bit k is tr(x^k) = p_k, the k-th power sum of the modulus's roots, by Newton's
