@@ -19,6 +19,8 @@ by the multiplier c of lambda(c x).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 # Lowest-weight irreducible polynomial per degree, lexicographically smallest
 # among minimal-weight candidates.  Rabin's test re-verifies each one at
 # construction, so a bad entry fails loudly rather than corrupting results.
@@ -191,8 +193,10 @@ class Field:
             powers[k] = x
             log[x] = k
             x = _mul_raw(x, g, self.modulus)  # g is small, so this loop is short
+        powers.extend(powers)  # extended in place: no temporary copies of the O(q) table
+        powers.extend(repeat(0, 2 * q - 1))
         self._log = log
-        self._exp = powers + powers + [0] * (2 * q - 1)
+        self._exp = powers
 
     def mul(self, a: int, b: int) -> int:
         if (a | b) >> self.r:  # a negative value shifts to -1

@@ -27,7 +27,7 @@ from .classical import DEFAULT_BUDGET, BudgetError, gl_recursion
 from .gf2r import Field, character_sums
 from .matfq import gl_iter, mat_inv, mat_trace
 
-_KTABLE_CACHE: dict[tuple[int, int], dict[int, int]] = {}
+_KTABLE_CACHE: dict[tuple[int, int], tuple[dict[int, int], Counter[tuple[int, int]]]] = {}
 
 
 def _require_units(field: Field, **args: int) -> None:
@@ -46,17 +46,24 @@ def kloosterman(field: Field, a: int, c: int = 1) -> int:
 
 def ktable(field: Field) -> dict[int, int]:
     """K(lambda; a) for every nonzero a, in ascending a; computed once per field and cached."""
+    return _kdata(field)[0]
+
+
+def _kdata(field: Field) -> tuple[dict[int, int], Counter[tuple[int, int]]]:
+    """The field's ktable and the counts of (tr a, K(a)) over its units, built together once."""
     key = (field.r, field.modulus)
-    table = _KTABLE_CACHE.get(key)
-    if table is None:
+    entry = _KTABLE_CACHE.get(key)
+    if entry is None:
         q = field.q
         powers = field.powers()
+        bits = [field.trace(x) for x in powers]
+        values = [4 * c - q - 1 for c in _cyclic_self_convolution(bits)]
         by_element = [0] * q
-        for x, c in zip(powers, _cyclic_self_convolution([field.trace(x) for x in powers])):
-            by_element[x] = 4 * c - q - 1
-        table = dict(zip(field.units(), by_element[1:]))
-        _KTABLE_CACHE[key] = table
-    return table
+        for x, k in zip(powers, values):
+            by_element[x] = k
+        entry = dict(zip(field.units(), by_element[1:])), Counter(zip(bits, values))
+        _KTABLE_CACHE[key] = entry
+    return entry
 
 
 def _cyclic_self_convolution(bits: list[int]) -> list[int]:
@@ -88,8 +95,7 @@ def moments(field: Field, h: int) -> Moments:
     """
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    trace = field.trace
-    powers = [(trace(a), k**h) for a, k in ktable(field).items()]
+    powers = [(t, n * k**h) for (t, k), n in _kdata(field)[1].items()]
     mk = sum(p for _, p in powers)
     t0k = sum(p for t, p in powers if t == 0)
     t1k = sum(p for t, p in powers if t == 1)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -186,6 +187,18 @@ def test_tables_are_built_on_first_use_and_linear_in_q():
     assert [g.mul(2, 3) for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f))] == [6, 6]
     assert f.mul(2, 3) == 6
     assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)
+
+
+def test_table_build_peaks_at_the_memory_it_keeps():
+    # the antilog table is extended in place, with no temporary copy of its O(q) entries
+    f = Field(12)
+    tracemalloc.start()
+    try:
+        f._build_tables()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * kept
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 1024])

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
+
 import pytest
 
 from kloosterman.classical import BudgetError
 from kloosterman.gf2r import MODULI, Field
 from kloosterman.ksum import (
+    _kdata,
     kloosterman,
     kloosterman_gl,
     kloosterman_gl_bruteforce,
@@ -19,6 +23,7 @@ from _oracles import (
     ktable_direct,
     mulmod,
     theta_character_sum,
+    trace,
     twisted_sum,
 )
 
@@ -110,6 +115,38 @@ def test_moments_partition_and_h0(r):
     mk0, t0k0, t1k0 = moments(f, 0)
     assert mk0 == f.q - 1
     assert t1k0 == f.q // 2
+
+
+@pytest.mark.parametrize("m", [m for r in range(1, 8) for m in irreducibles(r)], ids=hex)
+def test_moments_match_power_sums_over_direct_table(m):
+    # every irreducible modulus of degree <= 7, primitive or not, split by the oracle's traces
+    f = Field(m.bit_length() - 1, m)
+    split = ([], [])
+    for a, k in ktable_direct(m).items():
+        split[trace(a, m)].append(k)
+    for h in range(26):
+        t0k, t1k = (sum(k**h for k in side) for side in split)
+        assert moments(f, h) == (t0k + t1k, t0k, t1k), h
+
+
+def test_trace_value_pairs_fit_the_weil_bound():
+    # K = 3 (mod 4) and |K| <= 2 sqrt(q), so each moment sums at most 2 (isqrt(q) + 1) terms
+    f = Field(16)
+    pairs = _kdata(f)[1]
+    assert pairs == Counter((f.trace(a), k) for a, k in ktable(f).items())
+    assert len(pairs) <= 2 * (math.isqrt(f.q) + 1)
+
+
+def test_moments_trace_nothing_once_the_table_is_built(monkeypatch):
+    f = Field(10, NON_PRIMITIVE[10])
+    ktable(f)
+    rows = [moments(f, h) for h in range(11)]
+
+    def forbidden(a):
+        raise AssertionError("moments must read the counts kept beside the table")
+
+    monkeypatch.setattr(f, "trace", forbidden)
+    assert [moments(f, h) for h in range(11)] == rows
 
 
 def test_gl_kloosterman_base_cases(f2, f4):
