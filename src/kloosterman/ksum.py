@@ -10,10 +10,14 @@ sequence b.  C is computed exactly as one big-integer square (Kronecker
 substitution: one fixed-width slot per b_j, wide enough that no coefficient
 carries).  A twisted character needs no sum of its own: substituting y = c*x
 shows that K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals
-K(lambda; c^2 * a).  The sides of the two character identities checked
-against the table, theta_character_sums and twisted_sums, are read for every
-argument at once from gf2r.character_sums (one Walsh-Hadamard transform),
-which shares no code with the convolution.
+K(lambda; c^2 * a).  While the table is built, the pairs (tr a, K(a)) over
+the units are counted from the same trace bits b_j.  For q >= 4 every K is
+3 mod 4 with |K| <= 2 sqrt(q), so there are at most 2(isqrt(q) + 1) pairs,
+and each power moment is read from those counts without tracing anything.
+The sides of the two character identities checked against the table,
+theta_character_sums and twisted_sums, are read for every argument at once
+from gf2r.character_sums (one Walsh-Hadamard transform), which shares no
+code with the convolution.
 """
 
 from __future__ import annotations
@@ -89,9 +93,10 @@ class Moments(NamedTuple):
 def moments(field: Field, h: int) -> Moments:
     """h-th power moment of K(lambda; .) and its trace-0 / trace-1 split.
 
-    h = 0 is the literal empty-power convention: mk = q-1 and t1k counts the
-    trace-one units.  The partition mk = t0k + t1k holds by construction and
-    is checked, which catches a trace outside {0, 1}.
+    Read from the counts of (tr a, K(a)) kept beside the table.  h = 0 is the
+    literal empty-power convention: mk = q-1 and t1k counts the trace-one
+    units.  The partition mk = t0k + t1k holds by construction and is
+    checked, which catches a trace outside {0, 1}.
     """
     if h < 0:
         raise ValueError("moment order must be nonnegative")
