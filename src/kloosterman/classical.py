@@ -41,12 +41,18 @@ ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 FAMILIES = (ORTHOGONAL, SYMPLECTIC)
 
-#: Default cap on the number of streamed group elements per enumeration.
+#: Cap on the number of elements any one enumeration may stream.
 DEFAULT_BUDGET = 10**8
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would stream more elements than the configured budget."""
+    """An enumeration would stream more elements than DEFAULT_BUDGET."""
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Raise BudgetError, before anything is enumerated, if count exceeds DEFAULT_BUDGET."""
+    if count > DEFAULT_BUDGET:
+        raise BudgetError(f"{count} {what} exceed the enumeration budget {DEFAULT_BUDGET}")
 
 
 def _check_family(family: str) -> None:
@@ -130,13 +136,12 @@ def alternating_count(r: int, field: Field) -> int:
     return q ** (half * (half - 1)) * math.prod(q ** (2 * j - 1) - 1 for j in range(1, half + 1))
 
 
-def alternating_count_bruteforce(r: int, field: Field, budget: int = DEFAULT_BUDGET) -> int:
+def alternating_count_bruteforce(r: int, field: Field) -> int:
     """Count nonsingular alternating matrices by exhaustion (small r only)."""
     if r == 0:
         return 1
     total = field.q ** (r * (r - 1) // 2)
-    if total > budget:
-        raise BudgetError(f"{total} alternating matrices exceeds budget {budget}")
+    _check_budget(total, f"alternating {r} x {r} matrices over GF({field.q})")
     return sum(1 for a in _triangle_iter(field, r, diagonal=False) if is_invertible(field, a))
 
 
@@ -144,10 +149,7 @@ def alternating_count_bruteforce(r: int, field: Field, budget: int = DEFAULT_BUD
 class GroupOrders:
     """Exact subgroup and cell orders for one (n, q)."""
 
-    n: int
-    q: int
     general_linear: int
-    q_binomials: tuple[int, ...]
     parabolic: int
     stabilizers: tuple[int, ...]
     cells: tuple[int, ...]
@@ -160,10 +162,7 @@ class GroupOrders:
 def group_order_data(n: int, field: Field) -> GroupOrders:
     q = field.q
     return GroupOrders(
-        n=n,
-        q=q,
         general_linear=gl_order(n, q),
-        q_binomials=tuple(q_binom(n, r, q) for r in range(n + 1)),
         parabolic=parabolic_order(n, q),
         stabilizers=tuple(stabilizer_order(n, r, q) for r in range(n + 1)),
         cells=tuple(cell_order(n, r, q) for r in range(n + 1)),
@@ -199,7 +198,7 @@ def is_symplectic(field: Field, w: Mat, n: int) -> bool:
     return mat_mul(field, transpose(w), w[n:] + w[:n]) == jmat(n)  # J w swaps w's row halves
 
 
-def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> set[Mat]:
+def symplectic_by_form(field: Field, n: int) -> set[Mat]:
     """Every 2n x 2n matrix w with w^T J w = J, by a column search on the form.
 
     The columns c_0, c_1, ... of w are chosen one at a time from F_q^(2n).
@@ -215,12 +214,11 @@ def symplectic_by_form(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> se
     The search reads the form alone, never the parabolic subgroup, sigma_r or
     a cell order, so it is an independent side against which the Bruhat cells
     can be checked.  The closed order q^(n^2) prod (q^(2j) - 1) is used only
-    to refuse, with BudgetError, a group larger than budget.
+    to refuse, with BudgetError, a group larger than DEFAULT_BUDGET.
     """
     q, dim = field.q, 2 * n
     size = q ** (n * n) * math.prod(q ** (2 * j) - 1 for j in range(1, n + 1))
-    if size > budget:
-        raise BudgetError(f"|Sp({dim},{q})| = {size} exceeds enumeration budget {budget}")
+    _check_budget(size, f"elements of Sp({dim},{q})")
     form, mul = jmat(n), field.mul
     vectors = list(product(range(q), repeat=dim))
     # J v swaps the two halves of v, so c^T J v = _dot(c, J v)
@@ -337,9 +335,7 @@ def _p_element(a: Mat, top: Iterable[tuple], levi: Mat, last: tuple | None) -> M
     return tuple(x + y + (0,) for x, y in zip(a, top)) + levi + (last,)
 
 
-def enumerate_parabolic(
-    n: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
-) -> Iterator[Mat]:
+def enumerate_parabolic(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Yield each element of the maximal parabolic subgroup exactly once.
 
     Each element is l(a) u(b, h): the Levi factor diag(a, a^-T[, 1]) times
@@ -350,9 +346,7 @@ def enumerate_parabolic(
     off b's columns, which, like the closing row (0 | h | 1), are built once.
     """
     _check_family(family)
-    count = parabolic_order(n, field.q)
-    if count > budget:
-        raise BudgetError(f"|P| = {count} exceeds enumeration budget {budget}")
+    _check_budget(parabolic_order(n, field.q), f"elements of P({n},{field.q})")
     unipotents = [
         (transpose(b), None if h is None else (0,) * n + h + (1,))
         for b, h in _unipotents(field, n, n, family)
@@ -410,9 +404,7 @@ def _subspace_representatives(field: Field, n: int, r: int) -> Iterator[Mat]:
             yield tuple(map(tuple, rows)) + completion
 
 
-def coset_transversal(
-    n: int, r: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
-) -> CosetData:
+def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) -> CosetData:
     """Enumerate P once; build a right-coset transversal of A_r from its parameters.
 
     A_r holds the l(a) u(b, h) in P with a zero top-right r x (n-r) block in a
@@ -424,7 +416,7 @@ def coset_transversal(
     _check_family(family)
     q, mul = field.q, field.mul
     positions = _conjugate_zero_positions(n, r, family)
-    parabolic = tuple(enumerate_parabolic(n, field, family, budget))
+    parabolic = tuple(enumerate_parabolic(n, field, family))
 
     zero_cols: dict[int, list[int]] = {}
     for i, j in positions:
@@ -457,17 +449,14 @@ def coset_transversal(
     return CosetData(parabolic, a_count, tuple(transversal))
 
 
-def enumerate_double_coset(
-    n: int, r: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
-) -> Iterator[Mat]:
+def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Stream P sigma_r P in the fixed order: transversal outer, P inner.
 
     Each element is p m with m = sigma_r x fixed over P, so u -> u m is computed
     once per x on the few distinct rows u of P's elements, and p m is read row by row.
     """
-    data = coset_transversal(n, r, field, family, budget)
-    if data.cell_size > budget:
-        raise BudgetError(f"cell size {data.cell_size} exceeds budget {budget}")
+    data = coset_transversal(n, r, field, family)
+    _check_budget(data.cell_size, f"elements of the cell P sigma_{r} P")
     dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
     perm = _sigma_perm(n, r, dim)
     rows = tuple({u for p in data.parabolic for u in p})
@@ -478,12 +467,12 @@ def enumerate_double_coset(
             yield tuple(map(image.__getitem__, p))
 
 
-def enumerate_group(
-    n: int, field: Field, family: str = ORTHOGONAL, budget: int = DEFAULT_BUDGET
-) -> Iterator[Mat]:
+def enumerate_group(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Stream the whole group as the disjoint union of its Bruhat cells."""
+    order = sum(cell_order(n, r, field.q) for r in range(n + 1))
+    _check_budget(order, f"elements of the {family} group (n={n}, q={field.q})")
     for r in range(n + 1):
-        yield from enumerate_double_coset(n, r, field, family, budget)
+        yield from enumerate_double_coset(n, r, field, family)
 
 
 # ----------------------------------------------------------------------------

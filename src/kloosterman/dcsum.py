@@ -20,8 +20,6 @@ from .ksum import kloosterman, kloosterman_gl
 class CellConstants:
     """The two factors of |P sigma_(n-1) P| for odd n."""
 
-    n: int
-    q: int
     scale: int
     cofactor: int
 
@@ -49,7 +47,7 @@ def cell_constants(n: int, field: Field) -> CellConstants:
         * (q**n - 1)
         * math.prod(q ** (2 * j) - 1 for j in range(1, (n - 1) // 2 + 1))
     )
-    return CellConstants(n=n, q=q, scale=scale, cofactor=cofactor)
+    return CellConstants(scale=scale, cofactor=cofactor)
 
 
 def expsum_closed(n: int, r: int, field: Field, c: int = 1) -> int:

@@ -25,13 +25,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
-from .classical import DEFAULT_BUDGET, BudgetError, gl_recursion
+from .classical import _check_budget, gl_recursion
 from .gf2r import Field, character_sums
 from .matfq import gl_iter, mat_inv, mat_trace
-
-_KTABLE_CACHE: dict[tuple[int, int], tuple[dict[int, int], Counter[tuple[int, int]]]] = {}
 
 
 def _require_units(field: Field, **args: int) -> None:
@@ -53,21 +52,17 @@ def ktable(field: Field) -> dict[int, int]:
     return _kdata(field)[0]
 
 
+@cache
 def _kdata(field: Field) -> tuple[dict[int, int], Counter[tuple[int, int]]]:
     """The field's ktable and the counts of (tr a, K(a)) over its units, built together once."""
-    key = (field.r, field.modulus)
-    entry = _KTABLE_CACHE.get(key)
-    if entry is None:
-        q = field.q
-        powers = field.powers()
-        bits = [field.trace(x) for x in powers]
-        values = [4 * c - q - 1 for c in _cyclic_self_convolution(bits)]
-        by_element = [0] * q
-        for x, k in zip(powers, values):
-            by_element[x] = k
-        entry = dict(zip(field.units(), by_element[1:])), Counter(zip(bits, values))
-        _KTABLE_CACHE[key] = entry
-    return entry
+    q = field.q
+    powers = field.powers()
+    bits = [field.trace(x) for x in powers]
+    values = [4 * c - q - 1 for c in _cyclic_self_convolution(bits)]
+    by_element = [0] * q
+    for x, k in zip(powers, values):
+        by_element[x] = k
+    return dict(zip(field.units(), by_element[1:])), Counter(zip(bits, values))
 
 
 def _cyclic_self_convolution(bits: list[int]) -> list[int]:
@@ -115,9 +110,7 @@ def kloosterman_gl(field: Field, t: int, a: int, c: int = 1) -> int:
     return gl_recursion([kloosterman(field, a, c) if t else 1], t, field.q)[0]  # W_0 reads no K
 
 
-def kloosterman_gl_bruteforce(
-    field: Field, t: int, c: int = 1, budget: int = DEFAULT_BUDGET
-) -> dict[int, int]:
+def kloosterman_gl_bruteforce(field: Field, t: int, c: int = 1) -> dict[int, int]:
     """Direct sums of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w, for every unit a.
 
     Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
@@ -125,8 +118,7 @@ def kloosterman_gl_bruteforce(
     _require_units(field, c=c)
     if t == 0:
         return dict.fromkeys(field.units(), 1)
-    if field.q ** (t * t) > budget:
-        raise BudgetError(f"{field.q ** (t * t)} candidate matrices exceed budget {budget}")
+    _check_budget(field.q ** (t * t), f"candidate {t} x {t} matrices over GF({field.q})")
     pairs = Counter((mat_trace(w), mat_trace(mat_inv(field, w))) for w in gl_iter(field, t))
     mul, lam = field.mul, field.lam
     return {

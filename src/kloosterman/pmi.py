@@ -13,15 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .classical import ORTHOGONAL, SYMPLECTIC
 from .dcsum import CellConstants, _check_odd, cell_constants
 from .gf2r import Field
 from .ksum import moments
 from .wcode import weight_prefix_closed
-
-# (n, r, modulus, h) -> (T1K^h by the recursion, the D_j prefix it used)
-_T1K_MEMO: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
 
 def _onto(h: int, tmax: int) -> list[int]:
@@ -101,12 +99,9 @@ def _difference_prefix(n: int, field: Field, jmax: int) -> list[int]:
     return [a - b for a, b in zip(cj, cj_hat)]
 
 
+@cache
 def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
-    """T1K^h by the recursion, with the D_j prefix it was computed from."""
-    key = (n, field.r, field.modulus, h)
-    cached = _T1K_MEMO.get(key)
-    if cached is not None:
-        return cached
+    """T1K^h by the recursion, with the D_j prefix it was computed from; kept per (n, field, h)."""
     consts = cell_constants(n, field)
     d = _difference_prefix(n, field, min(consts.size, h))
     first = sum(
@@ -116,9 +111,7 @@ def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
     value = -first + Fraction(field.q * 2 ** (h - 1), consts.scale**h) * _stirling_side(
         consts.size, d, h
     )
-    result = (_integral(value, f"recursion value at (n={n}, q={field.q}, h={h})"), tuple(d))
-    _T1K_MEMO[key] = result
-    return result
+    return _integral(value, f"recursion value at (n={n}, q={field.q}, h={h})"), tuple(d)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Named verification suites behind the `verify` CLI command.
 
 Each suite is a generator of exact integer checks (no tolerances anywhere),
-one CheckResult per check.  `run_suite` alone handles what a suite raises:
-a budget overrun ends that suite with a failing entry after the checks it
-has already yielded, and any other exception does the same with a failing
-`<suite>-raised` entry; the remaining suites still run.
+one CheckResult per check.  Every brute-force enumeration a suite runs is
+capped at classical.DEFAULT_BUDGET = 10^8 elements; the inputs are fixed and
+stay far below it.  `run_suite` alone handles what a suite raises: a budget
+overrun ends that suite with a failing `<suite>-enumeration-budget` entry
+after the checks it has already yielded, and any other exception does the
+same with a failing `<suite>-raised` entry; the remaining suites still run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 from . import classical
 from .classical import (
-    DEFAULT_BUDGET,
     ORTHOGONAL,
     SYMPLECTIC,
     BudgetError,
@@ -100,7 +101,7 @@ def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> in
 # ----------------------------------------------------------------------------
 
 
-def suite_field(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_field() -> Iterator[CheckResult]:
     built = sum(1 for r in range(1, MAX_DEGREE + 1) if Field(r).q == 1 << r)
     yield _check("moduli-table-constructs-and-verifies", MAX_DEGREE, built)
     f4, f8 = Field(2), Field(3)
@@ -123,7 +124,7 @@ def suite_field(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
         yield _check(f"inverse-property-r{r}", True, ok)
 
 
-def suite_kloosterman(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_kloosterman() -> Iterator[CheckResult]:
     yield _check("k-value-q2", 1, kloosterman(Field(1), 1))
     yield _check("k-value-q4", 3, kloosterman(Field(2), 1))
     yield _check("k-value-q8", -5, kloosterman(Field(3), 1))
@@ -149,37 +150,37 @@ def suite_kloosterman(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
         yield _check(f"moment-partition-r{r}", True, ok)
     for t, r in ((2, 1), (2, 2), (3, 1)):
         f = Field(r)
-        brute = kloosterman_gl_bruteforce(f, t, budget=budget)
+        brute = kloosterman_gl_bruteforce(f, t)
         ok = all(kloosterman_gl(f, t, a) == brute[a] for a in f.units())
         yield _check(f"gl-recursion-vs-bruteforce-t{t}-q{f.q}", True, ok)
     yield _check("gl-recursion-t2-q2-value", 6, kloosterman_gl(Field(1), 2, 1))
 
 
-def suite_groups(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_groups() -> Iterator[CheckResult]:
     f2, f4 = Field(1), Field(2)
     transversals = {}
     for n in (1, 2, 3):  # one P(n,2) per n serves both its count and a transversal
-        data = classical.coset_transversal(n, n - 1, f2, ORTHOGONAL, budget)
+        data = classical.coset_transversal(n, n - 1, f2, ORTHOGONAL)
         count, transversals[n] = len(data.parabolic), len(data.transversal)
         del data  # free P before the next, larger one is built
         yield _check(f"parabolic-count-n{n}-q2", parabolic_order(n, 2), count)
     for n in (1, 2):
-        count = sum(1 for _ in enumerate_parabolic(n, f4, ORTHOGONAL, budget))
+        count = sum(1 for _ in enumerate_parabolic(n, f4, ORTHOGONAL))
         yield _check(f"parabolic-count-n{n}-q4", parabolic_order(n, 4), count)
     for n, size in transversals.items():
         yield _check(f"transversal-size-n{n}-r{n - 1}-q2", transversal_size(n, n - 1, 2), size)
-    sp42 = symplectic_by_form(f2, 2, budget)
+    sp42 = symplectic_by_form(f2, 2)
     yield _check("sp42-bruteforce-order", 720, len(sp42))
-    cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC, budget)) for r in range(3)]
+    cells = [set(enumerate_double_coset(2, r, f2, SYMPLECTIC)) for r in range(3)]
     yield _check("sp42-cell-sizes", [48, 288, 384], [len(c) for c in cells])
     union = set().union(*cells)
     yield _check("sp42-bruhat-partition", True, union == sp42 and len(union) == 720)
-    o52 = list(classical.enumerate_group(2, f2, ORTHOGONAL, budget))
+    o52 = list(classical.enumerate_group(2, f2, ORTHOGONAL))
     yield _check("o52-order", 720, len(set(o52)))
     ok = all(mat_trace(w) == mat_trace(iota(f2, w, 2)) ^ 1 for w in o52)
     yield _check("trace-shift-under-iota-o52", True, ok)
-    p5 = list(enumerate_parabolic(2, f2, ORTHOGONAL, budget))
-    p4 = set(enumerate_parabolic(2, f2, SYMPLECTIC, budget))
+    p5 = list(enumerate_parabolic(2, f2, ORTHOGONAL))
+    p4 = set(enumerate_parabolic(2, f2, SYMPLECTIC))
     image = [iota(f2, w, 2) for w in p5]
     yield _check("iota-bijection-p5-p4", True, set(image) == p4 and len(set(image)) == len(p5))
     known = dict(zip(p5, image))  # iota is pure; a product outside p5 still meets its guard
@@ -195,7 +196,7 @@ def suite_groups(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
             yield _check(
                 f"alternating-count-r{r}-q{f.q}",
                 alternating_count(r, f),
-                alternating_count_bruteforce(r, f, budget),
+                alternating_count_bruteforce(r, f),
             )
     orders = group_order_data(2, f2)
     yield _check("gl2-order-q2", 6, orders.general_linear)
@@ -215,7 +216,7 @@ def _hist_expsum(field: Field, hist: dict[int, int], c: int) -> int:
     return sum(count * lam(mul(c, beta)) for beta, count in hist.items())
 
 
-def suite_expsum(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_expsum() -> Iterator[CheckResult]:
     for n, f in ((1, Field(1)), (1, Field(2)), (2, Field(1)), (2, Field(2)),
                  (1, Field(3)), (1, Field(4))):
         for r in range(n + 1):
@@ -269,7 +270,7 @@ def suite_expsum(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
             )
 
 
-def suite_codes(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_codes() -> Iterator[CheckResult]:
     f2, f4, f8, f16 = Field(1), Field(2), Field(3), Field(4)
     yield _check(
         "dual-weights-multiset-1-8",
@@ -312,7 +313,7 @@ def suite_codes(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
     )
 
 
-def suite_pless(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_pless() -> Iterator[CheckResult]:
     f4, f8, f16 = Field(2), Field(3), Field(4)
     weights8 = [w for _, w in dual_enumerate(1, f8)]
     lhs, rhs = pless_check(56, 3, weights8, weight_prefix_closed(1, f8, 1), 1)
@@ -340,7 +341,7 @@ def suite_pless(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
         yield _check(f"pless-1-4-h{h}", lhs, rhs)
 
 
-def suite_thma(budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+def suite_thma() -> Iterator[CheckResult]:
     grid = ((1, Field(3)), (1, Field(4)), (3, Field(1)))
     for n, f in grid:
         for h in (1, 3, 5, 7):
@@ -374,11 +375,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     """Run one suite, or every suite for "all", in order.
 
-    A suite that goes over `budget` ends with a failing
-    `<suite>-enumeration-budget` entry after the checks it has yielded.  A
+    A suite whose enumeration would exceed classical.DEFAULT_BUDGET ends with
+    a failing `<suite>-enumeration-budget` entry after the checks it has
+    yielded.  A
     suite that raises anything else ends the same way with a failing
     `<suite>-raised` entry carrying the exception, and its traceback goes to
     stderr.  Either way the next suite still runs.
@@ -388,7 +390,7 @@ def run_suite(name: str, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     out: list[CheckResult] = []
     for suite in SUITES if name == "all" else [name]:
         try:
-            for check in SUITES[suite](budget):
+            for check in SUITES[suite]():
                 out.append(check)
         except BudgetError as exc:
             out.append(_check(f"{suite}-enumeration-budget", "within budget", str(exc)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from functools import cache
 
 from .classical import ORTHOGONAL, BudgetError, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
@@ -27,9 +28,6 @@ from .ksum import kloosterman
 
 #: Largest code length for which 2^N brute force is allowed.
 BRUTE_LENGTH_LIMIT = 24
-
-# (n, r, modulus, family) -> (N, ((w, multiplicity), ...)) of the cell's dual weights
-_DUAL_MEMO: dict[tuple[int, int, int, str], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 def dual_weight(n: int, field: Field, a: int) -> int:
@@ -71,15 +69,12 @@ def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, tuple[tuple[int, i
     return length, tuple(sorted(weights.items()))
 
 
+@cache
 def _cell_dual_weights(
     n: int, field: Field, family: str
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """_dual_weights of the cell's closed-form histogram, kept per cell."""
-    key = (n, field.r, field.modulus, family)
-    cached = _DUAL_MEMO.get(key)
-    if cached is None:
-        cached = _DUAL_MEMO[key] = _dual_weights(field.q, closed_histogram(n, field, family))
-    return cached
+    return _dual_weights(field.q, closed_histogram(n, field, family))
 
 
 def _krawtchouk_prefix(

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from kloosterman.classical import (
     SYMPLECTIC,
     BudgetError,
     alternating_count,
+    alternating_count_bruteforce,
     cell_order,
     coset_transversal,
     dc_trace_histogram,
@@ -30,6 +32,7 @@ from kloosterman.classical import (
     transversal_size,
 )
 from kloosterman.gf2r import Field
+from kloosterman.ksum import kloosterman_gl_bruteforce
 from kloosterman.matfq import identity, mat_mul, mat_trace
 
 from _oracles import (
@@ -189,8 +192,34 @@ def test_parabolic_is_group_with_zero_blocks(f2, f4):
 
 
 def test_parabolic_budget():
+    # |P(3,4)| = 4^6 |GL(3,4)| = 743178240 is above the 10^8 cap
     with pytest.raises(BudgetError):
-        list(enumerate_parabolic(3, Field(2), ORTHOGONAL, budget=10**6))
+        list(enumerate_parabolic(3, Field(2), ORTHOGONAL))
+
+
+# each guarded enumeration at a tiny size: (label, call, the count its guard reads)
+GUARDED = [
+    ("alternating-2x2-q2", lambda f2: alternating_count_bruteforce(2, f2), 2),
+    ("sp2-q2", lambda f2: symplectic_by_form(f2, 1), 6),
+    ("parabolic-n1-q2", lambda f2: enumerate_parabolic(1, f2), 2),
+    ("transversal-n1-r0-q2", lambda f2: coset_transversal(1, 0, f2), 2),
+    ("cell-n1-r1-q2", lambda f2: enumerate_double_coset(1, 1, f2), 4),
+    ("group-n1-q2", lambda f2: enumerate_group(1, f2, SYMPLECTIC), 6),
+    ("gl2-kloosterman-q2", lambda f2: kloosterman_gl_bruteforce(f2, 2), 16),
+]
+
+
+@pytest.mark.parametrize("call,size", [g[1:] for g in GUARDED], ids=[g[0] for g in GUARDED])
+def test_every_enumeration_obeys_the_one_cap(f2, monkeypatch, call, size):
+    monkeypatch.setattr(cl, "DEFAULT_BUDGET", size - 1)
+    with pytest.raises(BudgetError):
+        out = call(f2)
+        if isinstance(out, Iterator):
+            next(out)  # a stream must refuse before its first element
+    monkeypatch.setattr(cl, "DEFAULT_BUDGET", size)
+    out = call(f2)
+    if isinstance(out, Iterator):
+        assert len(list(out)) == size
 
 
 # ----------------------------------------------------------------------------
@@ -296,10 +325,12 @@ def test_symplectic_search_matches_exhaustive(n, r, order):
     assert found == symplectic_exhaustive(f.modulus, n)
 
 
-def test_symplectic_search_budget(f2):
+def test_symplectic_search_budget(f2, monkeypatch):
+    monkeypatch.setattr(cl, "DEFAULT_BUDGET", 719)
     with pytest.raises(BudgetError):
-        symplectic_by_form(f2, 2, budget=719)
-    assert len(symplectic_by_form(f2, 2, budget=720)) == 720
+        symplectic_by_form(f2, 2)
+    monkeypatch.setattr(cl, "DEFAULT_BUDGET", 720)
+    assert len(symplectic_by_form(f2, 2)) == 720
 
 
 def test_symplectic_search_checks_every_leaf(f2, monkeypatch):

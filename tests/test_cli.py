@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kloosterman import verify
+from kloosterman import classical, verify
 from kloosterman.classical import BudgetError
 from kloosterman.cli import main
 from kloosterman.verify import CheckResult
@@ -74,11 +74,11 @@ def test_verify_check_names_are_unique(verify_all):
 
 
 def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatch):
-    def broken(budget):
+    def broken():
         yield CheckResult("first-check", "1", "1", True)
         raise ArithmeticError("broken identity")
 
-    def later(budget):
+    def later():
         return [CheckResult("later-check", "1", "1", True)]
 
     monkeypatch.setattr(verify, "SUITES", {"field": broken, "kloosterman": later})
@@ -104,28 +104,30 @@ def test_verify_suite_that_raises_is_reported_and_run_goes_on(capsys, monkeypatc
 def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
     seen = []
 
-    def search(field, n, budget):
-        seen.append(budget)
-        raise BudgetError(f"|Sp(4,2)| = 720 exceeds enumeration budget {budget}")
+    def search(field, n):
+        seen.append((field.q, n))
+        raise BudgetError("720 elements of Sp(4,2) exceed the enumeration budget")
 
     monkeypatch.setattr(verify, "symplectic_by_form", search)
-    code, report, _ = run_json(capsys, "verify", "groups", "--budget", "12345")
-    assert code == 1 and seen == [12345]
+    code, report, _ = run_json(capsys, "verify", "groups")
+    assert code == 1 and seen == [(2, 2)]
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
     assert failed == ["groups-enumeration-budget"]
 
 
-def test_verify_groups_small_budget_keeps_the_partial_report(capsys):
+def test_verify_groups_small_budget_keeps_the_partial_report(capsys, monkeypatch):
     # |P(2,4)| = 11520 and the 4^6 alternating 4 x 4 matrices over GF(4) both exceed 1000
-    code, report, _ = run_json(capsys, "verify", "groups", "--budget", "1000")
+    monkeypatch.setattr(classical, "DEFAULT_BUDGET", 1000)
+    code, report, _ = run_json(capsys, "verify", "groups")
     assert code == 1
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
     assert failed == ["groups-enumeration-budget"]
 
 
-def test_verify_kloosterman_small_budget_keeps_the_partial_report(capsys):
+def test_verify_kloosterman_small_budget_keeps_the_partial_report(capsys, monkeypatch):
     # the brute-force GL(2,4) Kloosterman sum walks 4^4 = 256 > 100 matrices
-    code, report, _ = run_json(capsys, "verify", "kloosterman", "--budget", "100")
+    monkeypatch.setattr(classical, "DEFAULT_BUDGET", 100)
+    code, report, _ = run_json(capsys, "verify", "kloosterman")
     assert code == 1
     checks = report["results"]["checks"]
     assert [c["verdict"] for c in checks] == ["pass"] * 47 + ["fail"]
@@ -237,10 +239,9 @@ def test_every_subcommand_rejects_huge_field(capsys, argv):
     "argv,message",
     [
         (("tables", "--q", "8", "--hmax", "-1"), "--hmax must be nonnegative"),
-        (("verify", "groups", "--budget", "-5"), "--budget must be nonnegative"),
         (("histogram", "--n", "1", "--q", "2", "--r-coset", "2"), "need 0 <= r <= n"),
     ],
-    ids=["negative-hmax", "negative-budget", "r-coset-above-n"],
+    ids=["negative-hmax", "r-coset-above-n"],
 )
 def test_range_errors_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

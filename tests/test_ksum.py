@@ -109,14 +109,6 @@ def test_moments_examples(f2, f4, f8):
     assert moments(f2, 1) == (1, 0, 1)
 
 
-@pytest.mark.parametrize("r", range(1, 7))
-def test_moments_partition_and_h0(r):
-    f = Field(r)
-    mk0, t0k0, t1k0 = moments(f, 0)
-    assert mk0 == f.q - 1
-    assert t1k0 == f.q // 2
-
-
 @pytest.mark.parametrize("m", [m for r in range(1, 8) for m in irreducibles(r)], ids=hex)
 def test_moments_match_power_sums_over_direct_table(m):
     # every irreducible modulus of degree <= 7, primitive or not, split by the oracle's traces

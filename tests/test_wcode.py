@@ -130,8 +130,8 @@ def test_recursion_builds_each_cell_histogram_once(monkeypatch):
         return closed_histogram(n, field, family)
 
     monkeypatch.setattr(wcode, "closed_histogram", counted)
-    monkeypatch.setattr(wcode, "_DUAL_MEMO", {})
-    monkeypatch.setattr(pmi, "_T1K_MEMO", {})
+    wcode._cell_dual_weights.cache_clear()
+    pmi._t1k_value.cache_clear()
     for n, f in ((1, Field(5)), (3, Field(2))):
         for h in range(1, 26, 2):
             assert pmi.t1k_recursive(n, f, h).h == h
