@@ -2,8 +2,8 @@
 histograms, and Kloosterman sum tables.
 
 Reports are deterministic for fixed flags except the wall-time field; every
-integer is serialized as a decimal string so arbitrarily large exact values
-survive the trip through JSON.  A histogram is counted from the Levi factor's
+integer is serialized as a decimal string, in full whatever its number of
+digits, so arbitrarily large exact values survive the trip through JSON.  A histogram is counted from the Levi factor's
 trace pairs, which enumerates no group; only the `kloosterman` and `groups`
 suites of `verify` enumerate, each set capped at 10^8 elements (a suite over
 the cap reports a failing `<suite>-enumeration-budget` check, and the run goes
@@ -241,11 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values print in full at any size: lift the interpreter's
+    # int-to-decimal digit limit (0 is none, as before Python 3.10.7) for this
+    # report, and restore it for callers in the same process
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

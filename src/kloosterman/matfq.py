@@ -92,27 +92,6 @@ def mat_inv(field: Field, a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def is_invertible(field: Field, a: Mat) -> bool:
-    """Forward elimination only; detects singularity without building an inverse."""
-    n = len(a)
-    if n != len(a[0]):
-        return False
-    mul, inv = field.mul, field.inv
-    rows = [list(r) for r in a]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pi = inv(rows[col][col])
-        prow = rows[col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = mul(rows[r][col], pi)
-                rows[r] = [x ^ mul(f, y) for x, y in zip(rows[r], prow)]
-    return True
-
-
 def gl_iter(field: Field, n: int) -> Iterator[Mat]:
     """All invertible n x n matrices, in lexicographic order of flattened entries:
     built row by row, each row running in product order over the vectors

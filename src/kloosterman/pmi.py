@@ -4,8 +4,15 @@ recursion producing trace-one Kloosterman moments from code weight data.
 Everything is computed in exact rational arithmetic; any result that fails to
 clear its denominator is a hard error, never a rounding event.  One kernel,
 _stirling_side, evaluates the Stirling/binomial double sum that every
-identity here shares; each caller only scales it.  Both it and stirling2
-read t! S(h,t) from one list, _onto.
+identity here shares, as sum over t of t! S(h,t) 2^(-t) E_t with the Pless
+columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j); each caller only
+scales it.  E_t does not depend on the order h, so the recursion keeps each
+cell's columns (_cell_columns, beside wcode's kept C_j) and an order h
+computes only the columns no lower order did; pless_check builds its columns
+once from the prefix it is given.  The rows of t! S(h,t) are kept too, each
+built from the one before (_onto), and stirling2 reads them.  The per-cell
+series are functools.cache entries keyed on (n, Field, family), like the
+other per-cell memos.
 """
 
 from __future__ import annotations
@@ -14,19 +21,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import count, islice
+from operator import sub
+from typing import Iterable, Iterator
 
 from .classical import ORTHOGONAL, SYMPLECTIC
 from .dcsum import CellConstants, _check_odd, cell_constants
 from .gf2r import Field
 from .ksum import moments
-from .wcode import weight_prefix_closed
+from .wcode import _cell_sums, _divided, _Kept, weight_prefix_closed
 
 
-def _onto(h: int, tmax: int) -> list[int]:
-    """t! S(h,t), the number of maps from h points onto t, for t = 0..tmax, as an alternating sum."""
-    return [
-        sum((-1) ** (t - i) * math.comb(t, i) * i**h for i in range(t + 1)) for t in range(tmax + 1)
-    ]
+_ONTO_ROWS = [[1]]
+
+
+def _onto(h: int) -> list[int]:
+    """t! S(h,t), the number of maps from h points onto t, for t = 0..h.
+
+    Rows are kept and each one is built from the one before it:
+    t! S(h,t) = t (t! S(h-1,t) + (t-1)! S(h-1,t-1)).
+    """
+    rows = _ONTO_ROWS
+    while len(rows) <= h:
+        row = rows[-1]
+        rows.append([0] + [t * (a + b) for t, a, b in zip(count(1), row[1:] + [0], row)])
+    return rows[h]
 
 
 def stirling2(h: int, t: int) -> int:
@@ -35,7 +54,7 @@ def stirling2(h: int, t: int) -> int:
         raise ValueError("Stirling numbers need nonnegative arguments")
     if t > h:
         return 0
-    return _integral(Fraction(_onto(h, t)[t], math.factorial(t)), f"S({h},{t})")
+    return _integral(Fraction(_onto(h)[t], math.factorial(t)), f"S({h},{t})")
 
 
 def _integral(value: Fraction, what: str) -> int:
@@ -45,24 +64,37 @@ def _integral(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def _stirling_side(length: int, prefix: list[int], h: int) -> Fraction:
-    """Sum over j of (-1)^j prefix[j] times the sum over t of
-    t! S(h,t) 2^(-t) C(length-j, t-j), with j <= t <= min(h, length).
+def _pless_columns(length: int, prefix: Iterable[int]) -> Iterator[int]:
+    """E_t = sum over j <= t of (-1)^j prefix[j] C(length - j, t - j), for
+    t = 0, 1, ..., reading prefix[t] at step t.
 
-    With t! S(h,t) from _onto, nothing divides until the single power of two
-    at the end.
+    E_t does not depend on the order h.  Column t is one Horner pass over j:
+    t! E_t = R_t with R_0 = prefix[0] and
+    R_(k+1) = R_k (length - k) + (-1)^(k+1) prefix[k+1] t!/(t-k-1)!,
+    t products by the short factors length - k and one exact division by t!,
+    where a dot product with the binomials would multiply long by long.
     """
-    tmax = min(h, length)
-    onto = _onto(h, tmax)
-    total = sum(
-        (-1) ** j
-        * prefix[j]
-        * sum(
-            (onto[t] * math.comb(length - j, t - j)) << (tmax - t) for t in range(j, tmax + 1)
-        )
-        for j in range(tmax + 1)
-    )
-    return Fraction(total, 1 << tmax)
+    signed: list[int] = []
+    for t, term in enumerate(prefix):
+        signed.append(-term if t % 2 else term)
+        total, falling = signed[0], 1
+        for k in range(t):
+            falling *= t - k
+            total = total * (length - k) + signed[k + 1] * falling
+        yield total // math.factorial(t)
+
+
+def _stirling_side(columns: list[int], h: int) -> Fraction:
+    """Sum over t of t! S(h,t) 2^(-t) columns[t], t = 0..tmax = len(columns) - 1 <= h.
+
+    With the Pless columns E_t of a prefix and tmax = min(h, length), this is
+    the sum over j of (-1)^j prefix[j] times the sum over t of
+    t! S(h,t) 2^(-t) C(length - j, t - j); nothing divides until the single
+    power of two at the end.
+    """
+    tmax = len(columns) - 1
+    onto = _onto(h)
+    return Fraction(sum((onto[t] * e) << (tmax - t) for t, e in enumerate(columns)), 1 << tmax)
 
 
 def pless_check(
@@ -79,7 +111,8 @@ def pless_check(
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
     lhs = sum(w**h for w in dual_weights)
-    rhs = Fraction(2) ** dim * _stirling_side(length, prefix, h)
+    columns = list(islice(_pless_columns(length, prefix), jcap + 1))
+    rhs = Fraction(2) ** dim * _stirling_side(columns, h)
     return lhs, _integral(rhs, f"Pless side at (length={length}, dim={dim}, h={h})")
 
 
@@ -100,16 +133,37 @@ def _difference_prefix(n: int, field: Field, jmax: int) -> list[int]:
 
 
 @cache
+def _cell_columns(n: int, field: Field, family: str) -> _Kept:
+    """q E_t of the cell, from its kept character sums q C_j; kept per cell."""
+    return _Kept(_pless_columns(cell_constants(n, field).size, _cell_sums(n, field, family)))
+
+
+def _columns(n: int, field: Field, family: str, tmax: int) -> list[int]:
+    """E_0..E_tmax of the cell code.  The kept columns are q E_t; they divide
+    by q exactly when C_0..C_tmax are integers, since E_t is C_t plus a
+    combination of the C_j with j < t."""
+    return _divided(field.q, _cell_columns(n, field, family), tmax)
+
+
+@cache
 def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
-    """T1K^h by the recursion, with the D_j prefix it was computed from; kept per (n, field, h)."""
+    """T1K^h by the recursion, with the D_j prefix it was computed from; kept per (n, field, h).
+
+    The Pless columns are linear in the prefix, so those of D_j are the
+    orthogonal cell's minus the symplectic cell's.
+    """
     consts = cell_constants(n, field)
-    d = _difference_prefix(n, field, min(consts.size, h))
+    tmax = min(consts.size, h)
+    d = _difference_prefix(n, field, tmax)
+    columns = list(
+        map(sub, _columns(n, field, ORTHOGONAL, tmax), _columns(n, field, SYMPLECTIC, tmax))
+    )
     first = sum(
         math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)[0]
         for l in range(1, h - 1, 2)
     )
     value = -first + Fraction(field.q * 2 ** (h - 1), consts.scale**h) * _stirling_side(
-        consts.size, d, h
+        columns, h
     )
     return _integral(value, f"recursion value at (n={n}, q={field.q}, h={h})"), tuple(d)
 
@@ -156,8 +210,8 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
-    prefix_hat = weight_prefix_closed(n, field, min(consts.size, h), SYMPLECTIC)
-    return consts, field.q * _stirling_side(consts.size, prefix_hat, h)
+    columns = _columns(n, field, SYMPLECTIC, min(consts.size, h))
+    return consts, field.q * _stirling_side(columns, h)
 
 
 def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:

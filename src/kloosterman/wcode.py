@@ -11,8 +11,12 @@ runs over every F_2-linear functional, so the multiset {w_a} is
 histogram: one O(q log q) pass of additions, with no field product or trace.
 weight_prefix reads the w_a from the histogram alone, not from the
 Kloosterman closed form, since the moments derived from C_j are checked
-against the Kloosterman table; weight_prefix_closed keeps each cell's
-multiset, so the recursion transforms each cell once.
+against the Kloosterman table.  One Krawtchouk kernel yields q C_0, q C_1, ...
+one step of the three-term recurrence per dual weight and term;
+weight_prefix runs it once, and weight_prefix_closed keeps, per cell, the
+multiset and the sums computed so far, so the recursion transforms each cell
+once and extends its sums only when an order asks for more.  Those per-cell
+memos are functools.cache entries keyed on (n, Field, family).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from functools import cache
+from itertools import count, islice
+from typing import Iterable, Iterator
 
 from .classical import ORTHOGONAL, BudgetError, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
@@ -77,26 +83,65 @@ def _cell_dual_weights(
     return _dual_weights(field.q, closed_histogram(n, field, family))
 
 
-def _krawtchouk_prefix(
-    q: int, length: int, dual_weights: tuple[tuple[int, int], ...], jmax: int
-) -> list[int]:
-    """C_j = (1/q) sum over (w, mult) of mult * K_j(w) for j = 0..jmax, with
-    K_j = [x^j] (1 + x)^(length - w) (1 - x)^w; the division is exact or an
-    ArithmeticError."""
+def _krawtchouk(length: int, w: int) -> Iterator[int]:
+    """K_0(w), K_1(w), ...: the coefficients of (1 + x)^(length - w) (1 - x)^w.
+
+    Each value after the first is one step of the three-term recurrence
+    (j + 1) K_(j+1) = (length - 2w) K_j - (length - j + 1) K_(j-1), whose
+    division is exact; a step runs only when its value is asked for.
+    """
+    slope, prev, cur = length - 2 * w, 0, 1
+    for j in count():
+        yield cur
+        prev, cur = cur, (slope * cur - (length - j + 1) * prev) // (j + 1)
+
+
+def _krawtchouk_sums(length: int, dual_weights: tuple[tuple[int, int], ...]) -> Iterator[int]:
+    """The character sums q C_j = sum over (w, mult) of mult * K_j(w), for j = 0, 1, ..."""
+    mults = [mult for _, mult in dual_weights]
+    series = [_krawtchouk(length, w) for w, _ in dual_weights]
+    while True:
+        yield sum(mult * next(values) for mult, values in zip(mults, series))
+
+
+def _divided(q: int, sums: Iterable[int], jmax: int) -> list[int]:
+    """The first jmax + 1 sums, each divided by q: exact, or an ArithmeticError."""
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    totals = [0] * (jmax + 1)
-    for w, mult in dual_weights:
-        # the Krawtchouk values are all integers, by
-        # (j + 1) K_(j+1) = (N - 2w) K_j - (N - j + 1) K_(j-1)
-        prev, cur = 0, 1
-        for j in range(jmax + 1):
-            totals[j] += mult * cur
-            prev, cur = cur, ((length - 2 * w) * cur - (length - j + 1) * prev) // (j + 1)
+    totals = list(islice(sums, jmax + 1))
     inexact = [j for j, total in enumerate(totals) if total % q]
     if inexact:
-        raise ArithmeticError(f"character sums at weights {inexact} are not multiples of q={q}")
+        raise ArithmeticError(f"sums at j = {inexact} are not multiples of q={q}")
     return [total // q for total in totals]
+
+
+class _Kept:
+    """The terms of an endless generator of ints, each computed on first
+    request and kept; iterating reads from term 0 and extends on demand.
+
+    The generators kept here run exact integer steps that cannot fail, so a
+    division that must be exact is checked by the reader (_divided) at every
+    request, and a failed check raises again at the next one.
+    """
+
+    __slots__ = ("_terms", "_source")
+
+    def __init__(self, source: Iterator[int]):
+        self._terms: list[int] = []
+        self._source = source
+
+    def __iter__(self) -> Iterator[int]:
+        terms = self._terms
+        for j in count():
+            if j == len(terms):
+                terms.append(next(self._source))
+            yield terms[j]
+
+
+@cache
+def _cell_sums(n: int, field: Field, family: str) -> _Kept:
+    """The cell's character sums q C_j, kept per cell and extended on demand."""
+    return _Kept(_krawtchouk_sums(*_cell_dual_weights(n, field, family)))
 
 
 def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
@@ -116,15 +161,16 @@ def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     bad = [(beta, count) for beta, count in hist.items() if not 0 <= beta < q or count < 0]
     if bad:
         raise ValueError(f"histogram entries {bad} are not counts >= 0 of elements of GF({q})")
-    return _krawtchouk_prefix(q, *_dual_weights(q, hist), jmax)
+    return _divided(q, _krawtchouk_sums(*_dual_weights(q, hist)), jmax)
 
 
 def weight_prefix_closed(
     n: int, field: Field, jmax: int, family: str = ORTHOGONAL
 ) -> list[int]:
-    """Weight prefix of the cell code from its closed-form histogram; the
-    dual-weight multiset is computed once per cell and kept."""
-    return _krawtchouk_prefix(field.q, *_cell_dual_weights(n, field, family), jmax)
+    """Weight prefix of the cell code from its closed-form histogram.  The
+    dual-weight multiset and the character sums computed so far are kept per
+    cell, so a longer prefix computes only the terms no earlier call did."""
+    return _divided(field.q, _cell_sums(n, field, family), jmax)
 
 
 def defining_vector(n: int, field: Field) -> list[int]:

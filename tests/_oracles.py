@@ -10,6 +10,8 @@ and `parabolic_by_products` builds P from the parameters that
 memoized Levi action.
 """
 
+import math
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
 from operator import xor
@@ -106,6 +108,46 @@ def gl_trace_pair_counts(m: int, field: Field) -> list[int]:
     for d in gl_iter(field, m):
         counts[mat_trace(d) ^ mat_trace(mat_inv(field, d))] += 1
     return counts
+
+
+# ----------------------------------------------------------------------------
+# One-shot forms of the series that `wcode` and `pmi` keep and extend
+
+
+def krawtchouk_prefix(
+    q: int, length: int, dual_weights: tuple[tuple[int, int], ...], jmax: int
+) -> list[int]:
+    """C_j = (1/q) sum over (w, mult) of mult * K_j(w) for j = 0..jmax, each
+    Krawtchouk row run from j = 0; the division is exact or an ArithmeticError."""
+    totals = [0] * (jmax + 1)
+    for w, mult in dual_weights:
+        prev, cur = 0, 1
+        for j in range(jmax + 1):
+            totals[j] += mult * cur
+            prev, cur = cur, ((length - 2 * w) * cur - (length - j + 1) * prev) // (j + 1)
+    if any(total % q for total in totals):
+        raise ArithmeticError(f"character sums {totals} are not multiples of q={q}")
+    return [total // q for total in totals]
+
+
+def onto_alternating(h: int, tmax: int) -> list[int]:
+    """t! S(h,t) for t = 0..tmax, as the alternating sum of i^h."""
+    return [
+        sum((-1) ** (t - i) * math.comb(t, i) * i**h for i in range(t + 1)) for t in range(tmax + 1)
+    ]
+
+
+def stirling_side_direct(length: int, prefix: list[int], h: int) -> Fraction:
+    """Sum over j of (-1)^j prefix[j] times the sum over t of
+    t! S(h,t) 2^(-t) C(length-j, t-j), j <= t <= min(h, length), as a double sum."""
+    tmax = min(h, length)
+    onto = onto_alternating(h, tmax)
+    return sum(
+        (-1) ** j
+        * prefix[j]
+        * sum(Fraction(onto[t] * math.comb(length - j, t - j), 2**t) for t in range(j, tmax + 1))
+        for j in range(tmax + 1)
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from kloosterman import pmi, wcode
 from kloosterman.classical import ORTHOGONAL
 from kloosterman.gf2r import Field
 from kloosterman.verify import SUITES, run_suite
@@ -63,3 +64,14 @@ def verify_passed(verify_all):
         assert not bad, f"verify checks missing or failing: {bad}"
 
     return passed
+
+
+@pytest.fixture
+def cold_cells():
+    """Empties the per-cell memos and kept series before and after the test."""
+    caches = (wcode._cell_dual_weights, wcode._cell_sums, pmi._cell_columns, pmi._t1k_value)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -158,6 +158,22 @@ def test_recursion_negative_value(capsys):
     assert report["results"]["t1k_direct"] == "-44"
 
 
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_recursion_prints_every_digit_of_large_values(capsys, as_json):
+    limit = sys.get_int_max_str_digits()
+    argv = ["recursion", "--n", "7", "--q", "256", "--h", "25", "--compare"]
+    code = main(argv + ["--json"] * as_json)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if as_json:
+        report = json.loads(out)
+        assert report["verdicts"]["match"] is True
+        assert max(len(d) for d in report["results"]["d_values"]) > limit
+    else:
+        assert "verdict match: True" in out
+
+
 def test_recursion_range_error(capsys):
     code, out, err = run(capsys, "recursion", "--n", "1", "--q", "4", "--h", "1")
     assert code == 2

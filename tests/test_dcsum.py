@@ -96,6 +96,7 @@ def test_symplectic_counts_against_direct_enumeration(r_field):
 def test_closed_histograms_match_enumeration(f2, f4, f8, f16):
     grid = [(1, f2), (1, f4), (1, f8), (1, f16), (5, f2), (5, f4), (7, f2)]
     grid += [(3, Field(r)) for r in (2, 3, 6, 10)]
+    grid += [(n, Field(r)) for n in (9, 11) for r in range(1, 7)]
     for n, f in grid:
         assert closed_histogram(n, f, ORTHOGONAL) == dc_trace_histogram(n, n - 1, f)
         assert closed_histogram(n, f, SYMPLECTIC) == dc_trace_histogram(

@@ -1,14 +1,25 @@
+import math
 import os
+import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import kloosterman
 
+from kloosterman import pmi, wcode
+from kloosterman.classical import ORTHOGONAL, SYMPLECTIC
+from kloosterman.dcsum import cell_constants
 from kloosterman.gf2r import Field
+from kloosterman.ksum import moments
 from kloosterman.pmi import full_moment_identity, mk_via_identity, pless_check, stirling2, t1k_recursive
+
+from _oracles import krawtchouk_prefix, onto_alternating, stirling_side_direct
+
+ORDERS = [25, 3, 41]  # a request below and one above an earlier one
 
 
 def test_stirling_examples():
@@ -23,10 +34,27 @@ def test_stirling_examples():
 
 
 def test_stirling_recurrence():
-    # independent route: S(h,t) = t S(h-1,t) + S(h-1,t-1)
-    for h in range(1, 11):
-        for t in range(1, h + 1):
-            assert stirling2(h, t) == t * stirling2(h - 1, t) + stirling2(h - 1, t - 1)
+    # independent route: the alternating sum t! S(h,t) = sum (-1)^(t-i) C(t,i) i^h
+    for h in range(11):
+        onto = onto_alternating(h, h + 2)
+        for t in range(h + 3):
+            assert stirling2(h, t) == onto[t] // math.factorial(t)
+
+
+def test_onto_rows_match_the_alternating_sum_in_any_order():
+    pmi._ONTO_ROWS[1:] = []
+    for h in ORDERS + list(range(62)):
+        assert pmi._onto(h) == onto_alternating(h, h), h
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 24, 25, 26, 40, 61, 62, 1000])
+def test_stirling_side_matches_the_double_sum(length):
+    rng = random.Random(length)
+    prefix = [rng.randrange(-10**6, 10**6) for _ in range(min(length, 61) + 1)]
+    for h in range(62):
+        jcap = min(length, h)
+        columns = list(islice(pmi._pless_columns(length, prefix), jcap + 1))
+        assert pmi._stirling_side(columns, h) == stirling_side_direct(length, prefix, h), h
 
 
 def test_pless_nonintegral_side_raises_even_under_optimize():
@@ -61,11 +89,26 @@ def test_recursion_at_q256_up_to_h25():
         assert t1k_recursive(1, f, h, compare=True).match, h
 
 
-@pytest.mark.parametrize("n,r_field", [(1, 12), (5, 8), (7, 6)])
+@pytest.mark.parametrize("n,r_field", [(1, 12), (5, 8)] + [(n, r) for n in (5, 7) for r in range(1, 7)])
 def test_recursion_matches_direct_up_to_h25(n, r_field):
     f = Field(r_field)
     for h in range(1, 26, 2):
         assert t1k_recursive(n, f, h, compare=True).match, h
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (1, 5), (3, 1), (3, 2)])
+def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
+    f = Field(r)
+    size = cell_constants(n, f).size
+    for h in ORDERS:
+        tmax = min(size, h)
+        for family in (ORTHOGONAL, SYMPLECTIC):
+            length, weights = wcode._cell_dual_weights(n, f, family)
+            prefix = krawtchouk_prefix(f.q, length, weights, tmax)
+            assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
+            side = f.q * stirling_side_direct(size, prefix, h)
+            assert f.q * pmi._stirling_side(pmi._columns(n, f, family, tmax), h) == side
+        assert t1k_recursive(n, f, h).recursive == moments(f, h).t1k
 
 
 def test_recursion_range_guards(f2, f4, f8):

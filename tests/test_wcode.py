@@ -7,6 +7,8 @@ from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
 from kloosterman.verify import dual_weight_from_histogram, weight_prefix_dp
+from _oracles import krawtchouk_prefix
+
 from kloosterman.wcode import (
     code_bruteforce_wd,
     defining_vector,
@@ -92,10 +94,56 @@ def test_weight_prefix_rejects_bad_histograms(f8, hist):
         weight_prefix(f8, hist, 3)
 
 
+NONINTEGRAL = (1, ((0, 1), (1, 3)))  # every nonzero a claiming weight 1 on a length-1 code
+
+
 def test_weight_prefix_nonintegral_total_raises():
-    # every nonzero a claiming weight 1 on a length-1 code gives C_1 = (1 - 3)/4
+    # C_1 = (1 - 3)/4
     with pytest.raises(ArithmeticError, match="not multiples of q=4"):
-        wcode._krawtchouk_prefix(4, 1, ((0, 1), (1, 3)), 1)
+        wcode._divided(4, wcode._krawtchouk_sums(*NONINTEGRAL), 1)
+
+
+def test_kept_cell_prefix_raises_at_every_request_past_a_nonintegral_count(
+    cold_cells, monkeypatch, f4
+):
+    monkeypatch.setattr(wcode, "_cell_dual_weights", lambda n, field, family: NONINTEGRAL)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="not multiples of q=4"):
+            weight_prefix_closed(1, f4, 1)
+    assert weight_prefix_closed(1, f4, 0) == [1]
+    with pytest.raises(ArithmeticError, match="not multiples of q=4"):
+        weight_prefix_closed(1, f4, 3)
+
+
+@pytest.mark.parametrize("jmax", [0, 1, 7, 25, 61])
+@pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (1, 3), (1, 6), (3, 1), (3, 3)])
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_krawtchouk_sums_match_the_one_shot_prefix(family, n, r, jmax):
+    # the code lengths 2, 12 and 56 lie below the largest jmax
+    q = 1 << r
+    length, weights = wcode._dual_weights(q, closed_histogram(n, Field(r), family))
+    expected = krawtchouk_prefix(q, length, weights, jmax)
+    assert wcode._divided(q, wcode._krawtchouk_sums(length, weights), jmax) == expected
+
+
+def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch):
+    # all odd h <= 25 on one cell: 25 recurrence steps per dual weight, not sum(h)
+    steps = []
+    kernel = wcode._krawtchouk
+
+    def counted(length, w):
+        slot = len(steps)
+        steps.append(-1)  # K_0 takes no step
+        for value in kernel(length, w):
+            steps[slot] += 1
+            yield value
+
+    monkeypatch.setattr(wcode, "_krawtchouk", counted)
+    f = Field(2)
+    for h in range(1, 26, 2):
+        assert pmi.t1k_recursive(3, f, h, compare=True).match, h
+    families = (ORTHOGONAL, SYMPLECTIC)
+    assert steps == [25] * sum(len(wcode._cell_dual_weights(3, f, family)[1]) for family in families)
 
 
 @pytest.mark.parametrize("r", [3, 6, 8])
@@ -130,8 +178,8 @@ def test_recursion_builds_each_cell_histogram_once(monkeypatch):
         return closed_histogram(n, field, family)
 
     monkeypatch.setattr(wcode, "closed_histogram", counted)
-    wcode._cell_dual_weights.cache_clear()
-    pmi._t1k_value.cache_clear()
+    for cache in (wcode._cell_dual_weights, wcode._cell_sums, pmi._cell_columns, pmi._t1k_value):
+        cache.cache_clear()
     for n, f in ((1, Field(5)), (3, Field(2))):
         for h in range(1, 26, 2):
             assert pmi.t1k_recursive(n, f, h).h == h
