@@ -2,8 +2,8 @@
 histograms, and Kloosterman sum tables.
 
 Reports are deterministic for fixed flags except the wall-time field; every
-integer is serialized as a decimal string, in full whatever its number of
-digits, so arbitrarily large exact values survive the trip through JSON.  A histogram is counted from the Levi factor's
+integer is serialized as a decimal string so arbitrarily large exact values
+survive the trip through JSON.  A histogram is counted from the Levi factor's
 trace pairs, which enumerates no group; only the `kloosterman` and `groups`
 suites of `verify` enumerate, each set capped at 10^8 elements (a suite over
 the cap reports a failing `<suite>-enumeration-budget` check, and the run goes

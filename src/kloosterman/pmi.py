@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
-from operator import sub
 from typing import Iterable, Iterator
 
 from .classical import ORTHOGONAL, SYMPLECTIC
@@ -140,7 +139,7 @@ def _cell_columns(n: int, field: Field, family: str) -> _Kept:
 
 def _columns(n: int, field: Field, family: str, tmax: int) -> list[int]:
     """E_0..E_tmax of the cell code.  The kept columns are q E_t; they divide
-    by q exactly when C_0..C_tmax are integers, since E_t is C_t plus a
+    by q exactly when C_0..C_tmax are integers, since E_t is +-C_t plus a
     combination of the C_j with j < t."""
     return _divided(field.q, _cell_columns(n, field, family), tmax)
 
@@ -155,9 +154,10 @@ def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     d = _difference_prefix(n, field, tmax)
-    columns = list(
-        map(sub, _columns(n, field, ORTHOGONAL, tmax), _columns(n, field, SYMPLECTIC, tmax))
-    )
+    columns = [
+        a - b
+        for a, b in zip(_columns(n, field, ORTHOGONAL, tmax), _columns(n, field, SYMPLECTIC, tmax))
+    ]
     first = sum(
         math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)[0]
         for l in range(1, h - 1, 2)
