@@ -140,6 +140,8 @@ def alternating_count_bruteforce(r: int, field: Field) -> int:
 
     det = Pf^2, so a matrix counts exactly when its Pfaffian is nonzero.
     """
+    if r < 0:
+        raise ValueError("matrix size must be nonnegative")
     if r == 0:
         return 1
     total = field.q ** (r * (r - 1) // 2)

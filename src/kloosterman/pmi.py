@@ -6,29 +6,30 @@ clear its denominator is a hard error, never a rounding event.  One kernel,
 _stirling_side, evaluates the Stirling/binomial double sum that every
 identity here shares, as sum over t of t! S(h,t) 2^(-t) E_t with the Pless
 columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j); each caller only
-scales it.  E_t does not depend on the order h, so the recursion keeps each
-cell's columns (_cell_columns, beside wcode's kept C_j) and an order h
-computes only the columns no lower order did; pless_check builds its columns
-once from the prefix it is given.  The rows of t! S(h,t) are kept too, each
-built from the one before (_onto), and stirling2 reads them.  The per-cell
-series are functools.cache entries keyed on (n, Field, family), like the
-other per-cell memos.
+scales it.  E_t does not depend on the order h, so the recursion reads each
+cell's columns from wcode (cell_columns), which keeps them beside the cell's
+C_j, and an order h computes only the columns no lower order did;
+pless_check builds its columns once from the prefix it is given.  The
+recursion keeps only the values T1K^h (_t1k_value, keyed on (n, Field, h));
+a report reads its D_j from the two cells' kept prefixes.  The rows of
+t! S(h,t) are kept too, each built from the one before (_onto), and
+stirling2 reads them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
-from typing import Iterable, Iterator
 
 from .classical import ORTHOGONAL, SYMPLECTIC
 from .dcsum import CellConstants, _check_odd, cell_constants
 from .gf2r import Field
 from .ksum import moments
-from .wcode import _cell_sums, _divided, _Kept, weight_prefix_closed
+from .wcode import _pless_columns, cell_columns, weight_prefix_closed
 
 
 _ONTO_ROWS = [[1]]
@@ -63,26 +64,6 @@ def _integral(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def _pless_columns(length: int, prefix: Iterable[int]) -> Iterator[int]:
-    """E_t = sum over j <= t of (-1)^j prefix[j] C(length - j, t - j), for
-    t = 0, 1, ..., reading prefix[t] at step t.
-
-    E_t does not depend on the order h.  Column t is one Horner pass over j:
-    t! E_t = R_t with R_0 = prefix[0] and
-    R_(k+1) = R_k (length - k) + (-1)^(k+1) prefix[k+1] t!/(t-k-1)!,
-    t products by the short factors length - k and one exact division by t!,
-    where a dot product with the binomials would multiply long by long.
-    """
-    signed: list[int] = []
-    for t, term in enumerate(prefix):
-        signed.append(-term if t % 2 else term)
-        total, falling = signed[0], 1
-        for k in range(t):
-            falling *= t - k
-            total = total * (length - k) + signed[k + 1] * falling
-        yield total // math.factorial(t)
-
-
 def _stirling_side(columns: list[int], h: int) -> Fraction:
     """Sum over t of t! S(h,t) 2^(-t) columns[t], t = 0..tmax = len(columns) - 1 <= h.
 
@@ -106,6 +87,8 @@ def pless_check(
     up to min(length, h).  Returns (sum of h-th weight powers over B, the
     Stirling/binomial side evaluated from the prefix).
     """
+    if h < 0:
+        raise ValueError(f"need h >= 0, got h={h}")
     jcap = min(length, h)
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
@@ -124,48 +107,32 @@ def _check_recursion_range(n: int, field: Field) -> None:
         )
 
 
-def _difference_prefix(n: int, field: Field, jmax: int) -> list[int]:
-    """D_j: orthogonal-cell minus symplectic-cell weight counts, j = 0..jmax."""
-    cj = weight_prefix_closed(n, field, jmax, ORTHOGONAL)
-    cj_hat = weight_prefix_closed(n, field, jmax, SYMPLECTIC)
-    return [a - b for a, b in zip(cj, cj_hat)]
+def _difference(
+    series: Callable[[int, Field, int, str], list[int]], n: int, field: Field, tmax: int
+) -> list[int]:
+    """Terms 0..tmax of a kept cell series (weight_prefix_closed or
+    cell_columns), orthogonal cell minus symplectic cell."""
+    ortho, sympl = (series(n, field, tmax, family) for family in (ORTHOGONAL, SYMPLECTIC))
+    return [a - b for a, b in zip(ortho, sympl)]
 
 
 @cache
-def _cell_columns(n: int, field: Field, family: str) -> _Kept:
-    """q E_t of the cell, from its kept character sums q C_j; kept per cell."""
-    return _Kept(_pless_columns(cell_constants(n, field).size, _cell_sums(n, field, family)))
-
-
-def _columns(n: int, field: Field, family: str, tmax: int) -> list[int]:
-    """E_0..E_tmax of the cell code.  The kept columns are q E_t; they divide
-    by q exactly when C_0..C_tmax are integers, since E_t is +-C_t plus a
-    combination of the C_j with j < t."""
-    return _divided(field.q, _cell_columns(n, field, family), tmax)
-
-
-@cache
-def _t1k_value(n: int, field: Field, h: int) -> tuple[int, tuple[int, ...]]:
-    """T1K^h by the recursion, with the D_j prefix it was computed from; kept per (n, field, h).
+def _t1k_value(n: int, field: Field, h: int) -> int:
+    """T1K^h by the recursion, kept per (n, field, h).
 
     The Pless columns are linear in the prefix, so those of D_j are the
     orthogonal cell's minus the symplectic cell's.
     """
     consts = cell_constants(n, field)
-    tmax = min(consts.size, h)
-    d = _difference_prefix(n, field, tmax)
-    columns = [
-        a - b
-        for a, b in zip(_columns(n, field, ORTHOGONAL, tmax), _columns(n, field, SYMPLECTIC, tmax))
-    ]
+    columns = _difference(cell_columns, n, field, min(consts.size, h))
     first = sum(
-        math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)[0]
+        math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)
         for l in range(1, h - 1, 2)
     )
     value = -first + Fraction(field.q * 2 ** (h - 1), consts.scale**h) * _stirling_side(
         columns, h
     )
-    return _integral(value, f"recursion value at (n={n}, q={field.q}, h={h})"), tuple(d)
+    return _integral(value, f"recursion value at (n={n}, q={field.q}, h={h})")
 
 
 @dataclass(frozen=True)
@@ -191,13 +158,14 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     _check_recursion_range(n, field)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"the recursion needs odd h >= 1, got h={h}")
-    value, d = _t1k_value(n, field, h)
+    value = _t1k_value(n, field, h)
+    d = _difference(weight_prefix_closed, n, field, min(cell_constants(n, field).size, h))
     direct = moments(field, h).t1k if compare else None
     return RecursionReport(
         n=n,
         q=field.q,
         h=h,
-        d_values=d,
+        d_values=tuple(d),
         recursive=value,
         direct=direct,
         match=(value == direct) if compare else None,
@@ -210,7 +178,7 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
-    columns = _columns(n, field, SYMPLECTIC, min(consts.size, h))
+    columns = cell_columns(n, field, min(consts.size, h), SYMPLECTIC)
     return consts, field.q * _stirling_side(columns, h)
 
 

@@ -13,14 +13,16 @@ weight_prefix reads the w_a from the histogram alone, not from the
 Kloosterman closed form, since the moments derived from C_j are checked
 against the Kloosterman table.  One Krawtchouk kernel yields q C_0, q C_1, ...
 one step of the three-term recurrence per dual weight and term;
-weight_prefix runs it once, and weight_prefix_closed keeps, per cell, the
-multiset and the sums computed so far, so the recursion transforms each cell
-once and extends its sums only when an order asks for more.  Those per-cell
-memos are functools.cache entries keyed on (n, Field, family).
+weight_prefix runs it once.  Each cell code has one functools.cache entry,
+keyed on (n, Field, family): it transforms the cell once and keeps the sums
+q C_j and the Pless columns q E_t = sum over j <= t of
+(-1)^j q C_j C(N - j, t - j) computed so far, so weight_prefix_closed and
+cell_columns extend them only when an order asks for more.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from functools import cache
@@ -61,7 +63,8 @@ def dual_kernel(n: int, field: Field) -> set[int]:
 def distinct_dual_count(n: int, field: Field) -> int:
     """Number of distinct dual codewords: q over the kernel size, the number
     of transform entries F[s] equal to N."""
-    return field.q // dict(_cell_dual_weights(n, field, ORTHOGONAL)[1])[0]
+    _, weights = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
+    return field.q // dict(weights)[0]
 
 
 def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -73,14 +76,6 @@ def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, tuple[tuple[int, i
     length = sum(dense)
     weights = Counter((length - f) // 2 for f in walsh_hadamard(dense))
     return length, tuple(sorted(weights.items()))
-
-
-@cache
-def _cell_dual_weights(
-    n: int, field: Field, family: str
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """_dual_weights of the cell's closed-form histogram, kept per cell."""
-    return _dual_weights(field.q, closed_histogram(n, field, family))
 
 
 def _krawtchouk(length: int, w: int) -> Iterator[int]:
@@ -138,10 +133,33 @@ class _Kept:
             yield terms[j]
 
 
+def _pless_columns(length: int, prefix: Iterable[int]) -> Iterator[int]:
+    """E_t = sum over j <= t of (-1)^j prefix[j] C(length - j, t - j), for
+    t = 0, 1, ..., reading prefix[t] at step t.
+
+    E_t does not depend on the order h.  Column t is one Horner pass over j:
+    t! E_t = R_t with R_0 = prefix[0] and
+    R_(k+1) = R_k (length - k) + (-1)^(k+1) prefix[k+1] t!/(t-k-1)!,
+    t products by the short factors length - k and one exact division by t!,
+    where a dot product with the binomials would multiply long by long.
+    """
+    signed: list[int] = []
+    for t, term in enumerate(prefix):
+        signed.append(-term if t % 2 else term)
+        total, falling = signed[0], 1
+        for k in range(t):
+            falling *= t - k
+            total = total * (length - k) + signed[k + 1] * falling
+        yield total // math.factorial(t)
+
+
 @cache
-def _cell_sums(n: int, field: Field, family: str) -> _Kept:
-    """The cell's character sums q C_j, kept per cell and extended on demand."""
-    return _Kept(_krawtchouk_sums(*_cell_dual_weights(n, field, family)))
+def _cell(n: int, field: Field, family: str) -> tuple[_Kept, _Kept]:
+    """The cell's kept character sums q C_j and the kept Pless columns q E_t
+    built on them, from one transform of its closed-form histogram."""
+    length, weights = _dual_weights(field.q, closed_histogram(n, field, family))
+    sums = _Kept(_krawtchouk_sums(length, weights))
+    return sums, _Kept(_pless_columns(length, sums))
 
 
 def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
@@ -168,9 +186,17 @@ def weight_prefix_closed(
     n: int, field: Field, jmax: int, family: str = ORTHOGONAL
 ) -> list[int]:
     """Weight prefix of the cell code from its closed-form histogram.  The
-    dual-weight multiset and the character sums computed so far are kept per
-    cell, so a longer prefix computes only the terms no earlier call did."""
-    return _divided(field.q, _cell_sums(n, field, family), jmax)
+    character sums computed so far are kept per cell, so a longer prefix
+    computes only the terms no earlier call did."""
+    return _divided(field.q, _cell(n, field, family)[0], jmax)
+
+
+def cell_columns(n: int, field: Field, tmax: int, family: str) -> list[int]:
+    """The Pless columns E_0..E_tmax of the cell code, kept per cell like its
+    weight prefix.  The kept columns are q E_t; they divide by q exactly when
+    C_0..C_tmax are integers, since E_t is +-C_t plus a combination of the
+    C_j with j < t."""
+    return _divided(field.q, _cell(n, field, family)[1], tmax)
 
 
 def defining_vector(n: int, field: Field) -> list[int]:

@@ -68,8 +68,9 @@ def verify_passed(verify_all):
 
 @pytest.fixture
 def cold_cells():
-    """Empties the per-cell memos and kept series before and after the test."""
-    caches = (wcode._cell_dual_weights, wcode._cell_sums, pmi._cell_columns, pmi._t1k_value)
+    """Empties the recursion's memos, the kept cell series and the kept
+    values T1K^h, before and after the test."""
+    caches = (wcode._cell, pmi._t1k_value)
     for cache in caches:
         cache.cache_clear()
     yield

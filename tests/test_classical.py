@@ -431,6 +431,13 @@ def test_alternating_counts(f2):
     assert alternating_count(4, f2) == 28
 
 
+@pytest.mark.parametrize("count", [alternating_count, alternating_count_bruteforce])
+@pytest.mark.parametrize("r", [-1, -2])
+def test_alternating_counts_reject_negative_sizes(f2, count, r):
+    with pytest.raises(ValueError, match="nonnegative"):
+        count(r, f2)
+
+
 def test_group_order_data(f2):
     orders = group_order_data(2, f2)
     assert orders.cells == (48, 288, 384)

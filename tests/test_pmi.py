@@ -12,7 +12,7 @@ import kloosterman
 
 from kloosterman import pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC
-from kloosterman.dcsum import cell_constants
+from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
 from kloosterman.ksum import moments
 from kloosterman.pmi import full_moment_identity, mk_via_identity, pless_check, stirling2, t1k_recursive
@@ -53,7 +53,7 @@ def test_stirling_side_matches_the_double_sum(length):
     prefix = [rng.randrange(-10**6, 10**6) for _ in range(min(length, 61) + 1)]
     for h in range(62):
         jcap = min(length, h)
-        columns = list(islice(pmi._pless_columns(length, prefix), jcap + 1))
+        columns = list(islice(wcode._pless_columns(length, prefix), jcap + 1))
         assert pmi._stirling_side(columns, h) == stirling_side_direct(length, prefix, h), h
 
 
@@ -74,6 +74,21 @@ def test_pless_nonintegral_side_raises_even_under_optimize():
 def test_pless_needs_enough_prefix(f8):
     with pytest.raises(ValueError):
         pless_check(56, 3, [0], [1], 3)
+
+
+@pytest.mark.parametrize(
+    "length,dim,dual_weights,prefix,h",
+    [
+        (6, 0, [0], [1, 6, 15, 20, 15, 6, 1], -1),  # 0 ** -1 on a float
+        (1, 0, [1], [1, 1], -1),  # a negative shift
+        (2, 1, [1, 1], [1, 0, 1], -3),  # a negative islice stop
+        (0, 0, [], [1], -2),
+    ],
+    ids=["zero-power", "shift", "islice", "empty-code"],
+)
+def test_pless_rejects_negative_orders(length, dim, dual_weights, prefix, h):
+    with pytest.raises(ValueError, match=f"h={h}"):
+        pless_check(length, dim, dual_weights, prefix, h)
 
 
 def test_recursion_report_fields(f2):
@@ -103,12 +118,26 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
     for h in ORDERS:
         tmax = min(size, h)
         for family in (ORTHOGONAL, SYMPLECTIC):
-            length, weights = wcode._cell_dual_weights(n, f, family)
+            length, weights = wcode._dual_weights(f.q, closed_histogram(n, f, family))
             prefix = krawtchouk_prefix(f.q, length, weights, tmax)
             assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
             side = f.q * stirling_side_direct(size, prefix, h)
-            assert f.q * pmi._stirling_side(pmi._columns(n, f, family, tmax), h) == side
+            assert f.q * pmi._stirling_side(wcode.cell_columns(n, f, tmax, family), h) == side
         assert t1k_recursive(n, f, h).recursive == moments(f, h).t1k
+
+
+def test_recursion_keeps_values_only_and_reads_d_from_the_kept_prefixes(cold_cells, f4):
+    size = cell_constants(3, f4).size
+    for h in range(1, 26, 2):
+        tmax = min(size, h)
+        ortho = wcode.weight_prefix_closed(3, f4, tmax, ORTHOGONAL)
+        sympl = wcode.weight_prefix_closed(3, f4, tmax, SYMPLECTIC)
+        assert t1k_recursive(3, f4, h).d_values == tuple(a - b for a, b in zip(ortho, sympl)), h
+    misses = pmi._t1k_value.cache_info().misses
+    assert misses == 13
+    # read back every kept value: all memo hits, and all plain ints
+    assert all(type(pmi._t1k_value(3, f4, h)) is int for h in range(1, 26, 2))
+    assert pmi._t1k_value.cache_info().misses == misses
 
 
 def test_recursion_range_guards(f2, f4, f8):

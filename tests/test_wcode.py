@@ -106,7 +106,7 @@ def test_weight_prefix_nonintegral_total_raises():
 def test_kept_cell_prefix_raises_at_every_request_past_a_nonintegral_count(
     cold_cells, monkeypatch, f4
 ):
-    monkeypatch.setattr(wcode, "_cell_dual_weights", lambda n, field, family: NONINTEGRAL)
+    monkeypatch.setattr(wcode, "_dual_weights", lambda q, hist: NONINTEGRAL)
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="not multiples of q=4"):
             weight_prefix_closed(1, f4, 1)
@@ -143,7 +143,8 @@ def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch
     for h in range(1, 26, 2):
         assert pmi.t1k_recursive(3, f, h, compare=True).match, h
     families = (ORTHOGONAL, SYMPLECTIC)
-    assert steps == [25] * sum(len(wcode._cell_dual_weights(3, f, family)[1]) for family in families)
+    weights = [wcode._dual_weights(f.q, closed_histogram(3, f, family))[1] for family in families]
+    assert steps == [25] * sum(map(len, weights))
 
 
 @pytest.mark.parametrize("r", [3, 6, 8])
@@ -170,7 +171,7 @@ def test_weight_prefix_calls_no_field_product_or_trace(monkeypatch):
     assert weight_prefix(f, hist, 4) == expected
 
 
-def test_recursion_builds_each_cell_histogram_once(monkeypatch):
+def test_recursion_builds_each_cell_histogram_once(cold_cells, monkeypatch):
     calls = []
 
     def counted(n, field, family=ORTHOGONAL):
@@ -178,8 +179,6 @@ def test_recursion_builds_each_cell_histogram_once(monkeypatch):
         return closed_histogram(n, field, family)
 
     monkeypatch.setattr(wcode, "closed_histogram", counted)
-    for cache in (wcode._cell_dual_weights, wcode._cell_sums, pmi._cell_columns, pmi._t1k_value):
-        cache.cache_clear()
     for n, f in ((1, Field(5)), (3, Field(2))):
         for h in range(1, 26, 2):
             assert pmi.t1k_recursive(n, f, h).h == h
