@@ -44,17 +44,17 @@ def kloosterman(field: Field, a: int, c: int = 1) -> int:
     """The sum of lambda(c * (x + a/x)) over nonzero x; c = 1 gives K(lambda; a)."""
     _require_units(field, a=a, c=c)
     mul = field.mul
-    return ktable(field)[mul(mul(c, c), a)]
+    return _kdata(field)[0][mul(mul(c, c), a)]
 
 
 def ktable(field: Field) -> dict[int, int]:
-    """K(lambda; a) for every nonzero a, in ascending a; computed once per field and cached."""
-    return _kdata(field)[0]
+    """K(lambda; a) for every nonzero a, in ascending a; a new dict read from the cached table."""
+    return dict(enumerate(_kdata(field)[0][1:], 1))
 
 
 @cache
-def _kdata(field: Field) -> tuple[dict[int, int], Counter[tuple[int, int]]]:
-    """The field's ktable and the counts of (tr a, K(a)) over its units, built together once."""
+def _kdata(field: Field) -> tuple[list[int], Counter[tuple[int, int]]]:
+    """K(lambda; a) at index a (0 at a = 0) and the counts of (tr a, K(a)) over the units."""
     q = field.q
     powers = field.powers()
     bits = [field.trace(x) for x in powers]
@@ -62,7 +62,7 @@ def _kdata(field: Field) -> tuple[dict[int, int], Counter[tuple[int, int]]]:
     by_element = [0] * q
     for x, k in zip(powers, values):
         by_element[x] = k
-    return dict(zip(field.units(), by_element[1:])), Counter(zip(bits, values))
+    return by_element, Counter(zip(bits, values))
 
 
 def _cyclic_self_convolution(bits: list[int]) -> list[int]:
@@ -146,4 +146,4 @@ def twisted_sums(field: Field) -> list[int]:
 
     Closed form: q * lambda(1/beta) + 1 for beta != 0, and 1 at beta = 0.
     """
-    return character_sums(field, [0, *ktable(field).values()])
+    return character_sums(field, _kdata(field)[0])

@@ -6,46 +6,44 @@ clear its denominator is a hard error, never a rounding event.  One kernel,
 _stirling_side, evaluates the Stirling/binomial double sum that every
 identity here shares, as sum over t of t! S(h,t) 2^(-t) E_t with the Pless
 columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j); each caller only
-scales it.  E_t does not depend on the order h, so the recursion reads each
-cell's columns from wcode (cell_columns), which keeps them beside the cell's
-C_j, and an order h computes only the columns no lower order did;
-pless_check builds its columns once from the prefix it is given.  The
-recursion keeps only the values T1K^h (_t1k_value, keyed on (n, Field, h));
-a report reads its D_j from the two cells' kept prefixes.  The rows of
-t! S(h,t) are kept too, each built from the one before (_onto), and
-stirling2 reads them.
+scales it.  E_t does not depend on h: the recursion reads each cell's columns
+from wcode (cell_columns), which keeps them beside the cell's C_j.  Each
+cell pair keeps one recursion (_recursion): the values T1K^1, T1K^3, ... so
+far and one row of t! S(h,t), cut at t <= N, that each new order steps twice.
+The other identities build their row from h = 0 (_onto).  D_j = 0 at even j:
+the symplectic histogram is the orthogonal one shifted by 1, which turns the
+dual weight w at each odd transform index into N - w, and
+K_j(N - w) = (-1)^j K_j(w).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import islice
+from types import SimpleNamespace
 
-from .classical import ORTHOGONAL, SYMPLECTIC
+from .classical import FAMILIES, SYMPLECTIC
 from .dcsum import CellConstants, _check_odd, cell_constants
 from .gf2r import Field
 from .ksum import moments
 from .wcode import _pless_columns, cell_columns, weight_prefix_closed
 
 
-_ONTO_ROWS = [[1]]
+def _onto_step(row: list[int], tmax: int) -> list[int]:
+    """The row of h + 1 from the row t! S(h,t), t <= min(h, tmax), of maps from
+    h points onto t: t! S(h+1,t) = t (t! S(h,t) + (t-1)! S(h,t-1))."""
+    return [0] + [t * (a + b) for t, a, b in zip(range(1, tmax + 1), row[1:] + [0], row)]
 
 
-def _onto(h: int) -> list[int]:
-    """t! S(h,t), the number of maps from h points onto t, for t = 0..h.
-
-    Rows are kept and each one is built from the one before it:
-    t! S(h,t) = t (t! S(h-1,t) + (t-1)! S(h-1,t-1)).
-    """
-    rows = _ONTO_ROWS
-    while len(rows) <= h:
-        row = rows[-1]
-        rows.append([0] + [t * (a + b) for t, a, b in zip(count(1), row[1:] + [0], row)])
-    return rows[h]
+def _onto(h: int, tmax: int) -> list[int]:
+    """t! S(h,t) for t <= min(h, tmax), stepped up from h = 0."""
+    row = [1]
+    for _ in range(h):
+        row = _onto_step(row, tmax)
+    return row
 
 
 def stirling2(h: int, t: int) -> int:
@@ -54,7 +52,7 @@ def stirling2(h: int, t: int) -> int:
         raise ValueError("Stirling numbers need nonnegative arguments")
     if t > h:
         return 0
-    return _integral(Fraction(_onto(h)[t], math.factorial(t)), f"S({h},{t})")
+    return _integral(Fraction(_onto(h, t)[t], math.factorial(t)), f"S({h},{t})")
 
 
 def _integral(value: Fraction, what: str) -> int:
@@ -64,17 +62,18 @@ def _integral(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def _stirling_side(columns: list[int], h: int) -> Fraction:
-    """Sum over t of t! S(h,t) 2^(-t) columns[t], t = 0..tmax = len(columns) - 1 <= h.
+def _stirling_side(columns: list[int], onto: list[int]) -> Fraction:
+    """Sum over t of onto[t] 2^(-t) columns[t], t = 0..tmax = len(onto) - 1,
+    for onto the row t! S(h,t) cut at t <= tmax and at least tmax + 1 columns.
 
     With the Pless columns E_t of a prefix and tmax = min(h, length), this is
     the sum over j of (-1)^j prefix[j] times the sum over t of
     t! S(h,t) 2^(-t) C(length - j, t - j); nothing divides until the single
     power of two at the end.
     """
-    tmax = len(columns) - 1
-    onto = _onto(h)
-    return Fraction(sum((onto[t] * e) << (tmax - t) for t, e in enumerate(columns)), 1 << tmax)
+    tmax = len(onto) - 1
+    terms = enumerate(zip(onto, columns))
+    return Fraction(sum((o * e) << (tmax - t) for t, (o, e) in terms), 1 << tmax)
 
 
 def pless_check(
@@ -94,7 +93,7 @@ def pless_check(
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
     lhs = sum(w**h for w in dual_weights)
     columns = list(islice(_pless_columns(length, prefix), jcap + 1))
-    rhs = Fraction(2) ** dim * _stirling_side(columns, h)
+    rhs = Fraction(2) ** dim * _stirling_side(columns, _onto(h, jcap))
     return lhs, _integral(rhs, f"Pless side at (length={length}, dim={dim}, h={h})")
 
 
@@ -107,32 +106,11 @@ def _check_recursion_range(n: int, field: Field) -> None:
         )
 
 
-def _difference(
-    series: Callable[[int, Field, int, str], list[int]], n: int, field: Field, tmax: int
-) -> list[int]:
-    """Terms 0..tmax of a kept cell series (weight_prefix_closed or
-    cell_columns), orthogonal cell minus symplectic cell."""
-    ortho, sympl = (series(n, field, tmax, family) for family in (ORTHOGONAL, SYMPLECTIC))
-    return [a - b for a, b in zip(ortho, sympl)]
-
-
 @cache
-def _t1k_value(n: int, field: Field, h: int) -> int:
-    """T1K^h by the recursion, kept per (n, field, h).
-
-    The Pless columns are linear in the prefix, so those of D_j are the
-    orthogonal cell's minus the symplectic cell's.
-    """
-    consts = cell_constants(n, field)
-    columns = _difference(cell_columns, n, field, min(consts.size, h))
-    first = sum(
-        math.comb(h, l) * consts.cofactor ** (h - l) * _t1k_value(n, field, l)
-        for l in range(1, h - 1, 2)
-    )
-    value = -first + Fraction(field.q * 2 ** (h - 1), consts.scale**h) * _stirling_side(
-        columns, h
-    )
-    return _integral(value, f"recursion value at (n={n}, q={field.q}, h={h})")
+def _recursion(n: int, field: Field) -> SimpleNamespace:
+    """The cell pair's recursion so far: values[k] is T1K^(2k+1), and onto is the
+    row t! S(h,t), t <= min(h, N), at h = 2 len(values), that the next order steps from."""
+    return SimpleNamespace(values=[], onto=[1])
 
 
 @dataclass(frozen=True)
@@ -153,13 +131,36 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
 
     Defined for odd h, with odd n >= 3 at any q, or n = 1 with q >= 8.  With
     compare=True the direct trace-one power sum is computed as an independent
-    oracle and the verdict recorded.
+    oracle and the verdict recorded.  Each order no earlier call reached is
+    kept once its value is integral.  The Pless columns are linear in the
+    prefix, so those of D_j are the orthogonal cell's minus the symplectic's.
     """
     _check_recursion_range(n, field)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"the recursion needs odd h >= 1, got h={h}")
-    value = _t1k_value(n, field, h)
-    d = _difference(weight_prefix_closed, n, field, min(cell_constants(n, field).size, h))
+    consts = cell_constants(n, field)
+    tmax = min(consts.size, h)
+    d, columns = (
+        [a - b for a, b in zip(*(series(n, field, tmax, family) for family in FAMILIES))]
+        for series in (weight_prefix_closed, cell_columns)
+    )
+    kept = _recursion(n, field)
+    values = kept.values
+    while len(values) <= h // 2:
+        order = 2 * len(values) + 1
+        onto = _onto_step(kept.onto, consts.size)
+        first = sum(
+            math.comb(order, l) * consts.cofactor ** (order - l) * values[l // 2]
+            for l in range(1, order - 1, 2)
+        )
+        side = _stirling_side(columns, onto)
+        value = _integral(
+            -first + Fraction(field.q * 2 ** (order - 1), consts.scale**order) * side,
+            f"recursion value at (n={n}, q={field.q}, h={order})",
+        )
+        kept.onto = _onto_step(onto, consts.size)
+        values.append(value)
+    value = values[h // 2]
     direct = moments(field, h).t1k if compare else None
     return RecursionReport(
         n=n,
@@ -178,8 +179,9 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
-    columns = cell_columns(n, field, min(consts.size, h), SYMPLECTIC)
-    return consts, field.q * _stirling_side(columns, h)
+    tmax = min(consts.size, h)
+    columns = cell_columns(n, field, tmax, SYMPLECTIC)
+    return consts, field.q * _stirling_side(columns, _onto(h, tmax))
 
 
 def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:

@@ -29,13 +29,10 @@ from functools import cache
 from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .classical import ORTHOGONAL, BudgetError, dc_trace_histogram
+from .classical import ORTHOGONAL, _check_budget, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
 from .gf2r import Field, walsh_hadamard
 from .ksum import kloosterman
-
-#: Largest code length for which 2^N brute force is allowed.
-BRUTE_LENGTH_LIMIT = 24
 
 
 def dual_weight(n: int, field: Field, a: int) -> int:
@@ -211,15 +208,14 @@ def defining_vector(n: int, field: Field) -> list[int]:
 
 
 def _brute_force_vector(n: int, field: Field) -> list[int]:
-    """defining_vector of a cell code short enough for 2^N brute force, else BudgetError."""
+    """defining_vector of a cell code whose 2^N words fit the budget, else BudgetError."""
     length = cell_constants(n, field).size
-    if length > BRUTE_LENGTH_LIMIT:
-        raise BudgetError(f"length {length} exceeds brute-force limit {BRUTE_LENGTH_LIMIT}")
+    _check_budget(1 << length, f"binary words of length {length}")
     return defining_vector(n, field)
 
 
 def code_bruteforce_wd(n: int, field: Field) -> dict[int, int]:
-    """Full weight distribution of the cell code by 2^N exhaustion (N <= 24).
+    """Full weight distribution of the cell code by 2^N exhaustion (N <= 26).
 
     Walks binary words in Gray-code order, maintaining the field-valued dot
     product with the defining vector incrementally.
@@ -284,7 +280,7 @@ def _f2_span(basis: list[int]) -> set[int]:
 
 
 def delsarte_check(n: int, field: Field) -> bool:
-    """Set equality of {traced dual codewords} with the brute-force dual (N <= 24).
+    """Set equality of {traced dual codewords} with the brute-force dual (N <= 26).
 
     The code is the nullspace of the r x N bit matrix of the defining vector;
     its dual is recomputed by plain GF(2) linear algebra and compared, as

@@ -69,8 +69,8 @@ def verify_passed(verify_all):
 @pytest.fixture
 def cold_cells():
     """Empties the recursion's memos, the kept cell series and the kept
-    values T1K^h, before and after the test."""
-    caches = (wcode._cell, pmi._t1k_value)
+    recursion of each cell pair, before and after the test."""
+    caches = (wcode._cell, pmi._recursion)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -34,6 +34,7 @@ from kloosterman.classical import (
 from kloosterman.gf2r import Field
 from kloosterman.ksum import kloosterman_gl_bruteforce
 from kloosterman.matfq import identity, mat_mul, mat_trace
+from kloosterman.wcode import code_bruteforce_wd, delsarte_check
 
 from _oracles import (
     all_matrices,
@@ -206,6 +207,8 @@ GUARDED = [
     ("cell-n1-r1-q2", lambda f2: enumerate_double_coset(1, 1, f2), 4),
     ("group-n1-q2", lambda f2: enumerate_group(1, f2, SYMPLECTIC), 6),
     ("gl2-kloosterman-q2", lambda f2: kloosterman_gl_bruteforce(f2, 2), 16),
+    ("code-bruteforce-n1-q2", lambda f2: code_bruteforce_wd(1, f2), 4),
+    ("delsarte-n1-q2", lambda f2: delsarte_check(1, f2), 4),
 ]
 
 

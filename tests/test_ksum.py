@@ -121,6 +121,15 @@ def test_moments_match_power_sums_over_direct_table(m):
         assert moments(f, h) == (t0k + t1k, t0k, t1k), h
 
 
+def test_ktable_hands_out_a_new_dict():
+    f = Field(3)
+    table = ktable(f)
+    table[1] = 999
+    assert kloosterman(f, 1) == ktable(f)[1] == -5
+    assert moments(f, 2).mk == 55
+    assert ktable(f) is not ktable(f)
+
+
 def test_trace_value_pairs_fit_the_weil_bound():
     # K = 3 (mod 4) and |K| <= 2 sqrt(q), so each moment sums at most 2 (isqrt(q) + 1) terms
     f = Field(16)

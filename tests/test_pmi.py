@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -42,9 +43,9 @@ def test_stirling_recurrence():
 
 
 def test_onto_rows_match_the_alternating_sum_in_any_order():
-    pmi._ONTO_ROWS[1:] = []
     for h in ORDERS + list(range(62)):
-        assert pmi._onto(h) == onto_alternating(h, h), h
+        for tmax in (0, 1, h // 2, h, h + 3):
+            assert pmi._onto(h, tmax) == onto_alternating(h, min(h, tmax)), (h, tmax)
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 7, 24, 25, 26, 40, 61, 62, 1000])
@@ -54,7 +55,8 @@ def test_stirling_side_matches_the_double_sum(length):
     for h in range(62):
         jcap = min(length, h)
         columns = list(islice(wcode._pless_columns(length, prefix), jcap + 1))
-        assert pmi._stirling_side(columns, h) == stirling_side_direct(length, prefix, h), h
+        side = pmi._stirling_side(columns, pmi._onto(h, jcap))
+        assert side == stirling_side_direct(length, prefix, h), h
 
 
 def test_pless_nonintegral_side_raises_even_under_optimize():
@@ -122,7 +124,8 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
             prefix = krawtchouk_prefix(f.q, length, weights, tmax)
             assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
             side = f.q * stirling_side_direct(size, prefix, h)
-            assert f.q * pmi._stirling_side(wcode.cell_columns(n, f, tmax, family), h) == side
+            columns = wcode.cell_columns(n, f, tmax, family)
+            assert f.q * pmi._stirling_side(columns, pmi._onto(h, tmax)) == side
         assert t1k_recursive(n, f, h).recursive == moments(f, h).t1k
 
 
@@ -133,11 +136,59 @@ def test_recursion_keeps_values_only_and_reads_d_from_the_kept_prefixes(cold_cel
         ortho = wcode.weight_prefix_closed(3, f4, tmax, ORTHOGONAL)
         sympl = wcode.weight_prefix_closed(3, f4, tmax, SYMPLECTIC)
         assert t1k_recursive(3, f4, h).d_values == tuple(a - b for a, b in zip(ortho, sympl)), h
-    misses = pmi._t1k_value.cache_info().misses
-    assert misses == 13
-    # read back every kept value: all memo hits, and all plain ints
-    assert all(type(pmi._t1k_value(3, f4, h)) is int for h in range(1, 26, 2))
-    assert pmi._t1k_value.cache_info().misses == misses
+    # one memo entry for the pair, holding plain ints and the row of h = 26 cut at t <= 26
+    assert pmi._recursion.cache_info().misses == 1
+    kept = pmi._recursion(3, f4)
+    assert kept.values == [moments(f4, h).t1k for h in range(1, 26, 2)]
+    assert all(type(value) is int for value in kept.values)
+    assert kept.onto == onto_alternating(26, 26)
+
+
+def test_a_raising_order_leaves_the_kept_recursion_as_it_was(cold_cells, monkeypatch, f4):
+    integral = pmi._integral
+
+    def broken(value, what):
+        if what.endswith("h=7)"):
+            raise ArithmeticError(f"injected at {what}")
+        return integral(value, what)
+
+    monkeypatch.setattr(pmi, "_integral", broken)
+    assert t1k_recursive(3, f4, 5).recursive == moments(f4, 5).t1k
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="injected"):
+            t1k_recursive(3, f4, 11)
+    kept = pmi._recursion(3, f4)
+    assert kept.values == [moments(f4, h).t1k for h in (1, 3, 5)]
+    assert kept.onto == onto_alternating(6, 6)
+    monkeypatch.undo()
+    for h in range(25, 0, -2):
+        assert t1k_recursive(3, f4, h, compare=True).match, h
+
+
+def test_the_kept_recursion_is_bounded_by_the_code_length(cold_cells, f8):
+    # the code length at (1, 8) is N = 56; the kept row stops at t <= N however high h goes
+    f8.mul(2, 3)
+    tracemalloc.start()
+    try:
+        t1k_recursive(1, f8, 401)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 10**6
+    assert len(pmi._recursion(1, f8).onto) == cell_constants(1, f8).size + 1 == 57
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (1, 6), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2)])
+def test_d_vanishes_at_every_even_j(n, r):
+    # the symplectic histogram is the orthogonal one shifted by 1, so the two
+    # Walsh-Hadamard transforms agree at even s and change sign at odd s; there a
+    # dual weight w becomes N - w, and K_j(N - w) = (-1)^j K_j(w)
+    f = Field(r)
+    ortho = closed_histogram(n, f, ORTHOGONAL)
+    assert closed_histogram(n, f, SYMPLECTIC) == {beta ^ 1: c for beta, c in ortho.items()}
+    for h in range(1, 26, 2):
+        d = t1k_recursive(n, f, h).d_values
+        assert not any(d[0::2]) and any(d[1::2]), h
 
 
 def test_recursion_range_guards(f2, f4, f8):

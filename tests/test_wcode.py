@@ -193,7 +193,7 @@ def test_recursion_builds_each_cell_histogram_once(cold_cells, monkeypatch):
 
 def test_bruteforce_respects_length_limit(f8):
     with pytest.raises(BudgetError):
-        code_bruteforce_wd(1, f8)  # length 56 > 24
+        code_bruteforce_wd(1, f8)  # 2^56 words exceed the budget
     with pytest.raises(BudgetError):
         delsarte_check(1, f8)
 
