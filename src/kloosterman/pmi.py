@@ -5,15 +5,17 @@ Everything is computed in exact rational arithmetic; any result that fails to
 clear its denominator is a hard error, never a rounding event.  One kernel,
 _stirling_side, evaluates the Stirling/binomial double sum that every
 identity here shares, as sum over t of t! S(h,t) 2^(-t) E_t with the Pless
-columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j); each caller only
-scales it.  E_t does not depend on h: the recursion reads each cell's columns
-from wcode (cell_columns), which keeps them beside the cell's C_j.  Each
-cell pair keeps one recursion (_recursion): the values T1K^1, T1K^3, ... so
-far and one row of t! S(h,t), cut at t <= N, that each new order steps twice.
-The other identities build their row from h = 0 (_onto).  D_j = 0 at even j:
-the symplectic histogram is the orthogonal one shifted by 1, which turns the
-dual weight w at each odd transform index into N - w, and
-K_j(N - w) = (-1)^j K_j(w).
+columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j) (pless_column);
+each caller only scales it.  The recursion is written in D_j = C_j - C'_j,
+the orthogonal cell code's weight counts minus the symplectic one's.  The
+symplectic histogram is the orthogonal one shifted by 1, so its transform is
+(-1)^s F[s]: at odd s it turns the dual weight w into N - w, and
+K_j(N - w) = (-1)^j K_j(w).  Hence q D_j is 2 sum over odd s of K_j(w_s) at
+odd j and 0 at even j, read from one transform of the orthogonal histogram.
+Each cell pair keeps one recursion (_recursion): the sums q D_j and the
+columns q E_t of D computed so far, the values T1K^1, T1K^3, ... so far, and
+one row of t! S(h,t), cut at t <= N, that each new order steps twice.  The
+other identities build their row from h = 0 (_onto).
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from types import SimpleNamespace
 
-from .classical import FAMILIES, SYMPLECTIC
-from .dcsum import CellConstants, _check_odd, cell_constants
+from .classical import ORTHOGONAL, SYMPLECTIC
+from .dcsum import CellConstants, _check_odd, cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import moments
-from .wcode import _pless_columns, cell_columns, weight_prefix_closed
+from .wcode import _divided, _dual_weights, _krawtchouk_sums, weight_prefix_closed
 
 
 def _onto_step(row: list[int], tmax: int) -> list[int]:
@@ -62,6 +63,23 @@ def _integral(value: Fraction, what: str) -> int:
     return value.numerator
 
 
+def pless_column(length: int, prefix: list[int], t: int) -> int:
+    """E_t = sum over j <= t of (-1)^j prefix[j] C(length - j, t - j).
+
+    E_t does not depend on the order h.  It is one Horner pass over j:
+    t! E_t = R_t with R_0 = prefix[0] and
+    R_(k+1) = R_k (length - k) + (-1)^(k+1) prefix[k+1] t!/(t-k-1)!,
+    t products by the short factors length - k and one exact division by t!,
+    where a dot product with the binomials would multiply long by long.
+    """
+    total, falling = prefix[0], 1
+    for k in range(t):
+        falling *= t - k
+        term = prefix[k + 1] * falling
+        total = total * (length - k) + (term if k % 2 else -term)
+    return total // math.factorial(t)
+
+
 def _stirling_side(columns: list[int], onto: list[int]) -> Fraction:
     """Sum over t of onto[t] 2^(-t) columns[t], t = 0..tmax = len(onto) - 1,
     for onto the row t! S(h,t) cut at t <= tmax and at least tmax + 1 columns.
@@ -92,7 +110,7 @@ def pless_check(
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
     lhs = sum(w**h for w in dual_weights)
-    columns = list(islice(_pless_columns(length, prefix), jcap + 1))
+    columns = [pless_column(length, prefix, t) for t in range(jcap + 1)]
     rhs = Fraction(2) ** dim * _stirling_side(columns, _onto(h, jcap))
     return lhs, _integral(rhs, f"Pless side at (length={length}, dim={dim}, h={h})")
 
@@ -108,9 +126,14 @@ def _check_recursion_range(n: int, field: Field) -> None:
 
 @cache
 def _recursion(n: int, field: Field) -> SimpleNamespace:
-    """The cell pair's recursion so far: values[k] is T1K^(2k+1), and onto is the
-    row t! S(h,t), t <= min(h, N), at h = 2 len(values), that the next order steps from."""
-    return SimpleNamespace(values=[], onto=[1])
+    """The cell pair's recursion so far.  kernel runs the Krawtchouk sums over
+    the odd-s dual weights of one transform of the orthogonal histogram;
+    sums[j] is q D_j and columns[t] is q E_t of D; values[k] is T1K^(2k+1);
+    onto is the row t! S(h,t), t <= min(h, N), at h = 2 len(values), that the
+    next order steps from."""
+    hist = closed_histogram(n, field, ORTHOGONAL)
+    kernel = _krawtchouk_sums(*_dual_weights(field.q, hist, odd_only=True))
+    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1])
 
 
 @dataclass(frozen=True)
@@ -131,28 +154,33 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
 
     Defined for odd h, with odd n >= 3 at any q, or n = 1 with q >= 8.  With
     compare=True the direct trace-one power sum is computed as an independent
-    oracle and the verdict recorded.  Each order no earlier call reached is
-    kept once its value is integral.  The Pless columns are linear in the
-    prefix, so those of D_j are the orthogonal cell's minus the symplectic's.
+    oracle and the verdict recorded.  The sums q D_j and their Pless columns
+    are extended to t <= min(N, h) and divided by q exactly at every call;
+    each order no earlier call reached is kept once its value is integral.
     """
     _check_recursion_range(n, field)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"the recursion needs odd h >= 1, got h={h}")
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
-    d, columns = (
-        [a - b for a, b in zip(*(series(n, field, tmax, family) for family in FAMILIES))]
-        for series in (weight_prefix_closed, cell_columns)
-    )
     kept = _recursion(n, field)
-    values = kept.values
+    # q D_j is twice the odd-s Krawtchouk sum at odd j, and 0 at even j
+    for j, total in zip(range(len(kept.sums), tmax + 1), kept.kernel):
+        kept.sums.append(2 * total if j % 2 else 0)
+    for t in range(len(kept.columns), tmax + 1):
+        kept.columns.append(pless_column(consts.size, kept.sums, t))
+    d = _divided(field.q, kept.sums, tmax)
+    columns = _divided(field.q, kept.columns, tmax)
+    values, square = kept.values, consts.cofactor**2
     while len(values) <= h // 2:
         order = 2 * len(values) + 1
         onto = _onto_step(kept.onto, consts.size)
-        first = sum(
-            math.comb(order, l) * consts.cofactor ** (order - l) * values[l // 2]
-            for l in range(1, order - 1, 2)
-        )
+        # sum over odd l < order - 1 of C(order, l) cofactor^(order - l) values[l // 2],
+        # by Horner in cofactor^2, stepping C(order, l) to C(order, l + 2)
+        first, binomial = 0, order
+        for l in range(1, order - 1, 2):
+            first = (first + binomial * values[l // 2]) * square
+            binomial = binomial * (order - l) * (order - l - 1) // ((l + 1) * (l + 2))
         side = _stirling_side(columns, onto)
         value = _integral(
             -first + Fraction(field.q * 2 ** (order - 1), consts.scale**order) * side,
@@ -180,7 +208,8 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
-    columns = cell_columns(n, field, tmax, SYMPLECTIC)
+    prefix = weight_prefix_closed(n, field, tmax, SYMPLECTIC)
+    columns = [pless_column(consts.size, prefix, t) for t in range(tmax + 1)]
     return consts, field.q * _stirling_side(columns, _onto(h, tmax))
 
 

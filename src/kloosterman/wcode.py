@@ -12,20 +12,16 @@ histogram: one O(q log q) pass of additions, with no field product or trace.
 weight_prefix reads the w_a from the histogram alone, not from the
 Kloosterman closed form, since the moments derived from C_j are checked
 against the Kloosterman table.  One Krawtchouk kernel yields q C_0, q C_1, ...
-one step of the three-term recurrence per dual weight and term;
-weight_prefix runs it once.  Each cell code has one functools.cache entry,
-keyed on (n, Field, family): it transforms the cell once and keeps the sums
-q C_j and the Pless columns q E_t = sum over j <= t of
-(-1)^j q C_j C(N - j, t - j) computed so far, so weight_prefix_closed and
-cell_columns extend them only when an order asks for more.
+one step of the three-term recurrence per dual weight and term, each step
+run only when its term is asked for; weight_prefix runs it once, and the
+moment recursion (pmi) keeps it running across orders on the odd transform
+indices alone.  Nothing here is memoized per cell.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import Counter
-from functools import cache
 from itertools import count, islice
 from typing import Iterable, Iterator
 
@@ -64,14 +60,20 @@ def distinct_dual_count(n: int, field: Field) -> int:
     return field.q // dict(weights)[0]
 
 
-def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _dual_weights(
+    q: int, hist: dict[int, int], odd_only: bool = False
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(N, sorted (w, multiplicity) pairs) of the multiset {w_a}, from one
-    Walsh-Hadamard transform of the dense histogram."""
+    Walsh-Hadamard transform of the dense histogram; with odd_only, of the
+    weights at odd transform indices s only."""
     dense = [0] * q
     for beta, count in hist.items():
         dense[beta] += count
     length = sum(dense)
-    weights = Counter((length - f) // 2 for f in walsh_hadamard(dense))
+    spectrum = walsh_hadamard(dense)
+    if odd_only:
+        spectrum = spectrum[1::2]
+    weights = Counter((length - f) // 2 for f in spectrum)
     return length, tuple(sorted(weights.items()))
 
 
@@ -107,58 +109,6 @@ def _divided(q: int, sums: Iterable[int], jmax: int) -> list[int]:
     return [total // q for total in totals]
 
 
-class _Kept:
-    """The terms of an endless generator of ints, each computed on first
-    request and kept; iterating reads from term 0 and extends on demand.
-
-    The generators kept here run exact integer steps that cannot fail, so a
-    division that must be exact is checked by the reader (_divided) at every
-    request, and a failed check raises again at the next one.
-    """
-
-    __slots__ = ("_terms", "_source")
-
-    def __init__(self, source: Iterator[int]):
-        self._terms: list[int] = []
-        self._source = source
-
-    def __iter__(self) -> Iterator[int]:
-        terms = self._terms
-        for j in count():
-            if j == len(terms):
-                terms.append(next(self._source))
-            yield terms[j]
-
-
-def _pless_columns(length: int, prefix: Iterable[int]) -> Iterator[int]:
-    """E_t = sum over j <= t of (-1)^j prefix[j] C(length - j, t - j), for
-    t = 0, 1, ..., reading prefix[t] at step t.
-
-    E_t does not depend on the order h.  Column t is one Horner pass over j:
-    t! E_t = R_t with R_0 = prefix[0] and
-    R_(k+1) = R_k (length - k) + (-1)^(k+1) prefix[k+1] t!/(t-k-1)!,
-    t products by the short factors length - k and one exact division by t!,
-    where a dot product with the binomials would multiply long by long.
-    """
-    signed: list[int] = []
-    for t, term in enumerate(prefix):
-        signed.append(-term if t % 2 else term)
-        total, falling = signed[0], 1
-        for k in range(t):
-            falling *= t - k
-            total = total * (length - k) + signed[k + 1] * falling
-        yield total // math.factorial(t)
-
-
-@cache
-def _cell(n: int, field: Field, family: str) -> tuple[_Kept, _Kept]:
-    """The cell's kept character sums q C_j and the kept Pless columns q E_t
-    built on them, from one transform of its closed-form histogram."""
-    length, weights = _dual_weights(field.q, closed_histogram(n, field, family))
-    sums = _Kept(_krawtchouk_sums(length, weights))
-    return sums, _Kept(_pless_columns(length, sums))
-
-
 def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     """Exact codeword counts by weight, for weights 0..jmax.
 
@@ -182,18 +132,8 @@ def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
 def weight_prefix_closed(
     n: int, field: Field, jmax: int, family: str = ORTHOGONAL
 ) -> list[int]:
-    """Weight prefix of the cell code from its closed-form histogram.  The
-    character sums computed so far are kept per cell, so a longer prefix
-    computes only the terms no earlier call did."""
-    return _divided(field.q, _cell(n, field, family)[0], jmax)
-
-
-def cell_columns(n: int, field: Field, tmax: int, family: str) -> list[int]:
-    """The Pless columns E_0..E_tmax of the cell code, kept per cell like its
-    weight prefix.  The kept columns are q E_t; they divide by q exactly when
-    C_0..C_tmax are integers, since E_t is +-C_t plus a combination of the
-    C_j with j < t."""
-    return _divided(field.q, _cell(n, field, family)[1], tmax)
+    """Weight prefix of the cell code, from its closed-form histogram."""
+    return weight_prefix(field, closed_histogram(n, field, family), jmax)
 
 
 def defining_vector(n: int, field: Field) -> list[int]:

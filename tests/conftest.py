@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from kloosterman import pmi, wcode
+from kloosterman import pmi
 from kloosterman.classical import ORTHOGONAL
 from kloosterman.gf2r import Field
 from kloosterman.verify import SUITES, run_suite
@@ -68,11 +68,8 @@ def verify_passed(verify_all):
 
 @pytest.fixture
 def cold_cells():
-    """Empties the recursion's memos, the kept cell series and the kept
-    recursion of each cell pair, before and after the test."""
-    caches = (wcode._cell, pmi._recursion)
-    for cache in caches:
-        cache.cache_clear()
+    """Empties the kept recursion of each cell pair, the one per-cell memo,
+    before and after the test."""
+    pmi._recursion.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    pmi._recursion.cache_clear()

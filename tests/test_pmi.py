@@ -4,14 +4,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import kloosterman
 
-from kloosterman import pmi, wcode
+from kloosterman import ksum, pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
@@ -54,7 +53,7 @@ def test_stirling_side_matches_the_double_sum(length):
     prefix = [rng.randrange(-10**6, 10**6) for _ in range(min(length, 61) + 1)]
     for h in range(62):
         jcap = min(length, h)
-        columns = list(islice(wcode._pless_columns(length, prefix), jcap + 1))
+        columns = [pmi.pless_column(length, prefix, t) for t in range(jcap + 1)]
         side = pmi._stirling_side(columns, pmi._onto(h, jcap))
         assert side == stirling_side_direct(length, prefix, h), h
 
@@ -119,29 +118,71 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
     size = cell_constants(n, f).size
     for h in ORDERS:
         tmax = min(size, h)
+        prefixes = []
         for family in (ORTHOGONAL, SYMPLECTIC):
             length, weights = wcode._dual_weights(f.q, closed_histogram(n, f, family))
             prefix = krawtchouk_prefix(f.q, length, weights, tmax)
             assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
-            side = f.q * stirling_side_direct(size, prefix, h)
-            columns = wcode.cell_columns(n, f, tmax, family)
-            assert f.q * pmi._stirling_side(columns, pmi._onto(h, tmax)) == side
-        assert t1k_recursive(n, f, h).recursive == moments(f, h).t1k
+            columns = [pmi.pless_column(size, prefix, t) for t in range(tmax + 1)]
+            side = pmi._stirling_side(columns, pmi._onto(h, tmax))
+            assert side == stirling_side_direct(size, prefix, h)
+            prefixes.append(prefix)
+        d = [a - b for a, b in zip(*prefixes)]
+        report = t1k_recursive(n, f, h)
+        assert report.recursive == moments(f, h).t1k
+        assert report.d_values == tuple(d)
+        # the kept columns are q E_t of D, however far an earlier order took them
+        columns = [pmi.pless_column(size, d, t) for t in range(tmax + 1)]
+        assert pmi._recursion(n, f).columns[: tmax + 1] == [f.q * c for c in columns]
 
 
-def test_recursion_keeps_values_only_and_reads_d_from_the_kept_prefixes(cold_cells, f4):
-    size = cell_constants(3, f4).size
-    for h in range(1, 26, 2):
-        tmax = min(size, h)
-        ortho = wcode.weight_prefix_closed(3, f4, tmax, ORTHOGONAL)
-        sympl = wcode.weight_prefix_closed(3, f4, tmax, SYMPLECTIC)
-        assert t1k_recursive(3, f4, h).d_values == tuple(a - b for a, b in zip(ortho, sympl)), h
-    # one memo entry for the pair, holding plain ints and the row of h = 26 cut at t <= 26
-    assert pmi._recursion.cache_info().misses == 1
-    kept = pmi._recursion(3, f4)
-    assert kept.values == [moments(f4, h).t1k for h in range(1, 26, 2)]
-    assert all(type(value) is int for value in kept.values)
-    assert kept.onto == onto_alternating(26, 26)
+# (3, 4) and cells with n >= 5 or q >= 64; the code lengths all exceed 25
+RECURSION_GRID = [(3, 2), (1, 6), (3, 6), (5, 2), (5, 6), (7, 3)]
+
+
+def test_recursion_keeps_values_only_and_reads_d_from_the_kept_prefixes(cold_cells):
+    for n, r in RECURSION_GRID:
+        f = Field(r)
+        for h in range(1, 26, 2):
+            ortho = wcode.weight_prefix_closed(n, f, h, ORTHOGONAL)
+            sympl = wcode.weight_prefix_closed(n, f, h, SYMPLECTIC)
+            d = tuple(a - b for a, b in zip(ortho, sympl))
+            assert t1k_recursive(n, f, h).d_values == d, (n, r, h)
+        # one memo entry per pair, holding plain ints and the row of h = 26 cut at t <= 26
+        kept = pmi._recursion(n, f)
+        assert kept.values == [moments(f, h).t1k for h in range(1, 26, 2)]
+        assert all(type(value) is int for value in kept.values)
+        assert kept.onto == onto_alternating(26, 26)
+    assert pmi._recursion.cache_info().misses == len(RECURSION_GRID)
+
+
+def test_kept_d_sums_raise_at_every_request_past_a_nonintegral_count(
+    cold_cells, monkeypatch, f8
+):
+    # one odd-s dual weight 1 on the length-56 code: q D_1 = 2 K_1(1) = 108, not a multiple of 8
+    monkeypatch.setattr(pmi, "_dual_weights", lambda q, hist, odd_only=False: (56, ((1, 1),)))
+    for h in (1, 1, 3, 25):
+        with pytest.raises(ArithmeticError, match="not multiples of q=8"):
+            t1k_recursive(1, f8, h)
+    assert pmi._recursion(1, f8).values == []
+
+
+def test_recursion_reads_neither_the_kloosterman_table_nor_the_closed_dual_weights(
+    cold_cells, monkeypatch
+):
+    # the recursion is checked against the direct moments; were it to read the
+    # Kloosterman table or the closed-form dual weights, that check would be circular
+    cells = [(1, Field(6)), (3, Field(4)), (5, Field(2))]
+    direct = {(n, f.q, h): moments(f, h).t1k for n, f in cells for h in range(1, 26, 2)}
+
+    def forbidden(*args):
+        raise AssertionError("the recursion read Kloosterman data")
+
+    monkeypatch.setattr(ksum, "_kdata", forbidden)
+    monkeypatch.setattr(wcode, "dual_weight", forbidden)
+    for n, f in cells:
+        for h in range(1, 26, 2):
+            assert t1k_recursive(n, f, h).recursive == direct[n, f.q, h], (n, f.q, h)
 
 
 def test_a_raising_order_leaves_the_kept_recursion_as_it_was(cold_cells, monkeypatch, f4):

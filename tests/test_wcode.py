@@ -54,7 +54,7 @@ def test_weight_prefix_closed_spot_values(f2):
     assert weight_prefix_closed(3, f2, 1, ORTHOGONAL) == [1, 293888]
     assert weight_prefix_closed(3, f2, 1, SYMPLECTIC) == [1, 308224]
     with pytest.raises(ValueError):
-        weight_prefix_closed(3, f2, -1)  # also once the cell is memoised
+        weight_prefix_closed(3, f2, -1)
 
 
 @pytest.mark.parametrize("jmax", JMAX)
@@ -103,18 +103,6 @@ def test_weight_prefix_nonintegral_total_raises():
         wcode._divided(4, wcode._krawtchouk_sums(*NONINTEGRAL), 1)
 
 
-def test_kept_cell_prefix_raises_at_every_request_past_a_nonintegral_count(
-    cold_cells, monkeypatch, f4
-):
-    monkeypatch.setattr(wcode, "_dual_weights", lambda q, hist: NONINTEGRAL)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError, match="not multiples of q=4"):
-            weight_prefix_closed(1, f4, 1)
-    assert weight_prefix_closed(1, f4, 0) == [1]
-    with pytest.raises(ArithmeticError, match="not multiples of q=4"):
-        weight_prefix_closed(1, f4, 3)
-
-
 @pytest.mark.parametrize("jmax", [0, 1, 7, 25, 61])
 @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (1, 3), (1, 6), (3, 1), (3, 3)])
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
@@ -142,9 +130,9 @@ def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch
     f = Field(2)
     for h in range(1, 26, 2):
         assert pmi.t1k_recursive(3, f, h, compare=True).match, h
-    families = (ORTHOGONAL, SYMPLECTIC)
-    weights = [wcode._dual_weights(f.q, closed_histogram(3, f, family))[1] for family in families]
-    assert steps == [25] * sum(map(len, weights))
+    # one kernel per distinct dual weight at an odd transform index of the orthogonal cell
+    weights = wcode._dual_weights(f.q, closed_histogram(3, f, ORTHOGONAL), True)[1]
+    assert steps == [25] * len(weights)
 
 
 @pytest.mark.parametrize("r", [3, 6, 8])
@@ -178,16 +166,15 @@ def test_recursion_builds_each_cell_histogram_once(cold_cells, monkeypatch):
         calls.append((n, field.q, family))
         return closed_histogram(n, field, family)
 
-    monkeypatch.setattr(wcode, "closed_histogram", counted)
+    monkeypatch.setattr(pmi, "closed_histogram", counted)
     for n, f in ((1, Field(5)), (3, Field(2))):
         for h in range(1, 26, 2):
             assert pmi.t1k_recursive(n, f, h).h == h
-    cells = [(n, q, family) for n, q in ((1, 32), (3, 4)) for family in (ORTHOGONAL, SYMPLECTIC)]
+    # one orthogonal histogram per cell pair; the symplectic one is never built
+    cells = [(1, 32, ORTHOGONAL), (3, 4, ORTHOGONAL)]
     assert calls == cells
-    # a second field object with the same modulus is the same cell
-    assert weight_prefix_closed(1, Field(5), 3, SYMPLECTIC) == weight_prefix_closed(
-        1, Field(5), 3, SYMPLECTIC
-    )
+    # a second field object with the same modulus is the same cell pair
+    assert pmi.t1k_recursive(1, Field(5), 27).h == 27
     assert calls == cells
 
 
