@@ -41,7 +41,7 @@ def _all_digests() -> dict[str, str]:
 
 
 def test_verify_all_report_is_pinned(monkeypatch, verify_all):
-    # the session's `verify all` checks, formatted by the CLI; they are not run again
+    # the checks of the session-scoped verify_all fixture, formatted by the CLI; not run again
     monkeypatch.setattr(cli, "run_suite", lambda suite: verify_all)
     assert _digest(VERIFY_ALL) == json.loads(DIGESTS.read_text())[" ".join(VERIFY_ALL)]
 

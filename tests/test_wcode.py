@@ -131,7 +131,7 @@ def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch
     for h in range(1, 26, 2):
         assert pmi.t1k_recursive(3, f, h, compare=True).match, h
     # one kernel per distinct dual weight at an odd transform index of the orthogonal cell
-    weights = wcode._dual_weights(f.q, closed_histogram(3, f, ORTHOGONAL), True)[1]
+    weights = wcode._dual_weights(f.q, closed_histogram(3, f, ORTHOGONAL), odd_only=True)[1]
     assert steps == [25] * len(weights)
 
 
