@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import filterfalse, product
 from operator import xor
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .gf2r import Field
 
@@ -50,6 +50,16 @@ def mat_mul(field: Field, a: Mat, b: Mat) -> Mat:
                 acc = tuple([s ^ mul(x, y) for s, y in zip(acc, b_row)])
         out.append(acc)
     return tuple(out)
+
+
+def row_images(field: Field, rows: Iterable[tuple[int, ...]], m: Mat) -> dict[tuple, tuple]:
+    """u -> u m for each distinct u in rows, by one mat_mul.
+
+    A product p m whose rows are all keys is then tuple(map(images.__getitem__, p)),
+    so matrices that share rows share their products' rows too.
+    """
+    distinct = tuple(dict.fromkeys(rows))
+    return dict(zip(distinct, mat_mul(field, distinct, m)))
 
 
 def mat_vec(field: Field, a: Mat, x: tuple[int, ...]) -> tuple[int, ...]:

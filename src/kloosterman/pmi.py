@@ -15,7 +15,9 @@ odd j and 0 at even j, read from one transform of the orthogonal histogram.
 Each cell pair keeps one recursion (_recursion): the sums q D_j and the
 columns q E_t of D computed so far, the values T1K^1, T1K^3, ... so far, and
 one row of t! S(h,t), cut at t <= N, that each new order steps twice.  The
-other identities build their row from h = 0 (_onto).
+full-moment identity keeps the symplectic sums q C'_j and their columns in
+the same entry, built at its first call.  The other identities build their
+row from h = 0 (_onto).
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from types import SimpleNamespace
 
 from .classical import ORTHOGONAL, SYMPLECTIC
 from .dcsum import CellConstants, _check_odd, cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import moments
-from .wcode import _divided, _dual_weights, _krawtchouk_sums, weight_prefix_closed
+from .wcode import _divided, _dual_weights, _krawtchouk_sums
 
 
 def _onto_step(row: list[int], tmax: int) -> list[int]:
@@ -126,14 +129,28 @@ def _check_recursion_range(n: int, field: Field) -> None:
 
 @cache
 def _recursion(n: int, field: Field) -> SimpleNamespace:
-    """The cell pair's recursion so far.  kernel runs the Krawtchouk sums over
-    the odd-s dual weights of one transform of the orthogonal histogram;
-    sums[j] is q D_j and columns[t] is q E_t of D; values[k] is T1K^(2k+1);
-    onto is the row t! S(h,t), t <= min(h, N), at h = 2 len(values), that the
-    next order steps from."""
+    """The cell pair's recursion so far.  kernel yields q D_j, twice the
+    Krawtchouk sum over the odd-s dual weights of one transform of the
+    orthogonal histogram at odd j and 0 at even j; sums[j] is q D_j and
+    columns[t] is q E_t of D; values[k] is T1K^(2k+1); onto is the row
+    t! S(h,t), t <= min(h, N), at h = 2 len(values), that the next order
+    steps from.  symplectic keeps the symplectic cell's sums q C'_j and
+    columns the same way for the full-moment identity; the first call of
+    that identity builds it, so the recursion never builds that histogram."""
     hist = closed_histogram(n, field, ORTHOGONAL)
-    kernel = _krawtchouk_sums(*_dual_weights(field.q, hist, odd_only=True))
-    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1])
+    odd = _krawtchouk_sums(*_dual_weights(field.q, hist, odd_only=True))
+    kernel = (2 * total if j % 2 else 0 for j, total in enumerate(odd))
+    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1], symplectic=None)
+
+
+def _kept_columns(kept: SimpleNamespace, length: int, q: int, tmax: int) -> tuple[list, list]:
+    """Extend kept.sums from kept.kernel and the Pless columns kept.columns
+    of them to t <= tmax; return both cut there and divided by q exactly, so
+    a non-integral count raises at every request that reaches it."""
+    kept.sums.extend(islice(kept.kernel, max(0, tmax + 1 - len(kept.sums))))
+    for t in range(len(kept.columns), tmax + 1):
+        kept.columns.append(pless_column(length, kept.sums, t))
+    return _divided(q, kept.sums, tmax), _divided(q, kept.columns, tmax)
 
 
 @dataclass(frozen=True)
@@ -164,13 +181,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     kept = _recursion(n, field)
-    # q D_j is twice the odd-s Krawtchouk sum at odd j, and 0 at even j
-    for j, total in zip(range(len(kept.sums), tmax + 1), kept.kernel):
-        kept.sums.append(2 * total if j % 2 else 0)
-    for t in range(len(kept.columns), tmax + 1):
-        kept.columns.append(pless_column(consts.size, kept.sums, t))
-    d = _divided(field.q, kept.sums, tmax)
-    columns = _divided(field.q, kept.columns, tmax)
+    d, columns = _kept_columns(kept, consts.size, field.q, tmax)
     values, square = kept.values, consts.cofactor**2
     while len(values) <= h // 2:
         order = 2 * len(values) + 1
@@ -207,9 +218,13 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
     consts = cell_constants(n, field)
+    kept = _recursion(n, field)
+    if kept.symplectic is None:
+        hist = closed_histogram(n, field, SYMPLECTIC)
+        kernel = _krawtchouk_sums(*_dual_weights(field.q, hist))
+        kept.symplectic = SimpleNamespace(kernel=kernel, sums=[], columns=[])
     tmax = min(consts.size, h)
-    prefix = weight_prefix_closed(n, field, tmax, SYMPLECTIC)
-    columns = [pless_column(consts.size, prefix, t) for t in range(tmax + 1)]
+    _, columns = _kept_columns(kept.symplectic, consts.size, field.q, tmax)
     return consts, field.q * _stirling_side(columns, _onto(h, tmax))
 
 

@@ -46,7 +46,7 @@ from .ksum import (
     theta_character_sums,
     twisted_sums,
 )
-from .matfq import mat_mul, mat_trace
+from .matfq import mat_trace, row_images
 from .pmi import full_moment_identity, mk_via_identity, pless_check, t1k_recursive
 from .wcode import (
     code_bruteforce_wd,
@@ -184,11 +184,13 @@ def suite_groups() -> Iterator[CheckResult]:
     image = [iota(f2, w, 2) for w in p5]
     yield _check("iota-bijection-p5-p4", True, set(image) == p4 and len(set(image)) == len(p5))
     known = dict(zip(p5, image))  # iota is pure; a product outside p5 still meets its guard
-    ok = all(
-        (known.get(vw) or iota(f2, vw, 2)) == mat_mul(f2, iv, iw)
-        for v, iv in zip(p5, image)
+    rows5, rows4 = {u for v in p5 for u in v}, {u for iv in image for u in iv}
+    ok = all(  # v w and iota(v) iota(w) read from one map of distinct rows each per w
+        (known.get(vw) or iota(f2, vw, 2)) == tuple(map(iright.__getitem__, iv))
         for w, iw in zip(p5, image)
-        for vw in [mat_mul(f2, v, w)]
+        for right, iright in [(row_images(f2, rows5, w), row_images(f2, rows4, iw))]
+        for v, iv in zip(p5, image)
+        for vw in [tuple(map(right.__getitem__, v))]
     )
     yield _check("iota-multiplicative-p5", True, ok)
     for r in range(5):
@@ -316,17 +318,17 @@ def suite_codes() -> Iterator[CheckResult]:
 def suite_pless() -> Iterator[CheckResult]:
     f4, f8, f16 = Field(2), Field(3), Field(4)
     weights8 = [w for _, w in dual_enumerate(1, f8)]
-    lhs, rhs = pless_check(56, 3, weights8, weight_prefix_closed(1, f8, 1), 1)
+    prefix8 = weight_prefix_closed(1, f8, 10)  # one prefix per cell; h <= 10 < N reads j <= h
+    lhs, rhs = pless_check(56, 3, weights8, prefix8[:2], 1)
     yield _check("pless-1-8-h1-worked-value", (224, 224), (lhs, rhs))
     for h in range(1, 11):
-        lhs, rhs = pless_check(56, 3, weights8, weight_prefix_closed(1, f8, min(56, h)), h)
+        lhs, rhs = pless_check(56, 3, weights8, prefix8[: h + 1], h)
         yield _check(f"pless-1-8-h{h}", lhs, rhs)
     weights16 = [w for _, w in dual_enumerate(1, f16)]
     size16 = cell_constants(1, f16).size
+    prefix16 = weight_prefix_closed(1, f16, 10)
     for h in range(1, 11):
-        lhs, rhs = pless_check(
-            size16, 4, weights16, weight_prefix_closed(1, f16, min(size16, h)), h
-        )
+        lhs, rhs = pless_check(size16, 4, weights16, prefix16[: h + 1], h)
         yield _check(f"pless-1-16-h{h}", lhs, rhs)
     # the one-codeword code {0}: dual is everything, prefix is plain binomials
     length = 6

@@ -6,8 +6,8 @@ carry-less GF(2)[x] arithmetic on the modulus alone, never from
 `kloosterman.gf2r`, except where `kloosterman.matfq` multiplies:
 `gl_trace_pair_counts` walks GL(m,q), `preserves_theta` maps every vector,
 and `parabolic_by_products` builds P from the parameters that
-`enumerate_parabolic` reads, with one `mat_mul` per element in place of its
-memoized Levi action.
+`enumerate_parabolic` reads, with one `mat_mul` of a by b per element in
+place of its per-unipotent row tables.
 """
 
 import math

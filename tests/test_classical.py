@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -164,10 +165,26 @@ def test_parabolic_counts(n, r_field, expected):
 
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
-@pytest.mark.parametrize("n, r_field", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("n, r_field", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
 def test_parabolic_matches_product_construction(n, r_field, family):
     f = Field(r_field)
     assert list(enumerate_parabolic(n, f, family)) == list(parabolic_by_products(n, f, family))
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_streaming_p_at_n1_keeps_no_row_table(family):
+    # at n = 1 no row recurs across Levi factors; a table kept over all of
+    # P(1, 256) would hold its 65280 elements' rows (6.4 MB traced)
+    f = Field(8)
+    f.mul(2, 3)  # the field's own tables are built before tracing
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_parabolic(1, f, family))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == parabolic_order(1, f.q) == 65280
+    assert peak < 10**6
 
 
 def test_parabolic_elements_lie_in_the_groups(f2, f4):

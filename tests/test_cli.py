@@ -10,6 +10,7 @@ import pytest
 from kloosterman import classical, verify
 from kloosterman.classical import BudgetError
 from kloosterman.cli import main
+from kloosterman.gf2r import Field
 from kloosterman.verify import CheckResult
 
 # checks each verify suite runs; `verify all` runs their sum, 256
@@ -113,6 +114,23 @@ def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
     assert code == 1 and seen == [(2, 2)]
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
     assert failed == ["groups-enumeration-budget"]
+
+
+def test_iota_multiplicative_check_sees_one_wrong_entry(monkeypatch):
+    # iota altered on one element v of P(2,2): v w and iota(v) iota(w) then
+    # disagree for every w but the identity, so the check must fail
+    true_iota, target = verify.iota, next(classical.enumerate_parabolic(2, Field(1)))
+
+    def flipped(field, w, n):
+        image = true_iota(field, w, n)
+        if w != target:
+            return image
+        return ((image[0][0] ^ 1,) + image[0][1:],) + image[1:]
+
+    monkeypatch.setattr(verify, "iota", flipped)
+    checks = {c.name: c.ok for c in verify.run_suite("groups")}
+    assert checks["iota-multiplicative-p5"] is False
+    assert "cell-size-three-ways-n3-q4" in checks  # the suite still ran to the end
 
 
 def test_verify_groups_small_budget_keeps_the_partial_report(capsys, monkeypatch):

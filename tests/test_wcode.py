@@ -6,6 +6,7 @@ from kloosterman import pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
+from kloosterman.ksum import moments
 from kloosterman.verify import dual_weight_from_histogram, weight_prefix_dp
 from _oracles import krawtchouk_prefix
 
@@ -176,6 +177,11 @@ def test_recursion_builds_each_cell_histogram_once(cold_cells, monkeypatch):
     # a second field object with the same modulus is the same cell pair
     assert pmi.t1k_recursive(1, Field(5), 27).h == 27
     assert calls == cells
+    # the full-moment identity keeps one symplectic series per cell, at any order
+    for h in (3, 1, 7):
+        lhs, rhs = pmi.full_moment_identity(1, Field(5), h)
+        assert lhs == rhs and pmi.mk_via_identity(1, Field(5), h) == moments(Field(5), h).mk
+    assert calls == cells + [(1, 32, SYMPLECTIC)]
 
 
 def test_bruteforce_respects_length_limit(f8):
