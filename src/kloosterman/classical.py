@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .gf2r import Field, walsh_hadamard
 from .matfq import (
@@ -57,6 +57,11 @@ def _check_budget(count: int, what: str) -> None:
 def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
 
 
 def _check_cell(n: int, r: int) -> None:
@@ -237,6 +242,7 @@ def symplectic_by_form(field: Field, n: int) -> set[Mat]:
     can be checked.  The closed order q^(n^2) prod (q^(2j) - 1) is used only
     to refuse, with BudgetError, a group larger than DEFAULT_BUDGET.
     """
+    _check_rank(n)
     q, dim = field.q, 2 * n
     size = q ** (n * n) * math.prod(q ** (2 * j) - 1 for j in range(1, n + 1))
     _check_budget(size, f"elements of Sp({dim},{q})")
@@ -349,55 +355,30 @@ def _levi_rows(field: Field, a: Mat, family: str) -> tuple[Mat, Mat]:
     return ait, tuple(zero + row + tail for row in ait)
 
 
-def _p_element(a: Mat, top: Iterable[tuple], levi: Mat, last: tuple | None) -> Mat:
-    """The element of P with rows (a | top | 0), levi and, if not None, the closing row last."""
-    if last is None:
-        return tuple(x + y for x, y in zip(a, top)) + levi
-    return tuple(x + y + (0,) for x, y in zip(a, top)) + levi + (last,)
-
-
 def enumerate_parabolic(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Yield each element of the maximal parabolic subgroup exactly once.
 
     Each element is l(a) u(b, h): the Levi factor diag(a, a^-T[, 1]) times
     the unipotent factor with top rows (1 | b) and, orthogonal family only,
-    last row (0 | h | 1).  The parameters run as in _unipotents, a outermost,
-    which fixes the element ordering used everywhere downstream.  Row i of
-    the top block is u (1 | b | 0) for u = a_i (the closing 0 in the
-    orthogonal family only), and the closing row (0 | h | 1) is built once.
-
-    For n >= 2 each (1 | b | 0) gets one row_images table over all q^n rows
-    u, built once and kept, and every element is read from it row by row: a
-    nonzero u is a row of n |GL(n,q)| / (q^n - 1) > 1 Levi factors, and the
-    tables hold q^(binom(n+1,2) + n) rows in all, a share q^n / |GL(n,q)| < 1
-    of |P| (2/3 at q = 2, 1/55 at (n, q) = (2, 8)).  At n = 1 that share is
-    q / (q - 1): each u = a is the whole of one Levi factor and no row
-    repeats, so a kept table would be as large as P.  There each product is
-    one mat_mul and nothing is kept but the q unipotents, so streaming P
-    holds O(q) memory, not O(|P|).
+    last row (0 | h | 1).  (b, h) runs as in _unipotents, outermost, and a
+    as in gl_iter inside it; this order is used everywhere downstream.  Row i
+    of the top block is a_i (1 | b | 0), read from one row_images table over
+    all q^n rows per unipotent.  Streaming P holds one table plus the Levi
+    rows, O(q^n + |GL(n,q)|), never O(|P|).
     """
     _check_family(family)
+    _check_rank(n)
     q = field.q
     _check_budget(parabolic_order(n, q), f"elements of P({n},{q})")
     tail = (0,) if family == ORTHOGONAL else ()
-    unipotents = [
-        (
-            tuple(e + row + tail for e, row in zip(identity(n), b)),
-            () if h is None else ((0,) * n + h + (1,),),
-        )
-        for b, h in _unipotents(field, n, n, family)
-    ]
-    if n > 1:
-        vectors = list(product(range(q), repeat=n))
-        tables = [(row_images(field, vectors, m), last) for m, last in unipotents]
-    for a in gl_iter(field, n):
-        _, levi = _levi_rows(field, a, family)
-        if n == 1:
-            for m, last in unipotents:
-                yield mat_mul(field, a, m) + levi + last
-        else:
-            for table, last in tables:
-                yield tuple(map(table.__getitem__, a)) + levi + last
+    levis = [(a, _levi_rows(field, a, family)[1]) for a in gl_iter(field, n)]
+    vectors = list(product(range(q), repeat=n))
+    for b, h in _unipotents(field, n, n, family):
+        top = tuple(e + row + tail for e, row in zip(identity(n), b))
+        table = row_images(field, vectors, top)
+        last = () if h is None else ((0,) * n + h + (1,),)
+        for a, levi in levis:
+            yield tuple(map(table.__getitem__, a)) + levi + last
 
 
 # ----------------------------------------------------------------------------
@@ -421,15 +402,11 @@ def _conjugate_zero_positions(n: int, r: int, family: str) -> tuple[tuple[int, i
 
 @dataclass(frozen=True)
 class CosetData:
-    """A right-coset transversal of A_r in P, P itself in enumeration order, and the cell size."""
+    """A right-coset transversal of A_r in P, and P itself in enumeration order."""
 
     parabolic: tuple[Mat, ...]
     stabilizer_order: int
     transversal: tuple[Mat, ...]
-
-    @property
-    def cell_size(self) -> int:
-        return len(self.parabolic) * len(self.transversal)
 
 
 def _subspace_representatives(field: Field, n: int, r: int) -> Iterator[Mat]:
@@ -456,6 +433,7 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
     no x y^-1 in A_r (evaluated on the entries that must vanish).
     """
     _check_family(family)
+    _check_cell(n, r)
     q, mul = field.q, field.mul
     positions = _conjugate_zero_positions(n, r, family)
     parabolic = tuple(enumerate_parabolic(n, field, family))
@@ -473,12 +451,14 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
         raise ArithmeticError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")
 
     shifts = list(_unipotents(field, n, r, family))
+    tail = (0,) if family == ORTHOGONAL else ()
     transversal = []
     for a in _subspace_representatives(field, n, r):
         ait, levi = _levi_rows(field, a, family)
         for b, h in shifts:  # u(b, h) l(a) has rows (a | b a^-T | 0), levi, (0 | h a^-T | 1)
-            last = None if h is None else (0,) * n + mat_mul(field, (h,), ait)[0] + (1,)
-            transversal.append(_p_element(a, mat_mul(field, b, ait), levi, last))
+            top = tuple(x + y + tail for x, y in zip(a, mat_mul(field, b, ait)))
+            last = () if h is None else ((0,) * n + mat_mul(field, (h,), ait)[0] + (1,),)
+            transversal.append(top + levi + last)
 
     expected_t = transversal_size(n, r, q)
     if len(transversal) != expected_t:
@@ -497,8 +477,8 @@ def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONA
     Each element is p m with m = sigma_r x fixed over P, so u -> u m is computed
     once per x on the few distinct rows u of P's elements, and p m is read row by row.
     """
+    _check_budget(cell_order(n, r, field.q), f"elements of the cell P sigma_{r} P")
     data = coset_transversal(n, r, field, family)
-    _check_budget(data.cell_size, f"elements of the cell P sigma_{r} P")
     dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
     perm = _sigma_perm(n, r, dim)
     rows = {u for p in data.parabolic for u in p}
@@ -511,6 +491,7 @@ def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONA
 
 def enumerate_group(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Stream the whole group as the disjoint union of its Bruhat cells."""
+    _check_rank(n)
     order = sum(cell_order(n, r, field.q) for r in range(n + 1))
     _check_budget(order, f"elements of the {family} group (n={n}, q={field.q})")
     for r in range(n + 1):

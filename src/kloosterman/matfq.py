@@ -62,13 +62,6 @@ def row_images(field: Field, rows: Iterable[tuple[int, ...]], m: Mat) -> dict[tu
     return dict(zip(distinct, mat_mul(field, distinct, m)))
 
 
-def mat_vec(field: Field, a: Mat, x: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a[0]) != len(x):
-        raise ValueError("dimension mismatch in matrix-vector product")
-    mul = field.mul
-    return tuple(_dot(mul, row, x) for row in a)
-
-
 def mat_trace(a: Mat) -> int:
     if len(a) != len(a[0]):
         raise ValueError("trace of a non-square matrix")

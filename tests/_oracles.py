@@ -17,15 +17,15 @@ from itertools import product
 from operator import xor
 
 from kloosterman.classical import (
+    ORTHOGONAL,
     _levi_rows,
-    _p_element,
     _unipotents,
     coset_transversal,
     sigma_r,
     theta_form,
 )
 from kloosterman.gf2r import Field
-from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_mul, mat_trace, mat_vec
+from kloosterman.matfq import Mat, gl_iter, mat_inv, mat_mul, mat_trace
 
 
 def all_matrices(field: Field, rows: int, cols: int):
@@ -38,20 +38,24 @@ def preserves_theta(field: Field, w: Mat, n: int) -> bool:
     """Direct isometry check: theta(wx) = theta(x) for every vector x."""
     dim = 2 * n + 1
     for x in product(range(field.q), repeat=dim):
-        if theta_form(field, mat_vec(field, w, x), n) != theta_form(field, x, n):
+        column = mat_mul(field, w, tuple(zip(x)))  # w applied to x as a column
+        if theta_form(field, tuple(c for (c,) in column), n) != theta_form(field, x, n):
             return False
     return True
 
 
 def parabolic_by_products(n: int, field: Field, family: str):
-    """Each l(a) u(b, h) of P with its top block a b from one mat_mul, in the
-    order of enumerate_parabolic: a over gl_iter outermost, then (b, h)."""
-    unipotents = list(_unipotents(field, n, n, family))
-    for a in gl_iter(field, n):
-        _, levi = _levi_rows(field, a, family)
-        for b, h in unipotents:
-            last = None if h is None else (0,) * n + h + (1,)
-            yield _p_element(a, mat_mul(field, a, b), levi, last)
+    """Each l(a) u(b, h) of P, its rows assembled here: (a | a b) with a b from
+    one mat_mul, then (0 | a^-T), each closed by a 0 and followed by
+    (0 | h | 1) in the orthogonal family only.  The order is that of
+    enumerate_parabolic: (b, h) as in _unipotents outermost, then a over gl_iter."""
+    tail = (0,) if family == ORTHOGONAL else ()
+    levis = [(a, _levi_rows(field, a, family)[1]) for a in gl_iter(field, n)]
+    for b, h in _unipotents(field, n, n, family):
+        last = () if h is None else ((0,) * n + h + (1,),)
+        for a, levi in levis:
+            top = tuple(x + y + tail for x, y in zip(a, mat_mul(field, a, b)))
+            yield top + levi + last
 
 
 def theta_isometries(field: Field, n: int) -> set[Mat]:

@@ -173,8 +173,8 @@ def test_parabolic_matches_product_construction(n, r_field, family):
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
 def test_streaming_p_at_n1_keeps_no_row_table(family):
-    # at n = 1 no row recurs across Levi factors; a table kept over all of
-    # P(1, 256) would hold its 65280 elements' rows (6.4 MB traced)
+    # streaming keeps one q-row table and the q - 1 Levi rows; a table kept
+    # over all of P(1, 256) would hold its 65280 elements' rows (6.4 MB traced)
     f = Field(8)
     f.mul(2, 3)  # the field's own tables are built before tracing
     tracemalloc.start()
@@ -242,6 +242,39 @@ def test_every_enumeration_obeys_the_one_cap(f2, monkeypatch, call, size):
         assert len(list(out)) == size
 
 
+def test_over_budget_cell_is_refused_before_p_is_built(monkeypatch):
+    # P(1, 2^10) has ~10^6 elements but its cell sigma_1 has ~1.07 * 10^9
+    def unbuilt(*args):
+        raise AssertionError("the cell's P and transversal were built")
+
+    monkeypatch.setattr(cl, "coset_transversal", unbuilt)
+    with pytest.raises(BudgetError):
+        next(enumerate_double_coset(1, 1, Field(10)))
+
+
+RANKED = [
+    ("parabolic", lambda n, f2: enumerate_parabolic(n, f2)),
+    ("transversal", lambda n, f2: coset_transversal(n, 0, f2)),
+    ("cell", lambda n, f2: enumerate_double_coset(n, 0, f2)),
+    ("group", lambda n, f2: enumerate_group(n, f2)),
+    ("sp-by-form", lambda n, f2: symplectic_by_form(f2, n)),
+]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call", [g[1] for g in RANKED], ids=[g[0] for g in RANKED])
+def test_every_enumeration_refuses_n_below_one(f2, call, n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        out = call(n, f2)
+        if isinstance(out, Iterator):
+            next(out)  # before its first element
+
+
+def test_transversal_refuses_r_above_n(f2):
+    with pytest.raises(ValueError, match="r=3"):
+        coset_transversal(1, 3, f2)
+
+
 # ----------------------------------------------------------------------------
 # transversals and double cosets
 
@@ -256,7 +289,7 @@ def test_transversal_sizes(n, r, r_field, expected):
         data = coset_transversal(n, r, f, family)
         assert len(data.transversal) == expected == transversal_size(n, r, f.q)
         assert data.stabilizer_order == cl.stabilizer_order(n, r, f.q)
-        assert data.cell_size == cell_order(n, r, f.q)
+        assert len(data.parabolic) * len(data.transversal) == cell_order(n, r, f.q)
 
 
 @pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
