@@ -74,7 +74,9 @@ def _check_cell(n: int, r: int) -> None:
 
 
 def gl_order(n: int, q: int) -> int:
-    """Order of GL(n,q)."""
+    """Order of GL(n,q); GL(0,q) is the trivial group."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     return math.prod(q**n - q**j for j in range(n))
 
 
@@ -121,6 +123,7 @@ def cell_order(n: int, r: int, q: int) -> int:
 
 def dc_order(n: int, q: int) -> int:
     """|P sigma_(n-1) P| in its separate displayed product form."""
+    _check_rank(n)
     return (
         q ** (n * (3 * n - 1) // 2)
         * q_binom(n, 1, q)
@@ -143,32 +146,44 @@ def alternating_count(r: int, field: Field) -> int:
 def alternating_count_bruteforce(r: int, field: Field) -> int:
     """Count nonsingular alternating matrices by exhaustion (small r only).
 
-    det = Pf^2, so a matrix counts exactly when its Pfaffian is nonzero.
+    det = Pf^2, so a matrix counts exactly when its Pfaffian is nonzero.  Each
+    matrix is its upper triangle, and all q^(r(r-1)/2) of them are run through,
+    odd r included.  The Pfaffian is the sum, over the perfect matchings of
+    0..r-1, of the products of the matched entries: the expansion along the
+    first row, flattened, with no signs in characteristic 2.  The matchings
+    are listed once, as triangle positions, so no matrix is built.
     """
     if r < 0:
         raise ValueError("matrix size must be nonnegative")
-    if r == 0:
-        return 1
-    total = field.q ** (r * (r - 1) // 2)
+    triangle = {(i, j): k for k, (i, j) in enumerate(combinations(range(r), 2))}
+    total = field.q ** len(triangle)
     _check_budget(total, f"alternating {r} x {r} matrices over GF({field.q})")
-    indices = tuple(range(r))
-    return sum(1 for a in _triangle_iter(field, r, diagonal=False) if _pfaffian(field, a, indices))
+    matchings = [[triangle[pair] for pair in m] for m in _matchings(tuple(range(r)))]
+    mul, count = field.mul, 0
+    for entries in product(range(field.q), repeat=len(triangle)):
+        pfaffian = 0
+        for matching in matchings:
+            term = 1
+            for k in matching:
+                term = mul(term, entries[k])
+                if not term:
+                    break
+            pfaffian ^= term
+        count += pfaffian != 0
+    return count
 
 
-def _pfaffian(field: Field, a: Mat, indices: tuple[int, ...]) -> int:
-    """Pfaffian of the alternating submatrix of a on indices, expanded along
-    its first row: the sum over j of a[i][j] times the Pfaffian without i and
-    j.  Characteristic 2 has no signs; an odd number of indices gives 0."""
-    if not indices:
-        return 1
-    i, rest = indices[0], indices[1:]
-    total = 0
+def _matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every perfect matching of points, as pairs (i, j) with i < j for sorted
+    points: the first point paired with each other one in turn.  An odd
+    number of points has none."""
+    if not points:
+        yield ()
+        return
+    i, rest = points[0], points[1:]
     for k, j in enumerate(rest):
-        if a[i][j]:
-            minor = _pfaffian(field, a, rest[:k] + rest[k + 1 :])
-            if minor:
-                total ^= field.mul(a[i][j], minor)
-    return total
+        for m in _matchings(rest[:k] + rest[k + 1 :]):
+            yield ((i, j),) + m
 
 
 @dataclass(frozen=True)
@@ -233,8 +248,14 @@ def symplectic_by_form(field: Field, n: int) -> set[Mat]:
     candidate for c_k is dropped exactly when one of them differs from J.  No
     completion could repair such an entry, so every solution is found.  The
     diagonal entries c_k^T J c_k vanish for every vector (the form is
-    alternating) and prune nothing.  The row c_i^T J v over all v is computed
-    once per chosen c_i, so candidates are tested by index.  Each finished
+    alternating) and prune nothing.
+
+    The form is evaluated once per pair of vectors, q^(4n) times in all; at
+    n = 1 these are the pairs (c_0, v) that any search must test for c_1.
+    J's entries are 0 and 1 only, so each vector c keeps just two
+    bitmasks over the vectors v: those with c^T J v = 0 and those with
+    c^T J v = 1, 2 q^(4n) bits in all.  The candidates for c_k are the AND of
+    the masks the chosen columns select by J's column k.  Each finished
     matrix is re-checked with is_symplectic; a failure raises ArithmeticError.
 
     The search reads the form alone, never the parabolic subgroup, sigma_r or
@@ -250,24 +271,31 @@ def symplectic_by_form(field: Field, n: int) -> set[Mat]:
     vectors = list(product(range(q), repeat=dim))
     # J v swaps the two halves of v, so c^T J v = _dot(c, J v)
     images = [v[n:] + v[:n] for v in vectors]
+    masks = []  # masks[c][t] has bit v set when c^T J v = t
+    for c in vectors:
+        # the last vector's value is the first binary digit, so bit v is vector v
+        values = [_dot(mul, c, image) for image in reversed(images)]
+        masks.append(tuple(int("".join("01"[x == t] for x in values), 2) for t in (0, 1)))
+    everything = (1 << len(vectors)) - 1
     found: set[Mat] = set()
 
-    def extend(cols: list[tuple[int, ...]], forms: list[list[int]]) -> None:
+    def extend(cols: list[int]) -> None:
         k = len(cols)
         if k == dim:
-            w = transpose(cols)
+            w = transpose([vectors[c] for c in cols])
             if not is_symplectic(field, w, n):
                 raise ArithmeticError(f"column search produced a non-symplectic matrix {w}")
             found.add(w)
             return
-        if cols:  # the row of the newest column; a leaf never needs one
-            forms = forms + [[_dot(mul, cols[-1], image) for image in images]]
-        targets = [row[k] for row in form[:k]]
-        for i, v in enumerate(vectors):
-            if all(f[i] == t for f, t in zip(forms, targets)):
-                extend(cols + [v], forms)
+        candidates = everything
+        for c, row in zip(cols, form):
+            candidates &= masks[c][row[k]]
+        while candidates:
+            low = candidates & -candidates
+            extend(cols + [low.bit_length() - 1])
+            candidates ^= low
 
-    extend([], [])
+    extend([])
     return found
 
 

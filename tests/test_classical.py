@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections.abc import Iterator
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from kloosterman.classical import (
 )
 from kloosterman.gf2r import Field
 from kloosterman.ksum import kloosterman_gl_bruteforce
-from kloosterman.matfq import identity, mat_mul, mat_trace
+from kloosterman.matfq import SingularMatrixError, identity, mat_inv, mat_mul, mat_trace
 from kloosterman.wcode import code_bruteforce_wd, delsarte_check
 
 from _oracles import (
@@ -368,14 +369,29 @@ def test_double_coset_is_product_in_order(f2, family):
 
 @pytest.mark.parametrize(
     "n, r, order",
-    [(1, 1, 6), (1, 2, 60), (1, 3, 504), (2, 1, 720)],
-    ids=["sp2-q2", "sp2-q4", "sp2-q8", "sp4-q2"],
+    [(1, 1, 6), (1, 2, 60), (1, 3, 504), (2, 1, 720), (1, 4, 4080)],
+    ids=["sp2-q2", "sp2-q4", "sp2-q8", "sp4-q2", "sp2-q16"],
 )
 def test_symplectic_search_matches_exhaustive(n, r, order):
     f = Field(r)
     found = symplectic_by_form(f, n)
     assert len(found) == order
     assert found == symplectic_exhaustive(f.modulus, n)
+
+
+@pytest.mark.parametrize("n, r, evaluations", [(2, 1, 256), (1, 3, 4096)])
+def test_symplectic_search_evaluates_the_form_once_per_pair(monkeypatch, n, r, evaluations):
+    # q^(4n): one c^T J v per pair of vectors, however many columns are chosen
+    calls = []
+    real = cl._dot
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cl, "_dot", counting)
+    symplectic_by_form(Field(r), n)
+    assert len(calls) == evaluations
 
 
 def test_symplectic_search_budget(f2, monkeypatch):
@@ -489,6 +505,53 @@ def test_alternating_counts(f2):
 def test_alternating_counts_reject_negative_sizes(f2, count, r):
     with pytest.raises(ValueError, match="nonnegative"):
         count(r, f2)
+
+
+@pytest.mark.parametrize("r, q", [(r, q) for q in (2, 4) for r in range(6)] + [(6, 2)])
+def test_alternating_count_bruteforce_matches_closed_form(r, q):
+    f = Field(q.bit_length() - 1)
+    assert alternating_count_bruteforce(r, f) == alternating_count(r, f)
+
+
+@pytest.mark.parametrize("q, expected", [(2, 28), (4, 3024)])
+def test_alternating_count_by_inversion(q, expected):
+    # an oracle that shares nothing with Pfaffians: a 4 x 4 alternating
+    # matrix counts when Gauss-Jordan elimination inverts it
+    f = Field(q.bit_length() - 1)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    count = 0
+    for entries in product(range(q), repeat=len(pairs)):
+        a = [[0] * 4 for _ in range(4)]
+        for (i, j), x in zip(pairs, entries):
+            a[i][j] = a[j][i] = x
+        try:
+            mat_inv(f, tuple(map(tuple, a)))
+        except SingularMatrixError:
+            continue
+        count += 1
+    assert count == expected == alternating_count(4, f)
+
+
+ORDERS = [
+    ("gl", lambda n: cl.gl_order(n, 2)),
+    ("parabolic", lambda n: parabolic_order(n, 2)),
+    ("group-order-data", lambda n: group_order_data(n, Field(1))),
+]
+
+
+@pytest.mark.parametrize("order", [g[1] for g in ORDERS], ids=[g[0] for g in ORDERS])
+def test_order_formulas_refuse_negative_n(order):
+    with pytest.raises(ValueError, match="n=-1"):
+        order(-1)
+
+
+def test_gl_order_of_size_zero_is_the_trivial_group():
+    assert cl.gl_order(0, 2) == cl.gl_order(0, 4) == 1
+
+
+def test_dc_order_names_the_n_it_was_given():
+    with pytest.raises(ValueError, match=r"^need n >= 1, got n=0$"):
+        cl.dc_order(0, 2)
 
 
 def test_group_order_data(f2):
