@@ -48,10 +48,26 @@ class BudgetError(RuntimeError):
     """An enumeration would stream more elements than DEFAULT_BUDGET."""
 
 
+def _show(x: int) -> str:
+    """x in decimal up to 256 bits, else its bit length: no message trips the int-str limit."""
+    return str(x) if x.bit_length() <= 256 else f"a {x.bit_length()}-bit int"
+
+
 def _check_budget(count: int, what: str) -> None:
     """Raise BudgetError, before anything is enumerated, if count exceeds DEFAULT_BUDGET."""
     if count > DEFAULT_BUDGET:
-        raise BudgetError(f"{count} {what} exceed the enumeration budget {DEFAULT_BUDGET}")
+        raise BudgetError(f"{_show(count)} {what} exceed the enumeration budget {DEFAULT_BUDGET}")
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, an int, or ArithmeticError on a remainder (a broken identity or input).
+    The message is built only when raised and gives num by its bit length alone."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(
+            f"{what} is not integral: a {num.bit_length()}-bit numerator over {_show(den)}"
+        )
+    return quotient
 
 
 def _check_family(family: str) -> None:
@@ -85,9 +101,7 @@ def q_binom(n: int, r: int, q: int) -> int:
     _check_cell(n, r)
     num = math.prod(q ** (n - j) - 1 for j in range(r))
     den = math.prod(q ** (r - j) - 1 for j in range(r))
-    if num % den:
-        raise ArithmeticError(f"q-binomial ({n} {r})_{q} is not integral")
-    return num // den
+    return _exact(num, den, "q-binomial")
 
 
 def parabolic_order(n: int, q: int) -> int:
@@ -550,7 +564,7 @@ def _trace_pair_counts(m: int, field: Field) -> list[int]:
     W_1 of g_1 holds the Kloosterman sums of every additive character, s = 0
     giving the trivial one.  gl_recursion, the recursion ksum.kloosterman_gl
     applies too, maps them to W_m, and W_m(0) = |GL(m,q)|; transforming W_m
-    back gives q g_m, and the division by q is checked.  The expsum checks
+    back gives q g_m, divided by q exactly (_exact).  The expsum checks
     with n - r >= 2 therefore share gl_recursion with their closed side; the
     brute-force count in the tests anchors it.  Cost: O(m q + q log q).
     """
@@ -565,10 +579,7 @@ def _trace_pair_counts(m: int, field: Field) -> list[int]:
         return counts
     walsh = gl_recursion(walsh_hadamard(counts), m, q)
     walsh[0] = gl_order(m, q)
-    scaled = walsh_hadamard(walsh)
-    if any(total % q for total in scaled):
-        raise ArithmeticError(f"inverse transform of the GL({m},{q}) sums is not a multiple of q")
-    return [total // q for total in scaled]
+    return [_exact(total, q, "GL trace-pair count") for total in walsh_hadamard(walsh)]
 
 
 def dc_trace_histogram(
@@ -603,13 +614,10 @@ def dc_trace_histogram(
     special = alternating_count(r, field) * q ** (r * (n - r))
     g = _trace_pair_counts(n - r, field) if special else [0] * q
     rest = (gl_order(n, q) - special * gl_order(n - r, q)) * unipotent
-    if rest % q:
-        raise ArithmeticError(f"equidistributed part {rest} is not a multiple of q={q}")
+    rest = _exact(rest, q, "equidistributed part")
     cosets, shift = transversal_size(n, r, q), 1 if family == ORTHOGONAL else 0
-    hist = {
-        beta: cosets * (unipotent * special * g[beta ^ shift] + rest // q) for beta in range(q)
-    }
+    hist = {beta: cosets * (unipotent * special * g[beta ^ shift] + rest) for beta in range(q)}
     total = sum(hist.values())
     if total != size:
-        raise ArithmeticError(f"histogram total {total} != cell size {size}")
+        raise ArithmeticError(f"histogram total {_show(total)} != cell size {_show(size)}")
     return hist

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import ORTHOGONAL, _check_cell, _check_family, q_binom
+from .classical import ORTHOGONAL, _check_cell, _check_family, _exact, q_binom
 from .gf2r import Field
 from .ksum import kloosterman, kloosterman_gl
 
@@ -97,9 +97,8 @@ def closed_histogram(n: int, field: Field, family: str = ORTHOGONAL) -> dict[int
     _check_family(family)
     q = field.q
     consts = cell_constants(n, field)
-    if consts.size % q or consts.scale % q:
-        raise ArithmeticError(f"cell factors at (n={n}, q={q}) are not multiples of q")
-    base, unit, shift = consts.size // q, consts.scale // q, 1 if family == ORTHOGONAL else 0
+    base, unit = _exact(consts.size, q, "cell size"), _exact(consts.scale, q, "cell scale")
+    shift = 1 if family == ORTHOGONAL else 0
     hist = {}
     for beta in field.elements():
         gamma = beta ^ shift

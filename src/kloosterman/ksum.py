@@ -28,7 +28,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .classical import _check_budget, gl_recursion
+from .classical import _check_budget, _show, gl_recursion
 from .gf2r import Field, character_sums
 from .matfq import gl_iter, mat_inv, mat_trace
 
@@ -100,7 +100,8 @@ def moments(field: Field, h: int) -> Moments:
     t0k = sum(p for t, p in powers if t == 0)
     t1k = sum(p for t, p in powers if t == 1)
     if mk != t0k + t1k:
-        raise ArithmeticError(f"moment split at q={field.q}, h={h}: {mk} != {t0k} + {t1k}")
+        off = _show(mk - t0k - t1k)
+        raise ArithmeticError(f"moment split at q={field.q}, h={h}: mk - t0k - t1k = {off}")
     return Moments(mk, t0k, t1k)
 
 
@@ -116,6 +117,8 @@ def kloosterman_gl_bruteforce(field: Field, t: int, c: int = 1) -> dict[int, int
     Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
     """
     _require_units(field, c=c)
+    if t < 0:
+        raise ValueError(f"need t >= 0, got t={t}")
     if t == 0:
         return dict.fromkeys(field.units(), 1)
     _check_budget(field.q ** (t * t), f"candidate {t} x {t} matrices over GF({field.q})")

@@ -99,6 +99,8 @@ def gl_iter(field: Field, n: int) -> Iterator[Mat]:
     """All invertible n x n matrices, in lexicographic order of flattened entries:
     built row by row, each row running in product order over the vectors
     outside the span above it."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     q, mul = field.q, field.mul
     vectors = list(product(range(q), repeat=n))
 
@@ -113,4 +115,4 @@ def gl_iter(field: Field, n: int) -> Iterator[Mat]:
             }
             yield from extend(rows + (v,), wider)
 
-    yield from extend((), {(0,) * n})
+    return extend((), {(0,) * n})

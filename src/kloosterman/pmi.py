@@ -1,35 +1,34 @@
 """Power moment identities: Stirling numbers, the Pless identity, and the
 recursion producing trace-one Kloosterman moments from code weight data.
 
-Everything is computed in exact rational arithmetic; any result that fails to
-clear its denominator is a hard error, never a rounding event.  One kernel,
-_stirling_side, evaluates the Stirling/binomial double sum that every
-identity here shares, as sum over t of t! S(h,t) 2^(-t) E_t with the Pless
-columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j) (pless_column);
-each caller only scales it.  The recursion is written in D_j = C_j - C'_j,
-the orthogonal cell code's weight counts minus the symplectic one's.  The
-symplectic histogram is the orthogonal one shifted by 1, so its transform is
-(-1)^s F[s]: at odd s it turns the dual weight w into N - w, and
-K_j(N - w) = (-1)^j K_j(w).  Hence q D_j is 2 sum over odd s of K_j(w_s) at
-odd j and 0 at even j, read from one transform of the orthogonal histogram.
-Each cell pair keeps one recursion (_recursion): the sums q D_j and the
-columns q E_t of D computed so far, the values T1K^1, T1K^3, ... so far, and
-one row of t! S(h,t), cut at t <= N, that each new order steps twice.  The
-full-moment identity keeps the symplectic sums q C'_j and their columns in
-the same entry, built at its first call.  The other identities build their
-row from h = 0 (_onto).
+Everything is computed in ints, each result divided once (classical._exact):
+a result that fails to clear its denominator is a hard error, never a
+rounding event.  One kernel, _stirling_side, evaluates the Stirling/binomial
+double sum that every identity here shares, sum over t of t! S(h,t) 2^(-t) E_t
+with the Pless columns E_t = sum over j <= t of (-1)^j C_j C(N - j, t - j)
+(pless_column), as an int over a power of two; each caller only scales it.  The
+recursion is written in D_j = C_j - C'_j, the orthogonal cell code's weight
+counts minus the symplectic one's.  The symplectic histogram is the
+orthogonal one shifted by 1, so its transform is (-1)^s F[s]: at odd s it
+turns the dual weight w into N - w, and K_j(N - w) = (-1)^j K_j(w).  Hence
+q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j, read from one
+transform of the orthogonal histogram.  Each cell pair keeps one recursion
+(_recursion): the sums q D_j and the columns q E_t of D computed so far, the
+values T1K^1, T1K^3, ... so far, and one row of t! S(h,t), cut at t <= N,
+that each new order steps twice.  The full-moment identity keeps the
+symplectic sums q C'_j and their columns in the same entry, built at its
+first call.  The other identities build their row from h = 0 (_onto).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 from types import SimpleNamespace
 
-from .classical import ORTHOGONAL, SYMPLECTIC
+from .classical import ORTHOGONAL, SYMPLECTIC, _exact
 from .dcsum import CellConstants, _check_odd, cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import moments
@@ -56,14 +55,7 @@ def stirling2(h: int, t: int) -> int:
         raise ValueError("Stirling numbers need nonnegative arguments")
     if t > h:
         return 0
-    return _integral(Fraction(_onto(h, t)[t], math.factorial(t)), f"S({h},{t})")
-
-
-def _integral(value: Fraction, what: str) -> int:
-    """value as an int; a nonzero remainder means a broken identity or input."""
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral {what}: {value}")
-    return value.numerator
+    return _exact(_onto(h, t)[t], math.factorial(t), f"S({h},{t})")
 
 
 def pless_column(length: int, prefix: list[int], t: int) -> int:
@@ -80,21 +72,20 @@ def pless_column(length: int, prefix: list[int], t: int) -> int:
         falling *= t - k
         term = prefix[k + 1] * falling
         total = total * (length - k) + (term if k % 2 else -term)
-    return total // math.factorial(t)
+    return _exact(total, math.factorial(t), f"Pless column E_{t}")
 
 
-def _stirling_side(columns: list[int], onto: list[int]) -> Fraction:
-    """Sum over t of onto[t] 2^(-t) columns[t], t = 0..tmax = len(onto) - 1,
-    for onto the row t! S(h,t) cut at t <= tmax and at least tmax + 1 columns.
+def _stirling_side(columns: list[int], onto: list[int]) -> int:
+    """2^tmax times the sum over t of onto[t] 2^(-t) columns[t], t = 0..tmax =
+    len(onto) - 1, for onto the row t! S(h,t) cut at t <= tmax and at least
+    tmax + 1 columns.
 
-    With the Pless columns E_t of a prefix and tmax = min(h, length), this is
-    the sum over j of (-1)^j prefix[j] times the sum over t of
-    t! S(h,t) 2^(-t) C(length - j, t - j); nothing divides until the single
-    power of two at the end.
+    With the Pless columns E_t of a prefix and tmax = min(h, length), the side
+    is the sum over j of (-1)^j prefix[j] times the sum over t of
+    t! S(h,t) 2^(-t) C(length - j, t - j); each caller divides by 2^tmax once.
     """
     tmax = len(onto) - 1
-    terms = enumerate(zip(onto, columns))
-    return Fraction(sum((o * e) << (tmax - t) for t, (o, e) in terms), 1 << tmax)
+    return sum((o * e) << (tmax - t) for t, (o, e) in enumerate(zip(onto, columns)))
 
 
 def pless_check(
@@ -107,15 +98,15 @@ def pless_check(
     up to min(length, h).  Returns (sum of h-th weight powers over B, the
     Stirling/binomial side evaluated from the prefix).
     """
-    if h < 0:
-        raise ValueError(f"need h >= 0, got h={h}")
+    if h < 0 or dim < 0:
+        raise ValueError(f"need h >= 0 and dim >= 0, got h={h}, dim={dim}")
     jcap = min(length, h)
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
     lhs = sum(w**h for w in dual_weights)
     columns = [pless_column(length, prefix, t) for t in range(jcap + 1)]
-    rhs = Fraction(2) ** dim * _stirling_side(columns, _onto(h, jcap))
-    return lhs, _integral(rhs, f"Pless side at (length={length}, dim={dim}, h={h})")
+    rhs = _stirling_side(columns, _onto(h, jcap)) << dim
+    return lhs, _exact(rhs, 1 << jcap, f"Pless side at (length={length}, dim={dim}, h={h})")
 
 
 def _check_recursion_range(n: int, field: Field) -> None:
@@ -192,9 +183,9 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
         for l in range(1, order - 1, 2):
             first = (first + binomial * values[l // 2]) * square
             binomial = binomial * (order - l) * (order - l - 1) // ((l + 1) * (l + 2))
-        side = _stirling_side(columns, onto)
-        value = _integral(
-            -first + Fraction(field.q * 2 ** (order - 1), consts.scale**order) * side,
+        value = -first + _exact(
+            field.q * _stirling_side(columns, onto) << (order - 1),
+            consts.scale**order << (len(onto) - 1),
             f"recursion value at (n={n}, q={field.q}, h={order})",
         )
         kept.onto = _onto_step(onto, consts.size)
@@ -212,8 +203,8 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     )
 
 
-def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fraction]:
-    """The symplectic weight-prefix side of the full-moment identity."""
+def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, int, int]:
+    """The symplectic weight-prefix side of the full-moment identity: numerator, denominator."""
     _check_recursion_range(n, field)
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
@@ -225,7 +216,7 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, Fract
         kept.symplectic = SimpleNamespace(kernel=kernel, sums=[], columns=[])
     tmax = min(consts.size, h)
     _, columns = _kept_columns(kept.symplectic, consts.size, field.q, tmax)
-    return consts, field.q * _stirling_side(columns, _onto(h, tmax))
+    return consts, field.q * _stirling_side(columns, _onto(h, tmax)), 1 << tmax
 
 
 def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:
@@ -239,15 +230,15 @@ def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:
 def full_moment_identity(n: int, field: Field, h: int) -> tuple[int, int]:
     """Both sides of the identity tying binomial-weighted full moments MK^l
     to the symplectic cell's weight prefix; exact equality is the contract."""
-    consts, rhs = _full_moment_rhs(n, field, h)
-    lhs = Fraction(consts.scale**h, 2**h) * _binomial_moments(field, consts.cofactor, h, h)
+    consts, rhs, den = _full_moment_rhs(n, field, h)
+    lhs = consts.scale**h * _binomial_moments(field, consts.cofactor, h, h)
     where = f"at (n={n}, q={field.q}, h={h})"
-    return _integral(lhs, f"moment side {where}"), _integral(rhs, f"prefix side {where}")
+    return _exact(lhs, 1 << h, f"moment side {where}"), _exact(rhs, den, f"prefix side {where}")
 
 
 def mk_via_identity(n: int, field: Field, h: int) -> int:
     """Solve the full-moment identity for MK^h given the lower direct moments."""
-    consts, rhs = _full_moment_rhs(n, field, h)
+    consts, rhs, den = _full_moment_rhs(n, field, h)
     lower = _binomial_moments(field, consts.cofactor, h, h - 1)
-    value = (-1) ** h * (rhs * Fraction(2**h, consts.scale**h) - lower)
-    return _integral(value, f"moment at (n={n}, q={field.q}, h={h})")
+    value = _exact(rhs << h, den * consts.scale**h, f"moment at (n={n}, q={field.q}, h={h})")
+    return (-1) ** h * (value - lower)

@@ -25,7 +25,7 @@ from collections import Counter
 from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .classical import ORTHOGONAL, _check_budget, dc_trace_histogram
+from .classical import ORTHOGONAL, _check_budget, _exact, dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
 from .gf2r import Field, walsh_hadamard
 from .ksum import kloosterman
@@ -43,9 +43,7 @@ def dual_weight(n: int, field: Field, a: int) -> int:
         return 0
     consts = cell_constants(n, field)
     value = consts.scale * (consts.cofactor - field.lam(a) * kloosterman(field, a))
-    if value % 2:
-        raise ArithmeticError(f"odd doubled dual weight {value} at (n={n}, q={field.q}, a={a})")
-    return value // 2
+    return _exact(value, 2, "dual weight")
 
 
 def dual_kernel(n: int, field: Field) -> set[int]:
@@ -99,14 +97,11 @@ def _krawtchouk_sums(length: int, dual_weights: tuple[tuple[int, int], ...]) -> 
 
 
 def _divided(q: int, sums: Iterable[int], jmax: int) -> list[int]:
-    """The first jmax + 1 sums, each divided by q: exact, or an ArithmeticError."""
+    """The sums at j = 0..jmax, each divided by q through _exact."""
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    totals = list(islice(sums, jmax + 1))
-    inexact = [j for j, total in enumerate(totals) if total % q]
-    if inexact:
-        raise ArithmeticError(f"sums at j = {inexact} are not multiples of q={q}")
-    return [total // q for total in totals]
+    totals = enumerate(islice(sums, jmax + 1))
+    return [_exact(total, q, f"sum at j={j}, q={q}") for j, total in totals]
 
 
 def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:

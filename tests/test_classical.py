@@ -1,8 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from collections.abc import Iterator
 from itertools import product
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from kloosterman import classical as cl
+from kloosterman import dcsum, ksum, pmi, wcode
 from kloosterman.classical import (
     ORTHOGONAL,
     SYMPLECTIC,
@@ -33,9 +36,11 @@ from kloosterman.classical import (
     theta_form,
     transversal_size,
 )
+from kloosterman.dcsum import closed_histogram
 from kloosterman.gf2r import Field
-from kloosterman.ksum import kloosterman_gl_bruteforce
-from kloosterman.matfq import SingularMatrixError, identity, mat_inv, mat_mul, mat_trace
+from kloosterman.ksum import kloosterman_gl_bruteforce, moments
+from kloosterman.matfq import SingularMatrixError, gl_iter, identity, mat_inv, mat_mul, mat_trace
+from kloosterman.pmi import pless_check
 from kloosterman.wcode import code_bruteforce_wd, delsarte_check
 
 from _oracles import (
@@ -251,6 +256,70 @@ def test_over_budget_cell_is_refused_before_p_is_built(monkeypatch):
     monkeypatch.setattr(cl, "coset_transversal", unbuilt)
     with pytest.raises(BudgetError):
         next(enumerate_double_coset(1, 1, Field(10)))
+
+
+def _broken_moment_split(monkeypatch):
+    # a trace outside {0, 1}: mk = 3^10000 has 4772 digits, t0k = t1k = 0
+    monkeypatch.setattr(ksum, "_kdata", lambda field: ([], Counter({(2, 3): 1})))
+    moments(Field(1), 10000)
+
+
+def _broken_histogram_total(monkeypatch):
+    # the cell at (130, 0, GF(2)) has more than 2^16900 elements
+    monkeypatch.setattr(cl, "cell_order", lambda n, r, q: 0)
+    dc_trace_histogram(130, 0, Field(1))
+
+
+# each guard at a count past the default 4300-digit int-to-str limit
+HUGE = [
+    ("code-bruteforce", lambda mp: code_bruteforce_wd(3, Field(1)), BudgetError),
+    ("delsarte", lambda mp: delsarte_check(3, Field(1)), BudgetError),
+    ("alternating", lambda mp: alternating_count_bruteforce(200, Field(1)), BudgetError),
+    ("gl-kloosterman", lambda mp: kloosterman_gl_bruteforce(Field(1), 120), BudgetError),
+    # the Stirling side is 2^19998 - 1/2
+    ("pless-side", lambda mp: pless_check(2, 0, [0], [0, 0, 1], 20000), ArithmeticError),
+    ("moment-split", _broken_moment_split, ArithmeticError),
+    ("histogram-total", _broken_histogram_total, ArithmeticError),
+]
+
+
+@pytest.mark.parametrize("call,error", [g[1:] for g in HUGE], ids=[g[0] for g in HUGE])
+def test_guards_raise_their_own_error_at_any_size(monkeypatch, call, error):
+    with pytest.raises(error):
+        call(monkeypatch)
+
+
+# each exact division, by the quantity it names: (name, module, a call that reaches it)
+EXACT = [
+    ("q-binomial", cl, lambda: cl.q_binom(4, 2, 2)),
+    ("GL trace-pair count", cl, lambda: cl._trace_pair_counts(2, Field(1))),
+    ("equidistributed part", cl, lambda: dc_trace_histogram(3, 1, Field(1))),
+    ("cell size", dcsum, lambda: closed_histogram(3, Field(1))),
+    ("cell scale", dcsum, lambda: closed_histogram(3, Field(1))),
+    ("dual weight", wcode, lambda: wcode.dual_weight(1, Field(3), 1)),
+    ("sum at j=2, q=8", wcode, lambda: wcode.weight_prefix_closed(1, Field(3), 3)),
+    ("Pless column E_2", pmi, lambda: pmi.pless_column(5, [1, 0, 0], 2)),
+    ("S(5,3)", pmi, lambda: pmi.stirling2(5, 3)),
+    ("Pless side", pmi, lambda: pmi.pless_check(3, 0, [0], [1, 0, 0, 0], 3)),
+    ("recursion value", pmi, lambda: pmi.t1k_recursive(3, Field(2), 3)),
+    ("moment side", pmi, lambda: pmi.full_moment_identity(3, Field(1), 3)),
+    ("prefix side", pmi, lambda: pmi.full_moment_identity(3, Field(1), 3)),
+    ("moment at", pmi, lambda: pmi.mk_via_identity(3, Field(1), 3)),
+]
+
+
+@pytest.mark.parametrize("name,module,call", EXACT, ids=[g[0] for g in EXACT])
+def test_each_exact_division_raises_naming_its_quantity(
+    cold_cells, monkeypatch, name, module, call
+):
+    exact = cl._exact
+
+    def off_by_one(num, den, what):
+        return exact(num + (name in what), den, what)
+
+    monkeypatch.setattr(module, "_exact", off_by_one)
+    with pytest.raises(ArithmeticError, match=re.escape(name) + ".* is not integral"):
+        call()
 
 
 RANKED = [
@@ -543,6 +612,16 @@ ORDERS = [
 def test_order_formulas_refuse_negative_n(order):
     with pytest.raises(ValueError, match="n=-1"):
         order(-1)
+
+
+@pytest.mark.parametrize(
+    "enumerate_gl,name",
+    [(gl_iter, "n"), (kloosterman_gl_bruteforce, "t")],
+    ids=["gl-iter", "gl-bruteforce"],
+)
+def test_gl_enumerations_refuse_negative_sizes(f2, enumerate_gl, name):
+    with pytest.raises(ValueError, match=f"^need {name} >= 0, got {name}=-1$"):
+        enumerate_gl(f2, -1)
 
 
 def test_gl_order_of_size_zero_is_the_trivial_group():

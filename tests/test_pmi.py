@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,7 @@ def test_stirling_side_matches_the_double_sum(length):
         jcap = min(length, h)
         columns = [pmi.pless_column(length, prefix, t) for t in range(jcap + 1)]
         side = pmi._stirling_side(columns, pmi._onto(h, jcap))
-        assert side == stirling_side_direct(length, prefix, h), h
+        assert Fraction(side, 2**jcap) == stirling_side_direct(length, prefix, h), h
 
 
 def test_pless_nonintegral_side_raises_even_under_optimize():
@@ -92,6 +93,11 @@ def test_pless_rejects_negative_orders(length, dim, dual_weights, prefix, h):
         pless_check(length, dim, dual_weights, prefix, h)
 
 
+def test_pless_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="dim=-1"):
+        pless_check(1, -1, [0], [1, 1], 1)
+
+
 def test_recursion_report_fields(f2):
     report = t1k_recursive(3, f2, 1, compare=True)
     assert report.n == 3 and report.q == 2 and report.h == 1
@@ -125,7 +131,7 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
             assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
             columns = [pmi.pless_column(size, prefix, t) for t in range(tmax + 1)]
             side = pmi._stirling_side(columns, pmi._onto(h, tmax))
-            assert side == stirling_side_direct(size, prefix, h)
+            assert Fraction(side, 2**tmax) == stirling_side_direct(size, prefix, h)
             prefixes.append(prefix)
         d = [a - b for a, b in zip(*prefixes)]
         report = t1k_recursive(n, f, h)
@@ -162,7 +168,7 @@ def test_kept_d_sums_raise_at_every_request_past_a_nonintegral_count(
     # one odd-s dual weight 1 on the length-56 code: q D_1 = 2 K_1(1) = 108, not a multiple of 8
     monkeypatch.setattr(pmi, "_dual_weights", lambda q, hist, odd_only=False: (56, ((1, 1),)))
     for h in (1, 1, 3, 25):
-        with pytest.raises(ArithmeticError, match="not multiples of q=8"):
+        with pytest.raises(ArithmeticError, match="sum at j=1, q=8 is not integral"):
             t1k_recursive(1, f8, h)
     assert pmi._recursion(1, f8).values == []
 
@@ -186,14 +192,14 @@ def test_recursion_reads_neither_the_kloosterman_table_nor_the_closed_dual_weigh
 
 
 def test_a_raising_order_leaves_the_kept_recursion_as_it_was(cold_cells, monkeypatch, f4):
-    integral = pmi._integral
+    exact = pmi._exact
 
-    def broken(value, what):
+    def broken(num, den, what):
         if what.endswith("h=7)"):
             raise ArithmeticError(f"injected at {what}")
-        return integral(value, what)
+        return exact(num, den, what)
 
-    monkeypatch.setattr(pmi, "_integral", broken)
+    monkeypatch.setattr(pmi, "_exact", broken)
     assert t1k_recursive(3, f4, 5).recursive == moments(f4, 5).t1k
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="injected"):
