@@ -93,8 +93,8 @@ def moments(field: Field, h: int) -> Moments:
     units.  The partition mk = t0k + t1k holds by construction and is
     checked, which catches a trace outside {0, 1}.
     """
-    if h < 0:
-        raise ValueError("moment order must be nonnegative")
+    if not isinstance(h, int) or h < 0:
+        raise ValueError(f"moment order must be a nonnegative int, got h={h!r}")
     powers = [(t, n * k**h) for (t, k), n in _kdata(field)[1].items()]
     mk = sum(p for _, p in powers)
     t0k = sum(p for t, p in powers if t == 0)

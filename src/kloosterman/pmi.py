@@ -11,24 +11,26 @@ recursion is written in D_j = C_j - C'_j, the orthogonal cell code's weight
 counts minus the symplectic one's.  The symplectic histogram is the
 orthogonal one shifted by 1, so its transform is (-1)^s F[s]: at odd s it
 turns the dual weight w into N - w, and K_j(N - w) = (-1)^j K_j(w).  Hence
-q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j, read from one
-transform of the orthogonal histogram.  Each cell pair keeps one recursion
-(_recursion): the sums q D_j and the columns q E_t of D computed so far, the
-values T1K^1, T1K^3, ... so far, and one row of t! S(h,t), cut at t <= N,
-that each new order steps twice.  The full-moment identity keeps the
-symplectic sums q C'_j and their columns in the same entry, built at its
-first call.  The other identities build their row from h = 0 (_onto).
+one transform of the orthogonal histogram serves both cells: q C'_j is the
+Krawtchouk sum over the even-s weights w_s and the odd-s weights N - w_s, and
+q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each cell
+pair keeps one recursion (_recursion): the sums q D_j and the columns q E_t of
+D computed so far, the values T1K^1, T1K^3, ... so far, one row of t! S(h,t),
+cut at t <= N, that each new order steps twice, and the symplectic sums q C'_j
+and their columns for the full-moment identity.  The other identities build
+their row from h = 0 (_onto).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from types import SimpleNamespace
 
-from .classical import ORTHOGONAL, SYMPLECTIC, _exact
+from .classical import ORTHOGONAL, _exact
 from .dcsum import CellConstants, _check_odd, cell_constants, closed_histogram
 from .gf2r import Field
 from .ksum import moments
@@ -120,18 +122,19 @@ def _check_recursion_range(n: int, field: Field) -> None:
 
 @cache
 def _recursion(n: int, field: Field) -> SimpleNamespace:
-    """The cell pair's recursion so far.  kernel yields q D_j, twice the
-    Krawtchouk sum over the odd-s dual weights of one transform of the
-    orthogonal histogram at odd j and 0 at even j; sums[j] is q D_j and
-    columns[t] is q E_t of D; values[k] is T1K^(2k+1); onto is the row
-    t! S(h,t), t <= min(h, N), at h = 2 len(values), that the next order
-    steps from.  symplectic keeps the symplectic cell's sums q C'_j and
-    columns the same way for the full-moment identity; the first call of
-    that identity builds it, so the recursion never builds that histogram."""
-    hist = closed_histogram(n, field, ORTHOGONAL)
-    odd = _krawtchouk_sums(*_dual_weights(field.q, hist, odd_only=True))
-    kernel = (2 * total if j % 2 else 0 for j, total in enumerate(odd))
-    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1], symplectic=None)
+    """The cell pair's recursion so far, from one transform of the orthogonal
+    histogram.  kernel yields q D_j, twice the Krawtchouk sum over the odd-s
+    dual weights at odd j and 0 at even j; sums[j] is q D_j and columns[t] is
+    q E_t of D; values[k] is T1K^(2k+1); onto is the row t! S(h,t),
+    t <= min(h, N), at h = 2 len(values), that the next order steps from.
+    symplectic keeps the sums q C'_j and their columns the same way, its
+    kernel over the even-s weights w and the odd-s weights N - w; it takes no
+    step until the full-moment identity asks for one."""
+    length, even, odd = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
+    kernel = (2 * total if j % 2 else 0 for j, total in enumerate(_krawtchouk_sums(length, odd)))
+    reflected = even + Counter({length - w: mult for w, mult in odd.items()})
+    sympl = SimpleNamespace(kernel=_krawtchouk_sums(length, reflected), sums=[], columns=[])
+    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1], symplectic=sympl)
 
 
 def _kept_columns(kept: SimpleNamespace, length: int, q: int, tmax: int) -> tuple[list, list]:
@@ -167,8 +170,8 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     each order no earlier call reached is kept once its value is integral.
     """
     _check_recursion_range(n, field)
-    if h < 1 or h % 2 == 0:
-        raise ValueError(f"the recursion needs odd h >= 1, got h={h}")
+    if not isinstance(h, int) or h < 1 or h % 2 == 0:
+        raise ValueError(f"the recursion needs an odd int h >= 1, got h={h!r}")
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     kept = _recursion(n, field)
@@ -206,16 +209,11 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
 def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, int, int]:
     """The symplectic weight-prefix side of the full-moment identity: numerator, denominator."""
     _check_recursion_range(n, field)
-    if h < 1:
-        raise ValueError(f"need h >= 1, got h={h}")
+    if not isinstance(h, int) or h < 1:
+        raise ValueError(f"need an int h >= 1, got h={h!r}")
     consts = cell_constants(n, field)
-    kept = _recursion(n, field)
-    if kept.symplectic is None:
-        hist = closed_histogram(n, field, SYMPLECTIC)
-        kernel = _krawtchouk_sums(*_dual_weights(field.q, hist))
-        kept.symplectic = SimpleNamespace(kernel=kernel, sums=[], columns=[])
     tmax = min(consts.size, h)
-    _, columns = _kept_columns(kept.symplectic, consts.size, field.q, tmax)
+    _, columns = _kept_columns(_recursion(n, field).symplectic, consts.size, field.q, tmax)
     return consts, field.q * _stirling_side(columns, _onto(h, tmax)), 1 << tmax
 
 

@@ -13,9 +13,10 @@ weight_prefix reads the w_a from the histogram alone, not from the
 Kloosterman closed form, since the moments derived from C_j are checked
 against the Kloosterman table.  One Krawtchouk kernel yields q C_0, q C_1, ...
 one step of the three-term recurrence per dual weight and term, each step
-run only when its term is asked for; weight_prefix runs it once, and the
-moment recursion (pmi) keeps it running across orders on the odd transform
-indices alone.  Nothing here is memoized per cell.
+run only when its term is asked for.  _dual_weights splits the multiset by the
+parity of s: weight_prefix adds the two halves and runs one kernel, and the
+moment recursion (pmi) keeps kernels on the halves running across orders.
+Nothing here is memoized per cell.
 """
 
 from __future__ import annotations
@@ -54,25 +55,20 @@ def dual_kernel(n: int, field: Field) -> set[int]:
 def distinct_dual_count(n: int, field: Field) -> int:
     """Number of distinct dual codewords: q over the kernel size, the number
     of transform entries F[s] equal to N."""
-    _, weights = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
-    return field.q // dict(weights)[0]
+    _, even, odd = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
+    return field.q // (even + odd)[0]
 
 
-def _dual_weights(
-    q: int, hist: dict[int, int], odd_only: bool = False
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(N, sorted (w, multiplicity) pairs) of the multiset {w_a}, from one
-    Walsh-Hadamard transform of the dense histogram; with odd_only, of the
-    weights at odd transform indices s only."""
+def _dual_weights(q: int, hist: dict[int, int]) -> tuple[int, Counter[int], Counter[int]]:
+    """(N, the multiset {w_s} at even s, the multiset at odd s), each counted
+    from one Walsh-Hadamard transform F of the dense histogram, w_s = (N - F[s]) / 2."""
     dense = [0] * q
     for beta, count in hist.items():
         dense[beta] += count
     length = sum(dense)
     spectrum = walsh_hadamard(dense)
-    if odd_only:
-        spectrum = spectrum[1::2]
-    weights = Counter((length - f) // 2 for f in spectrum)
-    return length, tuple(sorted(weights.items()))
+    even, odd = (Counter((length - f) // 2 for f in spectrum[parity::2]) for parity in (0, 1))
+    return length, even, odd
 
 
 def _krawtchouk(length: int, w: int) -> Iterator[int]:
@@ -88,18 +84,18 @@ def _krawtchouk(length: int, w: int) -> Iterator[int]:
         prev, cur = cur, (slope * cur - (length - j + 1) * prev) // (j + 1)
 
 
-def _krawtchouk_sums(length: int, dual_weights: tuple[tuple[int, int], ...]) -> Iterator[int]:
-    """The character sums q C_j = sum over (w, mult) of mult * K_j(w), for j = 0, 1, ..."""
-    mults = [mult for _, mult in dual_weights]
-    series = [_krawtchouk(length, w) for w, _ in dual_weights]
+def _krawtchouk_sums(length: int, dual_weights: Counter[int]) -> Iterator[int]:
+    """The character sums q C_j = sum over w of dual_weights[w] * K_j(w), for j = 0, 1, ..."""
+    mults = list(dual_weights.values())
+    series = [_krawtchouk(length, w) for w in dual_weights]
     while True:
         yield sum(mult * next(values) for mult, values in zip(mults, series))
 
 
 def _divided(q: int, sums: Iterable[int], jmax: int) -> list[int]:
     """The sums at j = 0..jmax, each divided by q through _exact."""
-    if jmax < 0:
-        raise ValueError("jmax must be nonnegative")
+    if not isinstance(jmax, int) or jmax < 0:
+        raise ValueError(f"jmax must be a nonnegative int, got jmax={jmax!r}")
     totals = enumerate(islice(sums, jmax + 1))
     return [_exact(total, q, f"sum at j={j}, q={q}") for j, total in totals]
 
@@ -118,10 +114,15 @@ def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     against the direct moments circular.
     """
     q = field.q
-    bad = [(beta, count) for beta, count in hist.items() if not 0 <= beta < q or count < 0]
+    bad = [
+        (beta, count)
+        for beta, count in hist.items()
+        if not (isinstance(beta, int) and isinstance(count, int) and 0 <= beta < q and count >= 0)
+    ]
     if bad:
-        raise ValueError(f"histogram entries {bad} are not counts >= 0 of elements of GF({q})")
-    return _divided(q, _krawtchouk_sums(*_dual_weights(q, hist)), jmax)
+        raise ValueError(f"histogram entries {bad} are not int counts >= 0 of elements of GF({q})")
+    length, even, odd = _dual_weights(q, hist)
+    return _divided(q, _krawtchouk_sums(length, even + odd), jmax)
 
 
 def weight_prefix_closed(

@@ -118,13 +118,11 @@ def gl_trace_pair_counts(m: int, field: Field) -> list[int]:
 # One-shot forms of the series that `wcode` and `pmi` keep and extend
 
 
-def krawtchouk_prefix(
-    q: int, length: int, dual_weights: tuple[tuple[int, int], ...], jmax: int
-) -> list[int]:
-    """C_j = (1/q) sum over (w, mult) of mult * K_j(w) for j = 0..jmax, each
+def krawtchouk_prefix(q: int, length: int, dual_weights: dict[int, int], jmax: int) -> list[int]:
+    """C_j = (1/q) sum over w of dual_weights[w] * K_j(w) for j = 0..jmax, each
     Krawtchouk row run from j = 0; the division is exact or an ArithmeticError."""
     totals = [0] * (jmax + 1)
-    for w, mult in dual_weights:
+    for w, mult in dual_weights.items():
         prev, cur = 0, 1
         for j in range(jmax + 1):
             totals[j] += mult * cur

@@ -1,9 +1,11 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,16 +120,16 @@ def test_recursion_matches_direct_up_to_h25(n, r_field):
         assert t1k_recursive(n, f, h, compare=True).match, h
 
 
-@pytest.mark.parametrize("n,r", [(1, 3), (1, 5), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,r", [(1, 3), (1, 5), (3, 1), (3, 2), (15, 8)])
 def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
     f = Field(r)
     size = cell_constants(n, f).size
-    for h in ORDERS:
+    for h in ORDERS if size < 1000 else [25, 3, 29]:  # j <= 30 on the 3712-bit code
         tmax = min(size, h)
         prefixes = []
         for family in (ORTHOGONAL, SYMPLECTIC):
-            length, weights = wcode._dual_weights(f.q, closed_histogram(n, f, family))
-            prefix = krawtchouk_prefix(f.q, length, weights, tmax)
+            length, even, odd = wcode._dual_weights(f.q, closed_histogram(n, f, family))
+            prefix = krawtchouk_prefix(f.q, length, even + odd, tmax)
             assert wcode.weight_prefix_closed(n, f, tmax, family) == prefix
             columns = [pmi.pless_column(size, prefix, t) for t in range(tmax + 1)]
             side = pmi._stirling_side(columns, pmi._onto(h, tmax))
@@ -140,6 +142,10 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
         # the kept columns are q E_t of D, however far an earlier order took them
         columns = [pmi.pless_column(size, d, t) for t in range(tmax + 1)]
         assert pmi._recursion(n, f).columns[: tmax + 1] == [f.q * c for c in columns]
+        # the kept symplectic sums, read from the orthogonal transform, are q C'_j
+        lhs, rhs = full_moment_identity(n, f, h)
+        assert lhs == rhs
+        assert pmi._recursion(n, f).symplectic.sums[: tmax + 1] == [f.q * c for c in prefixes[1]]
 
 
 # (3, 4) and cells with n >= 5 or q >= 64; the code lengths all exceed 25
@@ -166,7 +172,7 @@ def test_kept_d_sums_raise_at_every_request_past_a_nonintegral_count(
     cold_cells, monkeypatch, f8
 ):
     # one odd-s dual weight 1 on the length-56 code: q D_1 = 2 K_1(1) = 108, not a multiple of 8
-    monkeypatch.setattr(pmi, "_dual_weights", lambda q, hist, odd_only=False: (56, ((1, 1),)))
+    monkeypatch.setattr(pmi, "_dual_weights", lambda q, hist: (56, Counter(), Counter({1: 1})))
     for h in (1, 1, 3, 25):
         with pytest.raises(ArithmeticError, match="sum at j=1, q=8 is not integral"):
             t1k_recursive(1, f8, h)
@@ -213,16 +219,21 @@ def test_a_raising_order_leaves_the_kept_recursion_as_it_was(cold_cells, monkeyp
 
 
 def test_the_kept_recursion_is_bounded_by_the_code_length(cold_cells, f8):
-    # the code length at (1, 8) is N = 56; the kept row stops at t <= N however high h goes
+    # the code length at (1, 8) is N = 56; the kept row stops at t <= N however high h goes,
+    # and the symplectic side, one kernel per distinct dual weight, stays inside the same bound
     f8.mul(2, 3)
     tracemalloc.start()
     try:
         t1k_recursive(1, f8, 401)
+        for h in range(1, 8):
+            lhs, rhs = full_moment_identity(1, f8, h)
+            assert lhs == rhs, h
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept < 10**6
     assert len(pmi._recursion(1, f8).onto) == cell_constants(1, f8).size + 1 == 57
+    assert len(pmi._recursion(1, f8).symplectic.sums) == 8
 
 
 @pytest.mark.parametrize("n,r", [(1, 3), (1, 6), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2)])
@@ -249,6 +260,26 @@ def test_recursion_range_guards(f2, f4, f8):
         t1k_recursive(1, f8, 2)  # even order is outside the supported range
     with pytest.raises(ValueError):
         t1k_recursive(1, f8, 0)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda f: moments(f, 2.0), "h=2.0"),
+        (lambda f: moments(f, 2.5), "h=2.5"),
+        (lambda f: wcode.weight_prefix(f, {0: 0.5, 1: 0.5}, 1), "(0, 0.5)"),
+        (lambda f: wcode.weight_prefix(f, {1.0: 1}, 1), "(1.0, 1)"),
+        (lambda f: wcode.weight_prefix(f, {0: 1}, 1.0), "jmax=1.0"),
+        (lambda f: t1k_recursive(1, f, 3.0), "h=3.0"),
+        (lambda f: full_moment_identity(1, f, 3.0), "h=3.0"),
+        (lambda f: mk_via_identity(1, f, 2.0), "h=2.0"),
+    ],
+    ids=["moments-float", "moments-fraction", "prefix-count", "prefix-element", "prefix-jmax",
+         "recursion", "full-moment", "mk"],
+)
+def test_non_int_orders_and_counts_fail_by_name(f8, call, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call(f8)
 
 
 def test_full_moment_identity_values(f8):

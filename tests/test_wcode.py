@@ -95,7 +95,7 @@ def test_weight_prefix_rejects_bad_histograms(f8, hist):
         weight_prefix(f8, hist, 3)
 
 
-NONINTEGRAL = (1, ((0, 1), (1, 3)))  # every nonzero a claiming weight 1 on a length-1 code
+NONINTEGRAL = (1, Counter({0: 1, 1: 3}))  # every nonzero a claiming weight 1 on a length-1 code
 
 
 def test_weight_prefix_nonintegral_total_raises():
@@ -110,7 +110,8 @@ def test_weight_prefix_nonintegral_total_raises():
 def test_krawtchouk_sums_match_the_one_shot_prefix(family, n, r, jmax):
     # the code lengths 2, 12 and 56 lie below the largest jmax
     q = 1 << r
-    length, weights = wcode._dual_weights(q, closed_histogram(n, Field(r), family))
+    length, even, odd = wcode._dual_weights(q, closed_histogram(n, Field(r), family))
+    weights = even + odd
     expected = krawtchouk_prefix(q, length, weights, jmax)
     assert wcode._divided(q, wcode._krawtchouk_sums(length, weights), jmax) == expected
 
@@ -132,8 +133,8 @@ def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch
     for h in range(1, 26, 2):
         assert pmi.t1k_recursive(3, f, h, compare=True).match, h
     # one kernel per distinct dual weight at an odd transform index of the orthogonal cell
-    weights = wcode._dual_weights(f.q, closed_histogram(3, f, ORTHOGONAL), odd_only=True)[1]
-    assert steps == [25] * len(weights)
+    odd = wcode._dual_weights(f.q, closed_histogram(3, f, ORTHOGONAL))[2]
+    assert steps == [25] * len(odd)
 
 
 @pytest.mark.parametrize("r", [3, 6, 8])
@@ -142,9 +143,13 @@ def test_recursion_steps_each_dual_weight_once_per_order(cold_cells, monkeypatch
 def test_transform_dual_weights_match_the_per_a_count(family, n, r):
     f = Field(r)
     hist = closed_histogram(n, f, family)
-    length, weights = wcode._dual_weights(f.q, hist)
+    length, even, odd = wcode._dual_weights(f.q, hist)
     assert length == sum(hist.values())
-    assert dict(weights) == Counter(dual_weight_from_histogram(f, hist, a) for a in f.elements())
+    # bit 0 of the transform index s is the functional's value at beta = 1, tr(a)
+    halves = Counter(), Counter()
+    for a in f.elements():
+        halves[f.trace(a)][dual_weight_from_histogram(f, hist, a)] += 1
+    assert (even, odd) == halves
 
 
 def test_weight_prefix_calls_no_field_product_or_trace(monkeypatch):
@@ -177,11 +182,11 @@ def test_recursion_builds_each_cell_histogram_once(cold_cells, monkeypatch):
     # a second field object with the same modulus is the same cell pair
     assert pmi.t1k_recursive(1, Field(5), 27).h == 27
     assert calls == cells
-    # the full-moment identity keeps one symplectic series per cell, at any order
+    # the full-moment identity reads the symplectic cell from the same transform, at any order
     for h in (3, 1, 7):
         lhs, rhs = pmi.full_moment_identity(1, Field(5), h)
         assert lhs == rhs and pmi.mk_via_identity(1, Field(5), h) == moments(Field(5), h).mk
-    assert calls == cells + [(1, 32, SYMPLECTIC)]
+    assert calls == cells
 
 
 def test_bruteforce_respects_length_limit(f8):
