@@ -3,10 +3,6 @@ and symplectic groups over GF(2^r), the binary codes their traces define, and
 the recursive formulas tying code weight data to trace-one power moments."""
 
 from .classical import (
-    DEFAULT_BUDGET,
-    ORTHOGONAL,
-    SYMPLECTIC,
-    BudgetError,
     CosetData,
     GroupOrders,
     coset_transversal,
@@ -18,6 +14,7 @@ from .classical import (
 )
 from .dcsum import CellConstants, cell_constants, closed_histogram, expsum_closed, expsum_dc
 from .gf2r import Field
+from .guards import DEFAULT_BUDGET, ORTHOGONAL, SYMPLECTIC, BudgetError
 from .ksum import kloosterman, kloosterman_gl, kloosterman_gl_bruteforce, ktable, moments
 from .pmi import RecursionReport, full_moment_identity, mk_via_identity, pless_check, stirling2, t1k_recursive
 from .wcode import (

@@ -25,6 +25,9 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .gf2r import Field, walsh_hadamard
+from .guards import (
+    ORTHOGONAL, SYMPLECTIC, _check_budget, _check_cell, _check_family, _check_int, _exact, _show
+)
 from .matfq import (
     Mat,
     _dot,
@@ -36,54 +39,6 @@ from .matfq import (
     transpose,
 )
 
-ORTHOGONAL = "orthogonal"
-SYMPLECTIC = "symplectic"
-FAMILIES = (ORTHOGONAL, SYMPLECTIC)
-
-#: Cap on the number of elements any one enumeration may stream.
-DEFAULT_BUDGET = 10**8
-
-
-class BudgetError(RuntimeError):
-    """An enumeration would stream more elements than DEFAULT_BUDGET."""
-
-
-def _show(x: int) -> str:
-    """x in decimal up to 256 bits, else its bit length: no message trips the int-str limit."""
-    return str(x) if x.bit_length() <= 256 else f"a {x.bit_length()}-bit int"
-
-
-def _check_budget(count: int, what: str) -> None:
-    """Raise BudgetError, before anything is enumerated, if count exceeds DEFAULT_BUDGET."""
-    if count > DEFAULT_BUDGET:
-        raise BudgetError(f"{_show(count)} {what} exceed the enumeration budget {DEFAULT_BUDGET}")
-
-
-def _exact(num: int, den: int, what: str) -> int:
-    """num / den, an int, or ArithmeticError on a remainder (a broken identity or input).
-    The message is built only when raised and gives num by its bit length alone."""
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise ArithmeticError(
-            f"{what} is not integral: a {num.bit_length()}-bit numerator over {_show(den)}"
-        )
-    return quotient
-
-
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-
-
-def _check_cell(n: int, r: int) -> None:
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-
 
 # ----------------------------------------------------------------------------
 # closed-form orders
@@ -91,8 +46,7 @@ def _check_cell(n: int, r: int) -> None:
 
 def gl_order(n: int, q: int) -> int:
     """Order of GL(n,q); GL(0,q) is the trivial group."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
+    _check_int("n", n)
     return math.prod(q**n - q**j for j in range(n))
 
 
@@ -118,17 +72,15 @@ def stabilizer_order(n: int, r: int, q: int) -> int:
 
 
 def transversal_size(n: int, r: int, q: int) -> int:
-    """Number of right cosets of A_r in P."""
-    _check_cell(n, r)
-    return q ** math.comb(r + 1, 2) * q_binom(n, r, q)
+    """Number of right cosets of A_r in P; q_binom checks n and r."""
+    return q_binom(n, r, q) * q ** math.comb(r + 1, 2)
 
 
 def cell_order(n: int, r: int, q: int) -> int:
-    """|P sigma_r P|, identical for the orthogonal and symplectic families."""
-    _check_cell(n, r)
+    """|P sigma_r P|, identical for the orthogonal and symplectic families; q_binom checks n, r."""
     return (
-        q ** (n * n)
-        * q_binom(n, r, q)
+        q_binom(n, r, q)
+        * q ** (n * n)
         * q ** math.comb(r, 2)
         * q**r
         * math.prod(q**j - 1 for j in range(1, n + 1))
@@ -137,7 +89,7 @@ def cell_order(n: int, r: int, q: int) -> int:
 
 def dc_order(n: int, q: int) -> int:
     """|P sigma_(n-1) P| in its separate displayed product form."""
-    _check_rank(n)
+    _check_int("n", n, 1)
     return (
         q ** (n * (3 * n - 1) // 2)
         * q_binom(n, 1, q)
@@ -147,10 +99,7 @@ def dc_order(n: int, q: int) -> int:
 
 def alternating_count(r: int, field: Field) -> int:
     """Number of nonsingular alternating r x r matrices over the field."""
-    if r < 0:
-        raise ValueError("matrix size must be nonnegative")
-    if r == 0:
-        return 1
+    _check_int("r", r)
     if r % 2 == 1:
         return 0
     q, half = field.q, r // 2
@@ -167,8 +116,7 @@ def alternating_count_bruteforce(r: int, field: Field) -> int:
     first row, flattened, with no signs in characteristic 2.  The matchings
     are listed once, as triangle positions, so no matrix is built.
     """
-    if r < 0:
-        raise ValueError("matrix size must be nonnegative")
+    _check_int("r", r)
     triangle = {(i, j): k for k, (i, j) in enumerate(combinations(range(r), 2))}
     total = field.q ** len(triangle)
     _check_budget(total, f"alternating {r} x {r} matrices over GF({field.q})")
@@ -277,7 +225,7 @@ def symplectic_by_form(field: Field, n: int) -> set[Mat]:
     can be checked.  The closed order q^(n^2) prod (q^(2j) - 1) is used only
     to refuse, with BudgetError, a group larger than DEFAULT_BUDGET.
     """
-    _check_rank(n)
+    _check_int("n", n, 1)
     q, dim = field.q, 2 * n
     size = q ** (n * n) * math.prod(q ** (2 * j) - 1 for j in range(1, n + 1))
     _check_budget(size, f"elements of Sp({dim},{q})")
@@ -409,7 +357,7 @@ def enumerate_parabolic(n: int, field: Field, family: str = ORTHOGONAL) -> Itera
     rows, O(q^n + |GL(n,q)|), never O(|P|).
     """
     _check_family(family)
-    _check_rank(n)
+    _check_int("n", n, 1)
     q = field.q
     _check_budget(parabolic_order(n, q), f"elements of P({n},{q})")
     tail = (0,) if family == ORTHOGONAL else ()
@@ -474,8 +422,7 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
     are a transversal, a outermost.  Guards: |A_r| counted in P, the size, and
     no x y^-1 in A_r (evaluated on the entries that must vanish).
     """
-    _check_family(family)
-    _check_cell(n, r)
+    _check_cell(n, r)  # enumerate_parabolic checks n >= 1 and the family
     q, mul = field.q, field.mul
     positions = _conjugate_zero_positions(n, r, family)
     parabolic = tuple(enumerate_parabolic(n, field, family))
@@ -533,7 +480,7 @@ def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONA
 
 def enumerate_group(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
     """Stream the whole group as the disjoint union of its Bruhat cells."""
-    _check_rank(n)
+    _check_int("n", n, 1)
     order = sum(cell_order(n, r, field.q) for r in range(n + 1))
     _check_budget(order, f"elements of the {family} group (n={n}, q={field.q})")
     for r in range(n + 1):
@@ -547,8 +494,7 @@ def enumerate_group(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[
 def gl_recursion(k1: list[int], t: int, q: int) -> list[int]:
     """GL(t,q) Kloosterman sums of nontrivial characters from their GL(1,q) sums W_1 = k1,
     elementwise: W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2), W_0 = 1."""
-    if t < 0:
-        raise ValueError("matrix size must be nonnegative")
+    _check_int("t", t)
     prev, cur = [1] * len(k1), (list(k1) if t else [1] * len(k1))
     for s in range(2, t + 1):
         ratio, carry = q ** (s - 1), q ** (2 * s - 2) * (q ** (s - 1) - 1)

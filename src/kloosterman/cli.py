@@ -18,9 +18,10 @@ import json
 import sys
 import time
 
-from .classical import FAMILIES, ORTHOGONAL, dc_trace_histogram
+from .classical import dc_trace_histogram
 from .dcsum import closed_histogram
 from .gf2r import Field
+from .guards import FAMILIES, ORTHOGONAL, _check_int
 from .ksum import ktable, moments
 from .pmi import t1k_recursive
 from .verify import SUITE_NAMES, run_suite
@@ -158,8 +159,7 @@ def cmd_histogram(args) -> int:
 
 def cmd_tables(args) -> int:
     started = time.perf_counter()
-    if args.hmax < 0:
-        raise ValueError(f"--hmax must be nonnegative, got {args.hmax}")
+    _check_int("--hmax", args.hmax)
     field = _make_field(args.q, args.modulus)
     table = ktable(field)
     moment_rows = [moments(field, h) for h in range(args.hmax + 1)]

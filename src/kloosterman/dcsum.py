@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import ORTHOGONAL, _check_cell, _check_family, _exact, q_binom
+from .classical import q_binom
 from .gf2r import Field
+from .guards import ORTHOGONAL, _check_cell, _check_family, _check_odd, _exact, _require_units
 from .ksum import kloosterman, kloosterman_gl
 
 
@@ -26,11 +27,6 @@ class CellConstants:
     @property
     def size(self) -> int:
         return self.scale * self.cofactor
-
-
-def _check_odd(n: int) -> None:
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"defined for odd n >= 1 only, got n={n}")
 
 
 def cell_constants(n: int, field: Field) -> CellConstants:
@@ -57,8 +53,7 @@ def expsum_closed(n: int, r: int, field: Field, c: int = 1) -> int:
     an odd-exponent product, and the GL(n-r) Kloosterman sum at argument 1.
     """
     _check_cell(n, r)
-    if c == 0:
-        raise ValueError("character index c must be nonzero")
+    _require_units(field, c=c)
     if r % 2 == 1:
         return 0
     q = field.q
@@ -77,9 +72,7 @@ def expsum_dc(n: int, field: Field, c: int = 1) -> int:
     This is the r = n-1 specialization of expsum_closed; both routes are kept
     and their equality is a tested property.
     """
-    _check_odd(n)
-    if c == 0:
-        raise ValueError("character index c must be nonzero")
+    _require_units(field, c=c)
     consts = cell_constants(n, field)
     return field.lam(c) * consts.scale * kloosterman(field, c)
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from itertools import repeat
 
+from .guards import _check_int
+
 # Lowest-weight irreducible polynomial per degree, lexicographically smallest
 # among minimal-weight candidates.  Rabin's test re-verifies each one at
 # construction, so a bad entry fails loudly rather than corrupting results.
@@ -131,7 +133,8 @@ class Field:
     """
 
     def __init__(self, r: int, modulus: int | None = None):
-        if not 1 <= r <= MAX_DEGREE:
+        _check_int("r", r, 1)
+        if r > MAX_DEGREE:
             raise ValueError(f"unsupported extension degree r={r}; need 1 <= r <= {MAX_DEGREE}")
         if modulus is None:
             modulus = MODULI[r]

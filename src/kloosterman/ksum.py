@@ -28,16 +28,10 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .classical import _check_budget, _show, gl_recursion
+from .classical import gl_recursion
 from .gf2r import Field, character_sums
+from .guards import _check_budget, _check_int, _require_units, _show
 from .matfq import gl_iter, mat_inv, mat_trace
-
-
-def _require_units(field: Field, **args: int) -> None:
-    """Raise ValueError unless 0 < value < q for each named argument."""
-    for name, x in args.items():
-        if not 0 < x < field.q:
-            raise ValueError(f"{name}={x} is not a nonzero element of GF({field.q})")
 
 
 def kloosterman(field: Field, a: int, c: int = 1) -> int:
@@ -93,8 +87,7 @@ def moments(field: Field, h: int) -> Moments:
     units.  The partition mk = t0k + t1k holds by construction and is
     checked, which catches a trace outside {0, 1}.
     """
-    if not isinstance(h, int) or h < 0:
-        raise ValueError(f"moment order must be a nonnegative int, got h={h!r}")
+    _check_int("h", h)
     powers = [(t, n * k**h) for (t, k), n in _kdata(field)[1].items()]
     mk = sum(p for _, p in powers)
     t0k = sum(p for t, p in powers if t == 0)
@@ -117,10 +110,7 @@ def kloosterman_gl_bruteforce(field: Field, t: int, c: int = 1) -> dict[int, int
     Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
     """
     _require_units(field, c=c)
-    if t < 0:
-        raise ValueError(f"need t >= 0, got t={t}")
-    if t == 0:
-        return dict.fromkeys(field.units(), 1)
+    _check_int("t", t)
     _check_budget(field.q ** (t * t), f"candidate {t} x {t} matrices over GF({field.q})")
     pairs = Counter((mat_trace(w), mat_trace(mat_inv(field, w))) for w in gl_iter(field, t))
     mul, lam = field.mul, field.lam

@@ -12,6 +12,7 @@ from operator import xor
 from typing import Iterable, Iterator
 
 from .gf2r import Field
+from .guards import _check_int
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -38,10 +39,12 @@ def _dot(mul, row, col) -> int:
 
 def mat_mul(field: Field, a: Mat, b: Mat) -> Mat:
     """Row i of ab is the sum of a_ij b_j over the nonzero a_ij; mul only for a_ij != 1."""
-    if len(a[0]) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a[0])} columns vs {len(b)} rows")
+    if len(set(map(len, b))) > 1:
+        raise ValueError("the right factor's rows differ in length")
     mul, out = field.mul, []
     for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"dimension mismatch: {len(row)} columns vs {len(b)} rows")
         acc = (0,) * len(b[0])
         for x, b_row in zip(row, b):
             if x == 1:
@@ -63,18 +66,18 @@ def row_images(field: Field, rows: Iterable[tuple[int, ...]], m: Mat) -> dict[tu
 
 
 def mat_trace(a: Mat) -> int:
-    if len(a) != len(a[0]):
-        raise ValueError("trace of a non-square matrix")
     t = 0
-    for i in range(len(a)):
-        t ^= a[i][i]
+    for i, row in enumerate(a):
+        if len(row) != len(a):
+            raise ValueError("trace of a non-square matrix")
+        t ^= row[i]
     return t
 
 
 def mat_inv(field: Field, a: Mat) -> Mat:
     """Inverse by Gauss-Jordan elimination; raises SingularMatrixError."""
     n = len(a)
-    if n != len(a[0]):
+    if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
     mul, inv = field.mul, field.inv
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
@@ -99,8 +102,7 @@ def gl_iter(field: Field, n: int) -> Iterator[Mat]:
     """All invertible n x n matrices, in lexicographic order of flattened entries:
     built row by row, each row running in product order over the vectors
     outside the span above it."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
+    _check_int("n", n)
     q, mul = field.q, field.mul
     vectors = list(product(range(q), repeat=n))
 

@@ -1,7 +1,7 @@
 """Power moment identities: Stirling numbers, the Pless identity, and the
 recursion producing trace-one Kloosterman moments from code weight data.
 
-Everything is computed in ints, each result divided once (classical._exact):
+Everything is computed in ints, each result divided once (guards._exact):
 a result that fails to clear its denominator is a hard error, never a
 rounding event.  One kernel, _stirling_side, evaluates the Stirling/binomial
 double sum that every identity here shares, sum over t of t! S(h,t) 2^(-t) E_t
@@ -30,9 +30,9 @@ from functools import cache
 from itertools import islice
 from types import SimpleNamespace
 
-from .classical import ORTHOGONAL, _exact
-from .dcsum import CellConstants, _check_odd, cell_constants, closed_histogram
+from .dcsum import CellConstants, cell_constants, closed_histogram
 from .gf2r import Field
+from .guards import ORTHOGONAL, _check_int, _check_odd, _exact
 from .ksum import moments
 from .wcode import _divided, _dual_weights, _krawtchouk_sums
 
@@ -53,8 +53,8 @@ def _onto(h: int, tmax: int) -> list[int]:
 
 def stirling2(h: int, t: int) -> int:
     """Stirling number of the second kind, t! S(h,t) / t!; S(0,0) = 1."""
-    if h < 0 or t < 0:
-        raise ValueError("Stirling numbers need nonnegative arguments")
+    _check_int("h", h)
+    _check_int("t", t)
     if t > h:
         return 0
     return _exact(_onto(h, t)[t], math.factorial(t), f"S({h},{t})")
@@ -100,8 +100,9 @@ def pless_check(
     up to min(length, h).  Returns (sum of h-th weight powers over B, the
     Stirling/binomial side evaluated from the prefix).
     """
-    if h < 0 or dim < 0:
-        raise ValueError(f"need h >= 0 and dim >= 0, got h={h}, dim={dim}")
+    _check_int("length", length)
+    _check_int("dim", dim)
+    _check_int("h", h)
     jcap = min(length, h)
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")
@@ -170,8 +171,9 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     each order no earlier call reached is kept once its value is integral.
     """
     _check_recursion_range(n, field)
-    if not isinstance(h, int) or h < 1 or h % 2 == 0:
-        raise ValueError(f"the recursion needs an odd int h >= 1, got h={h!r}")
+    _check_int("h", h, 1)
+    if h % 2 == 0:
+        raise ValueError(f"the recursion needs an odd h, got h={h}")
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     kept = _recursion(n, field)
@@ -209,8 +211,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
 def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, int, int]:
     """The symplectic weight-prefix side of the full-moment identity: numerator, denominator."""
     _check_recursion_range(n, field)
-    if not isinstance(h, int) or h < 1:
-        raise ValueError(f"need an int h >= 1, got h={h!r}")
+    _check_int("h", h, 1)
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     _, columns = _kept_columns(_recursion(n, field).symplectic, consts.size, field.q, tmax)

@@ -2,7 +2,7 @@
 
 Each suite is a generator of exact integer checks (no tolerances anywhere),
 one CheckResult per check.  Every brute-force enumeration a suite runs is
-capped at classical.DEFAULT_BUDGET = 10^8 elements; the inputs are fixed and
+capped at guards.DEFAULT_BUDGET = 10^8 elements; the inputs are fixed and
 stay far below it.  `run_suite` alone handles what a suite raises: a budget
 overrun ends that suite with a failing `<suite>-enumeration-budget` entry
 after the checks it has already yielded, and any other exception does the
@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 from . import classical
 from .classical import (
-    ORTHOGONAL,
-    SYMPLECTIC,
-    BudgetError,
     alternating_count,
     alternating_count_bruteforce,
     cell_order,
@@ -37,6 +34,7 @@ from .classical import (
 )
 from .dcsum import cell_constants, closed_histogram, expsum_closed, expsum_dc
 from .gf2r import MAX_DEGREE, Field
+from .guards import ORTHOGONAL, SYMPLECTIC, BudgetError
 from .ksum import (
     kloosterman,
     kloosterman_gl,
@@ -380,7 +378,7 @@ SUITES = {
 def run_suite(name: str) -> list[CheckResult]:
     """Run one suite, or every suite for "all", in order.
 
-    A suite whose enumeration would exceed classical.DEFAULT_BUDGET ends with
+    A suite whose enumeration would exceed guards.DEFAULT_BUDGET ends with
     a failing `<suite>-enumeration-budget` entry after the checks it has
     yielded.  A
     suite that raises anything else ends the same way with a failing

@@ -26,9 +26,10 @@ from collections import Counter
 from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .classical import ORTHOGONAL, _check_budget, _exact, dc_trace_histogram
+from .classical import dc_trace_histogram
 from .dcsum import cell_constants, closed_histogram
 from .gf2r import Field, walsh_hadamard
+from .guards import ORTHOGONAL, _check_budget, _check_int, _exact
 from .ksum import kloosterman
 
 
@@ -94,8 +95,7 @@ def _krawtchouk_sums(length: int, dual_weights: Counter[int]) -> Iterator[int]:
 
 def _divided(q: int, sums: Iterable[int], jmax: int) -> list[int]:
     """The sums at j = 0..jmax, each divided by q through _exact."""
-    if not isinstance(jmax, int) or jmax < 0:
-        raise ValueError(f"jmax must be a nonnegative int, got jmax={jmax!r}")
+    _check_int("jmax", jmax)
     totals = enumerate(islice(sums, jmax + 1))
     return [_exact(total, q, f"sum at j={j}, q={q}") for j, total in totals]
 

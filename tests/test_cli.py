@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kloosterman import classical, verify
-from kloosterman.classical import BudgetError
+from kloosterman import classical, guards, verify
 from kloosterman.cli import main
 from kloosterman.gf2r import Field
+from kloosterman.guards import BudgetError
 from kloosterman.verify import CheckResult
 
 # checks each verify suite runs; `verify all` runs their sum, 256
@@ -135,7 +135,7 @@ def test_iota_multiplicative_check_sees_one_wrong_entry(monkeypatch):
 
 def test_verify_groups_small_budget_keeps_the_partial_report(capsys, monkeypatch):
     # |P(2,4)| = 11520 and the 4^6 alternating 4 x 4 matrices over GF(4) both exceed 1000
-    monkeypatch.setattr(classical, "DEFAULT_BUDGET", 1000)
+    monkeypatch.setattr(guards, "DEFAULT_BUDGET", 1000)
     code, report, _ = run_json(capsys, "verify", "groups")
     assert code == 1
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
@@ -144,7 +144,7 @@ def test_verify_groups_small_budget_keeps_the_partial_report(capsys, monkeypatch
 
 def test_verify_kloosterman_small_budget_keeps_the_partial_report(capsys, monkeypatch):
     # the brute-force GL(2,4) Kloosterman sum walks 4^4 = 256 > 100 matrices
-    monkeypatch.setattr(classical, "DEFAULT_BUDGET", 100)
+    monkeypatch.setattr(guards, "DEFAULT_BUDGET", 100)
     code, report, _ = run_json(capsys, "verify", "kloosterman")
     assert code == 1
     checks = report["results"]["checks"]
@@ -272,7 +272,7 @@ def test_every_subcommand_rejects_huge_field(capsys, argv):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("tables", "--q", "8", "--hmax", "-1"), "--hmax must be nonnegative"),
+        (("tables", "--q", "8", "--hmax", "-1"), "need an int --hmax >= 0, got --hmax=-1"),
         (("histogram", "--n", "1", "--q", "2", "--r-coset", "2"), "need 0 <= r <= n"),
     ],
     ids=["negative-hmax", "r-coset-above-n"],

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from kloosterman.classical import BudgetError
 from kloosterman.gf2r import MODULI, Field
+from kloosterman.guards import BudgetError
 from kloosterman.ksum import (
     _kdata,
     kloosterman,

@@ -70,6 +70,28 @@ def test_mul_dimension_mismatch(f2):
         mat_mul(f2, ((1, 0),), ((1,),))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: mat_inv(f, ((1, 0), (0, 1, 1))),
+        lambda f: mat_mul(f, ((1, 1),), ((1, 0), (1,))),
+        lambda f: mat_mul(f, ((1, 1), (1,)), identity(2)),
+        lambda f: mat_trace(((1, 0), (0,))),
+    ],
+    ids=["inverse", "mul-right-factor", "mul-left-factor", "trace"],
+)
+def test_every_row_length_is_checked(f2, call):
+    with pytest.raises(ValueError):
+        call(f2)
+
+
+def test_the_empty_matrix(f2):
+    assert list(gl_iter(f2, 0)) == [()]
+    assert mat_inv(f2, ()) == ()
+    assert mat_trace(()) == 0
+    assert mat_mul(f2, (), ()) == ()
+
+
 def test_inverse_examples(f2):
     assert mat_inv(f2, identity(3)) == identity(3)
     u = ((1, 1), (0, 1))

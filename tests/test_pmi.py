@@ -13,7 +13,7 @@ import pytest
 
 import kloosterman
 
-from kloosterman import ksum, pmi, wcode
+from kloosterman import classical, dcsum, ksum, matfq, pmi, wcode
 from kloosterman.classical import ORTHOGONAL, SYMPLECTIC
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
@@ -273,9 +273,52 @@ def test_recursion_range_guards(f2, f4, f8):
         (lambda f: t1k_recursive(1, f, 3.0), "h=3.0"),
         (lambda f: full_moment_identity(1, f, 3.0), "h=3.0"),
         (lambda f: mk_via_identity(1, f, 2.0), "h=2.0"),
+        (lambda f: stirling2(3.0, 2), "h=3.0"),
+        (lambda f: stirling2(3, 2.0), "t=2.0"),
+        (lambda f: pless_check(2, 1, [1, 1], [1, 0, 1], 2.0), "h=2.0"),
+        (lambda f: pless_check(-1, 1, [1, 1], [1, 0, 1], 2), "length=-1"),
+        (lambda f: pless_check(2.0, 1, [1, 1], [1, 0, 1], 2), "length=2.0"),
+        (lambda f: pless_check(2, 1.0, [1, 1], [1, 0, 1], 2), "dim=1.0"),
+        (lambda f: t1k_recursive(1.0, f, 1), "n=1.0"),
+        (lambda f: t1k_recursive(1, f, -1), "h=-1"),
+        (lambda f: full_moment_identity(1, f, 0), "h=0"),
+        (lambda f: ksum.kloosterman_gl(Field(3), 2.0, 1), "t=2.0"),
+        (lambda f: ksum.kloosterman_gl_bruteforce(f, 2.0), "t=2.0"),
+        (lambda f: ksum.kloosterman(f, 1.0), "a=1.0"),
+        (lambda f: classical.q_binom(3.0, 1, 2), "n=3.0"),
+        (lambda f: classical.q_binom(3, 1.0, 2), "r=1.0"),
+        (lambda f: classical.stabilizer_order(3, 1.0, 8), "r=1.0"),
+        (lambda f: classical.cell_order(3.0, 1, 8), "n=3.0"),
+        (lambda f: classical.transversal_size(3, 1.0, 8), "r=1.0"),
+        (lambda f: classical.gl_order(2.0, 8), "n=2.0"),
+        (lambda f: classical.gl_recursion([1], 2.0, 8), "t=2.0"),
+        (lambda f: classical.alternating_count(2.0, f), "r=2.0"),
+        (lambda f: classical.alternating_count_bruteforce(2.0, f), "r=2.0"),
+        (lambda f: classical.dc_order(1.0, 8), "n=1.0"),
+        (lambda f: classical.dc_order(0, 8), "n=0"),
+        (lambda f: classical.symplectic_by_form(f, 1.0), "n=1.0"),
+        (lambda f: next(classical.enumerate_parabolic(1.0, f)), "n=1.0"),
+        (lambda f: next(classical.enumerate_group(1.0, f)), "n=1.0"),
+        (lambda f: matfq.gl_iter(f, 2.0), "n=2.0"),
+        (lambda f: wcode.weight_prefix(f, {0: 1}, -1), "jmax=-1"),
+        (lambda f: dcsum.cell_constants(1.0, f), "n=1.0"),
+        (lambda f: dcsum.cell_constants(0, f), "n=0"),
+        (lambda f: dcsum.expsum_closed(1, 1, Field(3), 9), "c=9"),
+        (lambda f: dcsum.expsum_closed(1, 0, f, 1.0), "c=1.0"),
+        (lambda f: dcsum.expsum_dc(1, f, 0), "c=0"),
+        (lambda f: Field(3.0), "r=3.0"),
+        (lambda f: Field(True), "r=True"),
+        (lambda f: Field(0), "r=0"),
     ],
     ids=["moments-float", "moments-fraction", "prefix-count", "prefix-element", "prefix-jmax",
-         "recursion", "full-moment", "mk"],
+         "recursion", "full-moment", "mk", "stirling-h", "stirling-t", "pless-h", "pless-length",
+         "pless-length-float", "pless-dim", "recursion-n", "recursion-negative", "full-moment-zero",
+         "gl-kloosterman", "gl-bruteforce", "kloosterman-a", "q-binom-n", "q-binom-r",
+         "stabilizer", "cell-order", "transversal", "gl-order", "gl-recursion", "alternating",
+         "alternating-bruteforce", "dc-order", "dc-order-zero", "sp-by-form", "parabolic",
+         "group", "gl-iter", "prefix-negative-jmax", "cell-constants", "cell-constants-zero",
+         "expsum-c-outside", "expsum-c-float", "expsum-dc-zero", "field-float", "field-bool",
+         "field-zero"],
 )
 def test_non_int_orders_and_counts_fail_by_name(f8, call, name):
     with pytest.raises(ValueError, match=re.escape(name)):

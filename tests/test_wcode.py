@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 
 from kloosterman import pmi, wcode
-from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.dcsum import cell_constants, closed_histogram
 from kloosterman.gf2r import Field
+from kloosterman.guards import ORTHOGONAL, SYMPLECTIC, BudgetError
 from kloosterman.ksum import moments
 from kloosterman.verify import dual_weight_from_histogram, weight_prefix_dp
 from _oracles import krawtchouk_prefix
