@@ -2,23 +2,23 @@
 """The odd orthogonal and symplectic groups over GF(2^r), their maximal
 parabolic subgroup P, and the double cosets P sigma_r P slicing the group.
 
-Everything is enumerated exactly and cross-checked against the closed order
-formulas: |P|, the coset counts |A_r \\ P|, and the cell sizes.  The trace
-histogram of a cell is the object the code construction downstream consumes.
+The groups are enumerated exactly (classical) and cross-checked against the
+closed counts (dcsum): |P|, the coset counts |A_r \\ P|, and the cell sizes.
+The trace histogram of a cell, counted without enumerating it, is the object
+the code construction downstream consumes.
 """
 
 import time
 
-from kloosterman import Field, group_order_data
+from kloosterman import SYMPLECTIC, Field
 from kloosterman.classical import (
-    SYMPLECTIC,
-    dc_trace_histogram,
     enumerate_double_coset,
     enumerate_parabolic,
     iota,
     sigma_r,
     symplectic_by_form,
 )
+from kloosterman.dcsum import dc_trace_histogram, group_order_data
 from kloosterman.matfq import mat_trace
 
 f2 = Field(1)

@@ -1,4 +1,5 @@
-"""The groups O(2n+1,q) and Sp(2n,q): forms, parabolic subgroups, Bruhat cells.
+"""The groups O(2n+1,q) and Sp(2n,q) as explicit matrices: forms, parabolic
+subgroups, Bruhat cells.
 
 The orthogonal group acts on column vectors of length 2n+1 preserving the
 quadratic form theta(x) = sum x_i x_{n+i} + x_{2n+1}^2; the symplectic group
@@ -7,103 +8,34 @@ upper-triangular elements, and decompose into double cosets P sigma_r P for
 r = 0..n, where sigma_r swaps the first r "plus" coordinates with their
 "minus" partners.
 
-Everything here is exact and deterministic: parabolic elements and coset
-transversals are generated from their parameters in a fixed lexicographic
-order, and trace histograms are counted from P's Levi factor alone.  That
-count enumerates no group: the trace pairs of GL(n-r,q) come from
-gl_recursion, the one GL(t,q) Kloosterman recursion (ksum.kloosterman_gl
-applies it to a single sum), run on Walsh-Hadamard transforms, and it reads
-nothing from ksum.
+This is the one library module that builds matrices (through matfq).  It is
+an oracle for the closed counts in dcsum, which the recursion reads: P and
+the coset transversals are generated from their parameters in a fixed
+lexicographic order and checked against dcsum's orders, and the two
+brute-force counts check alternating_count and ksum.kloosterman_gl.  Every
+enumeration is exact, deterministic and capped by guards.DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .gf2r import Field, walsh_hadamard
+from .dcsum import cell_order, parabolic_order, stabilizer_order, transversal_size
+from .dcsum import dc_trace_histogram  # noqa: F401  bound only because perfbench/ imports it from here
+from .gf2r import Field
 from .guards import (
-    ORTHOGONAL, SYMPLECTIC, _check_budget, _check_cell, _check_family, _check_int, _exact, _show
+    ORTHOGONAL, SYMPLECTIC, _check_budget, _check_cell, _check_family, _check_int, _require_units
 )
-from .matfq import (
-    Mat,
-    _dot,
-    gl_iter,
-    identity,
-    mat_inv,
-    mat_mul,
-    row_images,
-    transpose,
-)
+from .matfq import Mat, _dot, gl_iter, identity, mat_inv, mat_mul, mat_trace, row_images, transpose
 
 
 # ----------------------------------------------------------------------------
-# closed-form orders
-
-
-def gl_order(n: int, q: int) -> int:
-    """Order of GL(n,q); GL(0,q) is the trivial group."""
-    _check_int("n", n)
-    return math.prod(q**n - q**j for j in range(n))
-
-
-def q_binom(n: int, r: int, q: int) -> int:
-    """Gaussian binomial coefficient counting r-dimensional subspaces of F_q^n."""
-    _check_cell(n, r)
-    num = math.prod(q ** (n - j) - 1 for j in range(r))
-    den = math.prod(q ** (r - j) - 1 for j in range(r))
-    return _exact(num, den, "q-binomial")
-
-
-def parabolic_order(n: int, q: int) -> int:
-    """|P(2n+1,q)| = |P'(2n,q)| = q^binom(n+1,2) * |GL(n,q)|."""
-    return q ** math.comb(n + 1, 2) * gl_order(n, q)
-
-
-def stabilizer_order(n: int, r: int, q: int) -> int:
-    """Order of A_r = P intersected with its sigma_r-conjugate."""
-    _check_cell(n, r)
-    # r*(2n-3r-1) is always even; the combined exponent is >= 0 on 0 <= r <= n
-    exponent = math.comb(n + 1, 2) + r * (2 * n - 3 * r - 1) // 2
-    return gl_order(r, q) * gl_order(n - r, q) * q**exponent
-
-
-def transversal_size(n: int, r: int, q: int) -> int:
-    """Number of right cosets of A_r in P; q_binom checks n and r."""
-    return q_binom(n, r, q) * q ** math.comb(r + 1, 2)
-
-
-def cell_order(n: int, r: int, q: int) -> int:
-    """|P sigma_r P|, identical for the orthogonal and symplectic families; q_binom checks n, r."""
-    return (
-        q_binom(n, r, q)
-        * q ** (n * n)
-        * q ** math.comb(r, 2)
-        * q**r
-        * math.prod(q**j - 1 for j in range(1, n + 1))
-    )
-
-
-def dc_order(n: int, q: int) -> int:
-    """|P sigma_(n-1) P| in its separate displayed product form."""
-    _check_int("n", n, 1)
-    return (
-        q ** (n * (3 * n - 1) // 2)
-        * q_binom(n, 1, q)
-        * math.prod(q**j - 1 for j in range(1, n + 1))
-    )
-
-
-def alternating_count(r: int, field: Field) -> int:
-    """Number of nonsingular alternating r x r matrices over the field."""
-    _check_int("r", r)
-    if r % 2 == 1:
-        return 0
-    q, half = field.q, r // 2
-    return q ** (half * (half - 1)) * math.prod(q ** (2 * j - 1) - 1 for j in range(1, half + 1))
+# brute-force counts
 
 
 def alternating_count_bruteforce(r: int, field: Field) -> int:
@@ -148,28 +80,20 @@ def _matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]
             yield ((i, j),) + m
 
 
-@dataclass(frozen=True)
-class GroupOrders:
-    """Exact subgroup and cell orders for one (n, q)."""
+def kloosterman_gl_bruteforce(field: Field, t: int, c: int = 1) -> dict[int, int]:
+    """Direct sums of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w, for every unit a.
 
-    general_linear: int
-    parabolic: int
-    stabilizers: tuple[int, ...]
-    cells: tuple[int, ...]
-
-    @property
-    def group_order(self) -> int:
-        return sum(self.cells)
-
-
-def group_order_data(n: int, field: Field) -> GroupOrders:
-    q = field.q
-    return GroupOrders(
-        general_linear=gl_order(n, q),
-        parabolic=parabolic_order(n, q),
-        stabilizers=tuple(stabilizer_order(n, r, q) for r in range(n + 1)),
-        cells=tuple(cell_order(n, r, q) for r in range(n + 1)),
-    )
+    Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
+    """
+    _require_units(field, c=c)
+    _check_int("t", t)
+    _check_budget(field.q ** (t * t), f"candidate {t} x {t} matrices over GF({field.q})")
+    pairs = Counter((mat_trace(w), mat_trace(mat_inv(field, w))) for w in gl_iter(field, t))
+    mul, lam = field.mul, field.lam
+    return {
+        a: sum(n * lam(mul(c, u ^ mul(a, v))) for (u, v), n in pairs.items())
+        for a in field.units()
+    }
 
 
 # ----------------------------------------------------------------------------
@@ -196,7 +120,8 @@ def jmat(n: int) -> Mat:
 
 
 def is_symplectic(field: Field, w: Mat, n: int) -> bool:
-    if len(w) != 2 * n or len(w[0]) != 2 * n:
+    _check_int("n", n, 1)
+    if len(w) != 2 * n or set(map(len, w)) != {2 * n}:
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix")
     return mat_mul(field, transpose(w), w[n:] + w[:n]) == jmat(n)  # J w swaps w's row halves
 
@@ -270,8 +195,9 @@ def is_orthogonal(field: Field, w: Mat, n: int) -> bool:
     theta(c_j) = theta(e_j) and B(c_j, c_k) = B(e_j, e_k): the last column is e_(2n+1) (forced by
     B and theta(c_(2n+1)) = 1), the top-left 2n x 2n block is symplectic and theta(c_j) = 0, j < 2n.
     """
+    _check_int("n", n, 1)
     dim = 2 * n + 1
-    if len(w) != dim or len(w[0]) != dim:
+    if len(w) != dim or set(map(len, w)) != {dim}:
         raise ValueError(f"expected a {dim} x {dim} matrix")
     if w[dim - 1][dim - 1] != 1 or any(w[i][dim - 1] for i in range(dim - 1)):
         return False
@@ -486,84 +412,3 @@ def enumerate_group(n: int, field: Field, family: str = ORTHOGONAL) -> Iterator[
     for r in range(n + 1):
         yield from enumerate_double_coset(n, r, field, family)
 
-
-# ----------------------------------------------------------------------------
-# trace histograms by the Levi reduction
-
-
-def gl_recursion(k1: list[int], t: int, q: int) -> list[int]:
-    """GL(t,q) Kloosterman sums of nontrivial characters from their GL(1,q) sums W_1 = k1,
-    elementwise: W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2), W_0 = 1."""
-    _check_int("t", t)
-    prev, cur = [1] * len(k1), (list(k1) if t else [1] * len(k1))
-    for s in range(2, t + 1):
-        ratio, carry = q ** (s - 1), q ** (2 * s - 2) * (q ** (s - 1) - 1)
-        prev, cur = cur, [ratio * k * w1 + carry * w2 for k, w1, w2 in zip(k1, cur, prev)]
-    return cur
-
-
-def _trace_pair_counts(m: int, field: Field) -> list[int]:
-    """g_m(gamma) = #{D in GL(m,q) : tr D + tr D^-1 = gamma}, indexed by gamma.
-
-    No group is enumerated.  g_0 counts the empty matrix at gamma = 0 and g_1
-    is counted over x in F_q^*.  From m = 2 on, the Walsh-Hadamard transform
-    W_1 of g_1 holds the Kloosterman sums of every additive character, s = 0
-    giving the trivial one.  gl_recursion, the recursion ksum.kloosterman_gl
-    applies too, maps them to W_m, and W_m(0) = |GL(m,q)|; transforming W_m
-    back gives q g_m, divided by q exactly (_exact).  The expsum checks
-    with n - r >= 2 therefore share gl_recursion with their closed side; the
-    brute-force count in the tests anchors it.  Cost: O(m q + q log q).
-    """
-    q = field.q
-    counts = [0] * q
-    if m == 0:
-        counts[0] = 1
-        return counts
-    for x in field.units():
-        counts[x ^ field.inv(x)] += 1
-    if m == 1:
-        return counts
-    walsh = gl_recursion(walsh_hadamard(counts), m, q)
-    walsh[0] = gl_order(m, q)
-    return [_exact(total, q, "GL trace-pair count") for total in walsh_hadamard(walsh)]
-
-
-def dc_trace_histogram(
-    n: int, r: int, field: Field, family: str = ORTHOGONAL, *, workers: int = 1
-) -> dict[int, int]:
-    """Trace histogram of the double coset P sigma_r P, a dense map beta -> count.
-
-    Counted without enumerating the cell, from two exact facts:
-
-    - Conjugation: Tr(p1 sigma_r p2) = Tr(sigma_r p2 p1), and (p1, p2) -> p2 p1
-      is |A_r|-to-one onto P, so the cell's histogram is |T| times that of
-      Tr(sigma_r p) over p in P, with |T| = |A_r \\ P| = transversal_size.
-    - Uniformity over the unipotent radical: with p = l(a) u(b, h),
-      Tr(sigma_r p) is affine in b (in the orthogonal case its h part is a
-      square), so it is equidistributed over F_q unless a = [[A, 0], [C, D]]
-      with A a nonsingular alternating r x r matrix.  Those a number
-      S * |GL(n-r,q)|, S = alternating_count(r) * q^(r(n-r)), and for them the
-      trace is tr D + tr D^-1, plus 1 from the last diagonal entry in the
-      orthogonal case.
-
-    With U = q^binom(n+1,2) and g_m as in _trace_pair_counts,
-    hist[beta] = |T| (U S g_(n-r)(beta + eps) + (|GL(n,q)| - S |GL(n-r,q)|) U / q),
-    eps = 1 (orthogonal) or 0 (symplectic).  No group is enumerated: g_m comes
-    from the Walsh-domain recursion, never from ksum.  The division by q and
-    the total against cell_order are checked.  workers is accepted and
-    ignored: the count runs in the calling process.
-    """
-    _check_family(family)
-    q = field.q
-    size = cell_order(n, r, q)
-    unipotent = q ** math.comb(n + 1, 2)
-    special = alternating_count(r, field) * q ** (r * (n - r))
-    g = _trace_pair_counts(n - r, field) if special else [0] * q
-    rest = (gl_order(n, q) - special * gl_order(n - r, q)) * unipotent
-    rest = _exact(rest, q, "equidistributed part")
-    cosets, shift = transversal_size(n, r, q), 1 if family == ORTHOGONAL else 0
-    hist = {beta: cosets * (unipotent * special * g[beta ^ shift] + rest) for beta in range(q)}
-    total = sum(hist.values())
-    if total != size:
-        raise ArithmeticError(f"histogram total {_show(total)} != cell size {_show(size)}")
-    return hist

@@ -4,9 +4,10 @@ histograms, and Kloosterman sum tables.
 Reports are deterministic for fixed flags except the wall-time field; every
 integer is serialized as a decimal string so arbitrarily large exact values
 survive the trip through JSON.  A histogram is counted from the Levi factor's
-trace pairs, which enumerates no group; only the `kloosterman` and `groups`
-suites of `verify` enumerate, each set capped at 10^8 elements (a suite over
-the cap reports a failing `<suite>-enumeration-budget` check, and the run goes
+trace pairs (dcsum), which enumerates no group.  Only the `kloosterman` and
+`groups` suites of `verify` enumerate, and only they load the matrix modules
+classical and matfq; each set is capped at 10^8 elements (a suite over the
+cap reports a failing `<suite>-enumeration-budget` check, and the run goes
 on).  Every subcommand accepts q <= 2^16.  Exit status: 0 all verdicts pass, 1
 mismatch or a failing check, 2 usage or range error.
 """
@@ -18,8 +19,7 @@ import json
 import sys
 import time
 
-from .classical import dc_trace_histogram
-from .dcsum import closed_histogram
+from .dcsum import closed_histogram, dc_trace_histogram
 from .gf2r import Field
 from .guards import FAMILIES, ORTHOGONAL, _check_int
 from .ksum import ktable, moments

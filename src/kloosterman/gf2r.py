@@ -138,6 +138,7 @@ class Field:
             raise ValueError(f"unsupported extension degree r={r}; need 1 <= r <= {MAX_DEGREE}")
         if modulus is None:
             modulus = MODULI[r]
+        _check_int("modulus", modulus)
         if not is_irreducible(modulus, r):
             raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {r}")
         self.r = r

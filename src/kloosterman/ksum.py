@@ -17,7 +17,9 @@ and each power moment is read from those counts without tracing anything.
 The sides of the two character identities checked against the table,
 theta_character_sums and twisted_sums, are read for every argument at once
 from gf2r.character_sums (one Walsh-Hadamard transform), which shares no
-code with the convolution.
+code with the convolution.  gl_recursion lifts K to GL(t,q), and dcsum runs
+it on whole transforms; its matrix oracle, kloosterman_gl_bruteforce, is in
+classical, so nothing here builds a matrix.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .classical import gl_recursion
 from .gf2r import Field, character_sums
-from .guards import _check_budget, _check_int, _require_units, _show
-from .matfq import gl_iter, mat_inv, mat_trace
+from .guards import _check_int, _require_units, _show
 
 
 def kloosterman(field: Field, a: int, c: int = 1) -> int:
@@ -98,26 +98,21 @@ def moments(field: Field, h: int) -> Moments:
     return Moments(mk, t0k, t1k)
 
 
+def gl_recursion(k1: list[int], t: int, q: int) -> list[int]:
+    """GL(t,q) Kloosterman sums of nontrivial characters from their GL(1,q) sums W_1 = k1,
+    elementwise: W_t = q^(t-1) W_1 W_(t-1) + q^(2t-2) (q^(t-1) - 1) W_(t-2), W_0 = 1."""
+    _check_int("t", t)
+    prev, cur = [1] * len(k1), (list(k1) if t else [1] * len(k1))
+    for s in range(2, t + 1):
+        ratio, carry = q ** (s - 1), q ** (2 * s - 2) * (q ** (s - 1) - 1)
+        prev, cur = cur, [ratio * k * w1 + carry * w2 for k, w1, w2 in zip(k1, cur, prev)]
+    return cur
+
+
 def kloosterman_gl(field: Field, t: int, a: int, c: int = 1) -> int:
-    """K over GL(t,q) by classical.gl_recursion; t = 0 is 1, t = 1 is K itself."""
+    """K over GL(t,q) by gl_recursion; t = 0 is 1, t = 1 is K itself."""
     _require_units(field, a=a, c=c)
     return gl_recursion([kloosterman(field, a, c) if t else 1], t, field.q)[0]  # W_0 reads no K
-
-
-def kloosterman_gl_bruteforce(field: Field, t: int, c: int = 1) -> dict[int, int]:
-    """Direct sums of lambda(c*(Tr w + a Tr w^-1)) over all invertible t x t w, for every unit a.
-
-    Each w is inverted once; the sums are read from the counts of (Tr w, Tr w^-1).
-    """
-    _require_units(field, c=c)
-    _check_int("t", t)
-    _check_budget(field.q ** (t * t), f"candidate {t} x {t} matrices over GF({field.q})")
-    pairs = Counter((mat_trace(w), mat_trace(mat_inv(field, w))) for w in gl_iter(field, t))
-    mul, lam = field.mul, field.lam
-    return {
-        a: sum(n * lam(mul(c, u ^ mul(a, v))) for (u, v), n in pairs.items())
-        for a in field.units()
-    }
 
 
 def theta_character_sums(field: Field) -> list[int]:

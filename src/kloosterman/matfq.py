@@ -26,6 +26,8 @@ def identity(n: int) -> Mat:
 
 
 def transpose(a: Mat) -> Mat:
+    if len(set(map(len, a))) > 1:  # zip would cut every row to the shortest
+        raise ValueError("cannot transpose rows of differing lengths")
     return tuple(zip(*a))
 
 

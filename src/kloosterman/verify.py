@@ -7,6 +7,8 @@ stay far below it.  `run_suite` alone handles what a suite raises: a budget
 overrun ends that suite with a failing `<suite>-enumeration-budget` entry
 after the checks it has already yielded, and any other exception does the
 same with a failing `<suite>-raised` entry; the remaining suites still run.
+Only the `kloosterman` and `groups` suites enumerate, and they import
+classical and matfq when they run: nothing else here loads matrix code.
 """
 
 from __future__ import annotations
@@ -17,34 +19,13 @@ import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import classical
-from .classical import (
-    alternating_count,
-    alternating_count_bruteforce,
-    cell_order,
-    dc_order,
-    dc_trace_histogram,
-    enumerate_double_coset,
-    enumerate_parabolic,
-    group_order_data,
-    iota,
-    parabolic_order,
-    symplectic_by_form,
-    transversal_size,
+from .dcsum import (
+    alternating_count, cell_constants, cell_order, closed_histogram, dc_order, dc_trace_histogram,
+    expsum_closed, expsum_dc, group_order_data, parabolic_order, q_binom, transversal_size,
 )
-from .dcsum import cell_constants, closed_histogram, expsum_closed, expsum_dc
 from .gf2r import MAX_DEGREE, Field
 from .guards import ORTHOGONAL, SYMPLECTIC, BudgetError
-from .ksum import (
-    kloosterman,
-    kloosterman_gl,
-    kloosterman_gl_bruteforce,
-    ktable,
-    moments,
-    theta_character_sums,
-    twisted_sums,
-)
-from .matfq import mat_trace, row_images
+from .ksum import kloosterman, kloosterman_gl, ktable, moments, theta_character_sums, twisted_sums
 from .pmi import full_moment_identity, mk_via_identity, pless_check, t1k_recursive
 from .wcode import (
     code_bruteforce_wd,
@@ -123,6 +104,8 @@ def suite_field() -> Iterator[CheckResult]:
 
 
 def suite_kloosterman() -> Iterator[CheckResult]:
+    from .classical import kloosterman_gl_bruteforce  # the one check here that builds matrices
+
     yield _check("k-value-q2", 1, kloosterman(Field(1), 1))
     yield _check("k-value-q4", 3, kloosterman(Field(2), 1))
     yield _check("k-value-q8", -5, kloosterman(Field(3), 1))
@@ -155,10 +138,16 @@ def suite_kloosterman() -> Iterator[CheckResult]:
 
 
 def suite_groups() -> Iterator[CheckResult]:
+    from .classical import (
+        alternating_count_bruteforce, coset_transversal, enumerate_double_coset, enumerate_group,
+        enumerate_parabolic, iota, symplectic_by_form,
+    )
+    from .matfq import mat_trace, row_images
+
     f2, f4 = Field(1), Field(2)
     transversals = {}
     for n in (1, 2, 3):  # one P(n,2) per n serves both its count and a transversal
-        data = classical.coset_transversal(n, n - 1, f2, ORTHOGONAL)
+        data = coset_transversal(n, n - 1, f2, ORTHOGONAL)
         count, transversals[n] = len(data.parabolic), len(data.transversal)
         del data  # free P before the next, larger one is built
         yield _check(f"parabolic-count-n{n}-q2", parabolic_order(n, 2), count)
@@ -173,7 +162,7 @@ def suite_groups() -> Iterator[CheckResult]:
     yield _check("sp42-cell-sizes", [48, 288, 384], [len(c) for c in cells])
     union = set().union(*cells)
     yield _check("sp42-bruhat-partition", True, union == sp42 and len(union) == 720)
-    o52 = list(classical.enumerate_group(2, f2, ORTHOGONAL))
+    o52 = list(enumerate_group(2, f2, ORTHOGONAL))
     yield _check("o52-order", 720, len(set(o52)))
     ok = all(mat_trace(w) == mat_trace(iota(f2, w, 2)) ^ 1 for w in o52)
     yield _check("trace-shift-under-iota-o52", True, ok)
@@ -200,7 +189,7 @@ def suite_groups() -> Iterator[CheckResult]:
             )
     orders = group_order_data(2, f2)
     yield _check("gl2-order-q2", 6, orders.general_linear)
-    yield _check("qbinom-3-1-q2", 7, classical.q_binom(3, 1, 2))
+    yield _check("qbinom-3-1-q2", 7, q_binom(3, 1, 2))
     yield _check("bruhat-sum-n2-q2", 720, orders.group_order)
     for n, f in ((1, f2), (3, f2), (1, f4), (1, Field(3)), (1, Field(4)), (3, f4)):
         consts = cell_constants(n, f)

@@ -26,8 +26,7 @@ from collections import Counter
 from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .classical import dc_trace_histogram
-from .dcsum import cell_constants, closed_histogram
+from .dcsum import cell_constants, closed_histogram, dc_trace_histogram
 from .gf2r import Field, walsh_hadamard
 from .guards import ORTHOGONAL, _check_budget, _check_int, _exact
 from .ksum import kloosterman

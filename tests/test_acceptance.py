@@ -7,9 +7,9 @@ what no suite checks."""
 
 from collections import Counter
 
-from kloosterman.classical import ORTHOGONAL, SYMPLECTIC, dc_trace_histogram
-from kloosterman.dcsum import cell_constants, closed_histogram, expsum_dc
+from kloosterman.dcsum import cell_constants, closed_histogram, dc_trace_histogram, expsum_dc
 from kloosterman.gf2r import Field
+from kloosterman.guards import ORTHOGONAL, SYMPLECTIC
 from kloosterman.ksum import ktable, moments
 from kloosterman.pmi import full_moment_identity, mk_via_identity, t1k_recursive
 from kloosterman.verify import _hist_expsum

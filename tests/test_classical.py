@@ -14,31 +14,32 @@ import pytest
 from kloosterman import classical as cl
 from kloosterman import dcsum, guards, ksum, pmi, wcode
 from kloosterman.classical import (
-    ORTHOGONAL,
-    SYMPLECTIC,
-    alternating_count,
     alternating_count_bruteforce,
-    cell_order,
     coset_transversal,
-    dc_trace_histogram,
     enumerate_double_coset,
     enumerate_group,
     enumerate_parabolic,
-    group_order_data,
     iota,
     is_orthogonal,
     is_symplectic,
     jmat,
-    parabolic_order,
+    kloosterman_gl_bruteforce,
     sigma_r,
     symplectic_by_form,
     theta_form,
+)
+from kloosterman.dcsum import (
+    alternating_count,
+    cell_order,
+    closed_histogram,
+    dc_trace_histogram,
+    group_order_data,
+    parabolic_order,
     transversal_size,
 )
-from kloosterman.dcsum import closed_histogram
 from kloosterman.gf2r import Field
-from kloosterman.guards import BudgetError
-from kloosterman.ksum import kloosterman_gl_bruteforce, moments
+from kloosterman.guards import ORTHOGONAL, SYMPLECTIC, BudgetError
+from kloosterman.ksum import moments
 from kloosterman.matfq import SingularMatrixError, gl_iter, identity, mat_inv, mat_mul, mat_trace
 from kloosterman.pmi import pless_check
 from kloosterman.wcode import code_bruteforce_wd, delsarte_check
@@ -78,8 +79,9 @@ def test_symplectic_examples(f2):
     assert is_symplectic(f2, jmat(1), 1)
     assert is_symplectic(f2, ((1, 1), (0, 1)), 1)
     assert not is_symplectic(f2, ((1, 1), (1, 1)), 1)
-    with pytest.raises(ValueError):
-        is_symplectic(f2, identity(3), 1)
+    for w, n in ((identity(3), 1), (((1, 0), (0,)), 1), ((), 0)):
+        with pytest.raises(ValueError):  # every row is checked, and n >= 1
+            is_symplectic(f2, w, n)
 
 
 def test_orthogonal_examples(f2, f4):
@@ -89,6 +91,9 @@ def test_orthogonal_examples(f2, f4):
         assert is_orthogonal(f, sigma_r(2, 2), 2)
     bad = tuple(tuple(1 if j == 0 else 0 for j in range(3)) for _ in range(3))
     assert not is_orthogonal(f2, bad, 1)  # last column is not e3
+    for w, n in ((((1, 0, 0), (0, 1, 0), (0, 0)), 1), (((1,),), 0)):
+        with pytest.raises(ValueError):  # every row is checked, and n >= 1
+            is_orthogonal(f2, w, n)
 
 
 def test_orthogonal_iff_theta_preserving_exhaustive_n1(f2, f4):
@@ -266,7 +271,7 @@ def _broken_moment_split(monkeypatch):
 
 def _broken_histogram_total(monkeypatch):
     # the cell at (130, 0, GF(2)) has more than 2^16900 elements
-    monkeypatch.setattr(cl, "cell_order", lambda n, r, q: 0)
+    monkeypatch.setattr(dcsum, "cell_order", lambda n, r, q: 0)
     dc_trace_histogram(130, 0, Field(1))
 
 
@@ -291,9 +296,9 @@ def test_guards_raise_their_own_error_at_any_size(monkeypatch, call, error):
 
 # each exact division, by the quantity it names: (name, module, a call that reaches it)
 EXACT = [
-    ("q-binomial", cl, lambda: cl.q_binom(4, 2, 2)),
-    ("GL trace-pair count", cl, lambda: cl._trace_pair_counts(2, Field(1))),
-    ("equidistributed part", cl, lambda: dc_trace_histogram(3, 1, Field(1))),
+    ("q-binomial", dcsum, lambda: dcsum.q_binom(4, 2, 2)),
+    ("GL trace-pair count", dcsum, lambda: dcsum._trace_pair_counts(2, Field(1))),
+    ("equidistributed part", dcsum, lambda: dc_trace_histogram(3, 1, Field(1))),
     ("cell size", dcsum, lambda: closed_histogram(3, Field(1))),
     ("cell scale", dcsum, lambda: closed_histogram(3, Field(1))),
     ("dual weight", wcode, lambda: wcode.dual_weight(1, Field(3), 1)),
@@ -312,7 +317,7 @@ EXACT = [
 def test_each_exact_division_raises_naming_its_quantity(
     cold_cells, monkeypatch, name, module, call
 ):
-    exact = cl._exact
+    exact = guards._exact
 
     def off_by_one(num, den, what):
         return exact(num + (name in what), den, what)
@@ -358,7 +363,7 @@ def test_transversal_sizes(n, r, r_field, expected):
     for family in (ORTHOGONAL, SYMPLECTIC):
         data = coset_transversal(n, r, f, family)
         assert len(data.transversal) == expected == transversal_size(n, r, f.q)
-        assert data.stabilizer_order == cl.stabilizer_order(n, r, f.q)
+        assert data.stabilizer_order == dcsum.stabilizer_order(n, r, f.q)
         assert len(data.parabolic) * len(data.transversal) == cell_order(n, r, f.q)
 
 
@@ -531,25 +536,44 @@ def test_histogram_matches_streamed_cells(n, q, family):
 
 
 def test_histogram_uses_no_enumeration_and_no_kloosterman_sums(f4, monkeypatch):
-    # the checks against expsum_closed and the moments would be circular otherwise
-    from kloosterman import ksum
-
+    # the checks against expsum_closed and the moments would be circular otherwise;
+    # that no group is enumerated is test_counting_loads_no_matrix_code's part
     def forbidden(*args, **kwargs):
         raise AssertionError("dc_trace_histogram must not call this")
 
-    for name in ("enumerate_parabolic", "coset_transversal", "gl_iter", "mat_inv"):
-        monkeypatch.setattr(cl, name, forbidden)
-    for name in ("ktable", "kloosterman", "kloosterman_gl"):
-        monkeypatch.setattr(ksum, name, forbidden)
+    for name in ("kloosterman", "kloosterman_gl"):
+        monkeypatch.setattr(dcsum, name, forbidden)
+    monkeypatch.setattr(ksum, "_kdata", forbidden)  # every K value is read from it
     for family in (ORTHOGONAL, SYMPLECTIC):
         for r in range(3):
             assert sum(dc_trace_histogram(2, r, f4, family).values()) == cell_order(2, r, 4)
 
 
+def test_counting_loads_no_matrix_code():
+    # the package, the recursion and every command but verify run on closed counts alone
+    src = str(Path(cl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import kloosterman, kloosterman.pmi, kloosterman.wcode\n"
+        "from kloosterman.cli import main\n"
+        "runs = [['recursion', '--n', '3', '--q', '4', '--h', '3', '--compare'],\n"
+        "        ['histogram', '--n', '3', '--q', '2', '--r-coset', '1', '--jmax', '4'],\n"
+        "        ['tables', '--q', '8', '--hmax', '3']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, [m for m in ('kloosterman.matfq', 'kloosterman.classical') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout == "[0, 0, 0] []\n", proc.stderr
+
+
 @pytest.mark.parametrize("m,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (2, 8), (2, 16), (3, 4)])
 def test_trace_pair_counts_match_gl_enumeration(m, q):
     f = Field(q.bit_length() - 1)
-    assert cl._trace_pair_counts(m, f) == gl_trace_pair_counts(m, f)
+    assert dcsum._trace_pair_counts(m, f) == gl_trace_pair_counts(m, f)
 
 
 def test_symplectic_histograms_match_orthogonal_sizes(f2, f4):
@@ -602,7 +626,7 @@ def test_alternating_count_by_inversion(q, expected):
 
 
 ORDERS = [
-    ("gl", lambda n: cl.gl_order(n, 2)),
+    ("gl", lambda n: dcsum.gl_order(n, 2)),
     ("parabolic", lambda n: parabolic_order(n, 2)),
     ("group-order-data", lambda n: group_order_data(n, Field(1))),
 ]
@@ -625,12 +649,12 @@ def test_gl_enumerations_refuse_negative_sizes(f2, enumerate_gl, name):
 
 
 def test_gl_order_of_size_zero_is_the_trivial_group():
-    assert cl.gl_order(0, 2) == cl.gl_order(0, 4) == 1
+    assert dcsum.gl_order(0, 2) == dcsum.gl_order(0, 4) == 1
 
 
 def test_dc_order_names_the_n_it_was_given():
     with pytest.raises(ValueError, match=r"^need an int n >= 1, got n=0$"):
-        cl.dc_order(0, 2)
+        dcsum.dc_order(0, 2)
 
 
 def test_group_order_data(f2):

@@ -109,7 +109,7 @@ def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
         seen.append((field.q, n))
         raise BudgetError("720 elements of Sp(4,2) exceed the enumeration budget")
 
-    monkeypatch.setattr(verify, "symplectic_by_form", search)
+    monkeypatch.setattr(classical, "symplectic_by_form", search)
     code, report, _ = run_json(capsys, "verify", "groups")
     assert code == 1 and seen == [(2, 2)]
     failed = [c["name"] for c in report["results"]["checks"] if c["verdict"] == "fail"]
@@ -119,7 +119,7 @@ def test_verify_groups_bounds_the_sp42_search(capsys, monkeypatch):
 def test_iota_multiplicative_check_sees_one_wrong_entry(monkeypatch):
     # iota altered on one element v of P(2,2): v w and iota(v) iota(w) then
     # disagree for every w but the identity, so the check must fail
-    true_iota, target = verify.iota, next(classical.enumerate_parabolic(2, Field(1)))
+    true_iota, target = classical.iota, next(classical.enumerate_parabolic(2, Field(1)))
 
     def flipped(field, w, n):
         image = true_iota(field, w, n)
@@ -127,7 +127,7 @@ def test_iota_multiplicative_check_sees_one_wrong_entry(monkeypatch):
             return image
         return ((image[0][0] ^ 1,) + image[0][1:],) + image[1:]
 
-    monkeypatch.setattr(verify, "iota", flipped)
+    monkeypatch.setattr(classical, "iota", flipped)
     checks = {c.name: c.ok for c in verify.run_suite("groups")}
     assert checks["iota-multiplicative-p5"] is False
     assert "cell-size-three-ways-n3-q4" in checks  # the suite still ran to the end

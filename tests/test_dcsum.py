@@ -1,15 +1,17 @@
 import pytest
 
-from kloosterman.classical import (
-    ORTHOGONAL,
-    SYMPLECTIC,
+from kloosterman.classical import enumerate_parabolic
+from kloosterman.dcsum import (
+    cell_constants,
     cell_order,
+    closed_histogram,
     dc_order,
     dc_trace_histogram,
-    enumerate_parabolic,
+    expsum_closed,
+    expsum_dc,
 )
-from kloosterman.dcsum import cell_constants, closed_histogram, expsum_closed, expsum_dc
 from kloosterman.gf2r import Field
+from kloosterman.guards import ORTHOGONAL, SYMPLECTIC
 from kloosterman.matfq import mat_trace
 from kloosterman.verify import _hist_expsum
 

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
+from kloosterman.classical import kloosterman_gl_bruteforce
 from kloosterman.gf2r import MODULI, Field
 from kloosterman.guards import BudgetError
 from kloosterman.ksum import (
     _kdata,
     kloosterman,
     kloosterman_gl,
-    kloosterman_gl_bruteforce,
     ktable,
     moments,
     theta_character_sums,

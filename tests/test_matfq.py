@@ -14,7 +14,7 @@ from kloosterman.matfq import (
     mat_trace,
     transpose,
 )
-from kloosterman.classical import gl_order
+from kloosterman.dcsum import gl_order
 
 from _oracles import all_matrices, mulmod
 
@@ -77,8 +77,9 @@ def test_mul_dimension_mismatch(f2):
         lambda f: mat_mul(f, ((1, 1),), ((1, 0), (1,))),
         lambda f: mat_mul(f, ((1, 1), (1,)), identity(2)),
         lambda f: mat_trace(((1, 0), (0,))),
+        lambda f: transpose(((1, 0), (1,))),
     ],
-    ids=["inverse", "mul-right-factor", "mul-left-factor", "trace"],
+    ids=["inverse", "mul-right-factor", "mul-left-factor", "trace", "transpose"],
 )
 def test_every_row_length_is_checked(f2, call):
     with pytest.raises(ValueError):

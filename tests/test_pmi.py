@@ -283,19 +283,19 @@ def test_recursion_range_guards(f2, f4, f8):
         (lambda f: t1k_recursive(1, f, -1), "h=-1"),
         (lambda f: full_moment_identity(1, f, 0), "h=0"),
         (lambda f: ksum.kloosterman_gl(Field(3), 2.0, 1), "t=2.0"),
-        (lambda f: ksum.kloosterman_gl_bruteforce(f, 2.0), "t=2.0"),
+        (lambda f: classical.kloosterman_gl_bruteforce(f, 2.0), "t=2.0"),
         (lambda f: ksum.kloosterman(f, 1.0), "a=1.0"),
-        (lambda f: classical.q_binom(3.0, 1, 2), "n=3.0"),
-        (lambda f: classical.q_binom(3, 1.0, 2), "r=1.0"),
-        (lambda f: classical.stabilizer_order(3, 1.0, 8), "r=1.0"),
-        (lambda f: classical.cell_order(3.0, 1, 8), "n=3.0"),
-        (lambda f: classical.transversal_size(3, 1.0, 8), "r=1.0"),
-        (lambda f: classical.gl_order(2.0, 8), "n=2.0"),
-        (lambda f: classical.gl_recursion([1], 2.0, 8), "t=2.0"),
-        (lambda f: classical.alternating_count(2.0, f), "r=2.0"),
+        (lambda f: dcsum.q_binom(3.0, 1, 2), "n=3.0"),
+        (lambda f: dcsum.q_binom(3, 1.0, 2), "r=1.0"),
+        (lambda f: dcsum.stabilizer_order(3, 1.0, 8), "r=1.0"),
+        (lambda f: dcsum.cell_order(3.0, 1, 8), "n=3.0"),
+        (lambda f: dcsum.transversal_size(3, 1.0, 8), "r=1.0"),
+        (lambda f: dcsum.gl_order(2.0, 8), "n=2.0"),
+        (lambda f: ksum.gl_recursion([1], 2.0, 8), "t=2.0"),
+        (lambda f: dcsum.alternating_count(2.0, f), "r=2.0"),
         (lambda f: classical.alternating_count_bruteforce(2.0, f), "r=2.0"),
-        (lambda f: classical.dc_order(1.0, 8), "n=1.0"),
-        (lambda f: classical.dc_order(0, 8), "n=0"),
+        (lambda f: dcsum.dc_order(1.0, 8), "n=1.0"),
+        (lambda f: dcsum.dc_order(0, 8), "n=0"),
         (lambda f: classical.symplectic_by_form(f, 1.0), "n=1.0"),
         (lambda f: next(classical.enumerate_parabolic(1.0, f)), "n=1.0"),
         (lambda f: next(classical.enumerate_group(1.0, f)), "n=1.0"),
@@ -309,6 +309,8 @@ def test_recursion_range_guards(f2, f4, f8):
         (lambda f: Field(3.0), "r=3.0"),
         (lambda f: Field(True), "r=True"),
         (lambda f: Field(0), "r=0"),
+        (lambda f: Field(3, 11.0), "modulus=11.0"),
+        (lambda f: Field(3, True), "modulus=True"),
     ],
     ids=["moments-float", "moments-fraction", "prefix-count", "prefix-element", "prefix-jmax",
          "recursion", "full-moment", "mk", "stirling-h", "stirling-t", "pless-h", "pless-length",
@@ -318,7 +320,7 @@ def test_recursion_range_guards(f2, f4, f8):
          "alternating-bruteforce", "dc-order", "dc-order-zero", "sp-by-form", "parabolic",
          "group", "gl-iter", "prefix-negative-jmax", "cell-constants", "cell-constants-zero",
          "expsum-c-outside", "expsum-c-float", "expsum-dc-zero", "field-float", "field-bool",
-         "field-zero"],
+         "field-zero", "modulus-float", "modulus-bool"],
 )
 def test_non_int_orders_and_counts_fail_by_name(f8, call, name):
     with pytest.raises(ValueError, match=re.escape(name)):
