@@ -11,10 +11,14 @@ discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
 x & mask, where bit i of the mask is tr(x^i), read off the modulus by
 Newton's identities.  The log/antilog tables take O(q) memory and are built
-on first use, so constructing a Field costs nothing in q.  walsh_hadamard turns
-a function on the additive group into its sums against every additive
-character, in O(q log q) additions, and character_sums reads those sums off
-by the multiplier c of lambda(c x).
+on first use, so constructing a Field costs nothing in q.  They are filled
+by stepping x -> x g through the q - 1 powers, two lookups a step: x g is
+F_2-linear in x, so it is the xor of two tables of about sqrt(q) entries,
+one on the low and one on the high half of x's bits, each doubled out of
+the images of its r/2 basis elements x^i under shift-and-add.
+walsh_hadamard turns a function on the additive group into its sums against
+every additive character, in O(q log q) additions, and character_sums reads
+those sums off by the multiplier c of lambda(c x).
 """
 
 from __future__ import annotations
@@ -190,13 +194,24 @@ class Field:
         g = next(
             c for c in range(1, q) if all(self._pow_raw(c, order // p) != 1 for p in primes)
         )
+        # x -> x g is F_2-linear, so x g = low[x & mask] ^ high[x >> half]: each half
+        # table doubles out of the images of its basis elements x^i
+        half = (self.r + 1) // 2
+        low, high = [0], [0]
+        for i in range(self.r):
+            image = _mul_raw(1 << i, g, self.modulus)
+            table = low if i < half else high
+            table += [y ^ image for y in table]
+        mask = (1 << half) - 1
         powers = [0] * order
         log = [2 * order] * q  # entry 0: the start of the zero block
         x = 1
         for k in range(order):
             powers[k] = x
             log[x] = k
-            x = _mul_raw(x, g, self.modulus)  # g is small, so this loop is short
+            x = low[x & mask] ^ high[x >> half]
+        if x != 1:
+            raise ArithmeticError(f"g^{order} = {x:#x}, not 1, modulo {self.modulus:#x}")
         powers.extend(powers)  # extended in place: no temporary copies of the O(q) table
         powers.extend(repeat(0, 2 * q - 1))
         self._log = log

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from kloosterman import gf2r
 from kloosterman.gf2r import (
     MAX_DEGREE,
     MODULI,
@@ -178,6 +179,27 @@ def test_field_matches_independent_arithmetic(m):
         assert f.pow(a, -2) == f.inv(mulmod(a, a, m))
     assert (f.pow(0, 0), f.pow(0, 5)) == (1, 0)
     assert f.powers()[0] == 1 and sorted(f.powers()) == list(f.units())
+
+
+@pytest.mark.parametrize("r,g", [(1, 1), (2, 2), (9, 7), (12, 3), (14, 7), (16, 3), (17, 2)])
+def test_power_cycle_matches_independent_arithmetic(r, g):
+    # g is the smallest generator; the default moduli at r = 9, 12, 14 and 16 are not
+    # primitive, so there the tables step by a g other than x
+    f, m = Field(r), MODULI[r]
+    cycle = f.powers() + [1]
+    assert cycle[1] == g
+    assert all(cycle[k + 1] == mulmod(x, g, m) for k, x in enumerate(cycle[:-1]))
+    assert sorted(f.powers()) == list(f.units())
+    assert all(f._log[x] == k for k, x in enumerate(f.powers()))
+
+
+def test_power_cycle_that_misses_one_is_refused(monkeypatch):
+    # a wrong image of x^3 under x -> 2x leaves the generator search in GF(16) untouched
+    # (it never multiplies x^3 by 2) but makes the half table's map singular
+    real = gf2r._mul_raw
+    monkeypatch.setattr(gf2r, "_mul_raw", lambda a, b, m: real(a, b, m) ^ (a == 8 and b == 2))
+    with pytest.raises(ArithmeticError, match="not 1"):
+        Field(4)._build_tables()
 
 
 def test_tables_are_built_on_first_use_and_linear_in_q():

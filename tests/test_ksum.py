@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -136,6 +137,24 @@ def test_trace_value_pairs_fit_the_weil_bound():
     pairs = _kdata(f)[1]
     assert pairs == Counter((f.trace(a), k) for a, k in ktable(f).items())
     assert len(pairs) <= 2 * (math.isqrt(f.q) + 1)
+
+
+def test_kept_tables_stay_bounded_across_fields():
+    # the memo keeps the 16 fields used last, each with its log tables; 32 more add nothing
+    moduli = irreducibles(10)[:48]
+    _kdata.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in moduli[:16]:
+            ktable(Field(10, m))
+        filled = tracemalloc.get_traced_memory()[0]
+        for m in moduli[16:]:
+            ktable(Field(10, m))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _kdata.cache_clear()
+    assert after <= 1.1 * filled
 
 
 def test_moments_trace_nothing_once_the_table_is_built(monkeypatch):
