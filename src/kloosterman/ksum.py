@@ -1,25 +1,25 @@
 """Kloosterman sums, their GL(t,q) relatives, and trace-split power moments.
 
 All values are exact ints.  K(lambda; a) is tabulated once per field and
-cached in-process for the 16 fields used last; nothing here approximates.
-The table is one cyclic convolution: lambda is additive, so with a = g^k for
-the field's generator g, K(g^k) = sum_i lambda(g^i) lambda(g^(k-i)) over
-i mod q-1.  Writing lambda(g^j) = 1 - 2 b_j with b_j = tr(g^j), this is
-K(g^k) = 4 C_k - q - 1, where C_k = sum_i b_i b_(k-i) is the cyclic
-self-convolution of the 0/1 sequence b.  C is computed exactly as one
-big-integer square (Kronecker substitution: one fixed-width slot per b_j,
-wide enough that no coefficient carries).  A twisted character needs no sum
-of its own: substituting y = c*x shows that K(lambda; c, a), the sum of
-lambda(c*(x + a/x)), equals K(lambda; c^2 * a).  While the table is built,
-the pairs (tr a, K(a)) over the units are counted from the same trace bits
-b_j.  For q >= 4 every K is 3 mod 4 with |K| <= 2 sqrt(q), so there are at
-most 2(isqrt(q) + 1) pairs, and each power moment is read from those counts
-without tracing anything.  The sides of the two character identities checked
-against the table, theta_character_sums and twisted_sums, are read for every
-argument at once from gf2r.character_sums (one Walsh-Hadamard transform),
-which shares no code with the convolution.  gl_recursion lifts K to GL(t,q),
-and dcsum runs it on whole transforms; its matrix oracle,
-kloosterman_gl_bruteforce, is in classical, so nothing here builds a matrix.
+cached for the last 16 fields; nothing approximates.  The table is one cyclic
+convolution: lambda is additive, so with a = g^k for the field's generator g,
+K(g^k) = sum_i lambda(g^i) lambda(g^(k-i)) over i mod q-1.  Writing
+lambda(g^j) = 1 - 2 b_j with b_j = tr(g^j), this is K(g^k) = 4 C_k - q - 1,
+where C_k = sum_i b_i b_(k-i) is the cyclic self-convolution of the 0/1
+sequence b.  C is computed exactly as one big-integer square (Kronecker
+substitution: one fixed-width slot per b_j, wide enough that no coefficient
+carries).  A twisted character needs no sum of its own: substituting y = c*x
+shows that K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals
+K(lambda; c^2 * a).  While the table is built, the pairs (tr a, K(a)) over
+the units are counted from the same trace bits b_j.  For q >= 4 every K is
+3 mod 4 with |K| <= 2 sqrt(q), so there are at most 2(isqrt(q) + 1) pairs,
+and each power moment is read from those counts without tracing anything.
+The sides of the two character identities checked against the table,
+theta_character_sums and twisted_sums, are read for every argument at once
+from gf2r.character_sums (one Walsh-Hadamard transform), which shares no
+code with the convolution.  gl_recursion lifts K to GL(t,q), and dcsum runs
+it on whole transforms; its matrix oracle, kloosterman_gl_bruteforce, is in
+classical, so nothing here builds a matrix.
 """
 
 from __future__ import annotations
