@@ -8,12 +8,16 @@ lambda(g^j) = 1 - 2 b_j with b_j = tr(g^j), this is K(g^k) = 4 C_k - q - 1,
 where C_k = sum_i b_i b_(k-i) is the cyclic self-convolution of the 0/1
 sequence b.  C is computed exactly as one big-integer square (Kronecker
 substitution: one fixed-width slot per b_j, wide enough that no coefficient
-carries).  A twisted character needs no sum of its own: substituting y = c*x
-shows that K(lambda; c, a), the sum of lambda(c*(x + a/x)), equals
-K(lambda; c^2 * a).  While the table is built, the pairs (tr a, K(a)) over
-the units are counted from the same trace bits b_j.  For q >= 4 every K is
-3 mod 4 with |K| <= 2 sqrt(q), so there are at most 2(isqrt(q) + 1) pairs,
-and each power moment is read from those counts without tracing anything.
+carries), folded mod q - 1 by one big-int addition.  A twisted character
+needs no sum of its own: substituting y = c*x shows that K(lambda; c, a), the
+sum of lambda(c*(x + a/x)), equals K(lambda; c^2 * a).  While the table is
+built, the pairs (tr a, K(a)) over the units are counted from the same trace
+bits b_j.  For q >= 4 every K is 3 mod 4 with |K| <= 2 sqrt(q), so there are
+at most 2(isqrt(q) + 1) pairs, and each power moment is read from those
+counts without tracing anything.  The build makes whole-array passes: b is
+gathered at the powers g^j from a q-byte table of tr, doubled out of the r
+basis traces; C is counted apart on b_j = 0 and on b_j = 1, and K = 4C - q - 1
+taken once per distinct C; only the scatter of K to index a is a Python loop.
 The sides of the two character identities checked against the table,
 theta_character_sums and twisted_sums, are read for every argument at once
 from gf2r.character_sums (one Walsh-Hadamard transform), which shares no
@@ -28,6 +32,8 @@ import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .gf2r import Field, character_sums
@@ -46,31 +52,52 @@ def ktable(field: Field) -> dict[int, int]:
     return dict(enumerate(_kdata(field)[0][1:], 1))
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the bytes 0 and 1
+
+
 @lru_cache(maxsize=16)  # each entry keeps its Field, tables included, alive
 def _kdata(field: Field) -> tuple[list[int], Counter[tuple[int, int]]]:
     """K(lambda; a) at index a (0 at a = 0) and the counts of (tr a, K(a)) over the units."""
     q = field.q
     powers = field.powers()
-    bits = [field.trace(x) for x in powers]
-    values = [4 * c - q - 1 for c in _cyclic_self_convolution(bits)]
+    # tr is linear: its table below 2^(i+1) is the one below 2^i, then a copy
+    # with every entry flipped if tr(x^i) = 1
+    traces = b"\0"
+    for i in range(field.r):
+        traces += traces.translate(_FLIP) if field.trace(1 << i) else traces
+    # the leading index keeps the gather a tuple at q = 2, whose one unit would make it a scalar
+    bits = bytes(itemgetter(0, *powers)(traces))[1:]
+    conv = _cyclic_self_convolution(bits)
+    # the C_k take at most isqrt(q) + 1 values, each mapped once to K = 4C - q - 1
+    counts = [Counter(compress(conv, side)) for side in (bits.translate(_FLIP), bits)]
+    value = {c: 4 * c - q - 1 for side in counts for c in side}
+    pairs = Counter({(t, value[c]): n for t, side in enumerate(counts) for c, n in side.items()})
     by_element = [0] * q
-    for x, k in zip(powers, values):
-        by_element[x] = k
-    return by_element, Counter(zip(bits, values))
+    for x, c in zip(powers, conv):
+        by_element[x] = value[c]
+    return by_element, pairs
 
 
-def _cyclic_self_convolution(bits: list[int]) -> list[int]:
-    """C_k = sum of bits[i] * bits[(k - i) mod n] for k < n, by one big-int square."""
+def _cyclic_self_convolution(bits: bytes) -> array:
+    """C_k = sum of bits[i] * bits[(k - i) mod n] for k < n, by one big-int square.
+
+    Each 0/1 bit gets one fixed-width slot, so slot k of the square holds the
+    k-th coefficient of the acyclic self-convolution, at most n.  Folding the
+    upper n slots onto the lower n adds coefficients k and n + k, which sum to
+    C_k <= n: that still fits a slot, so the fold is one big-int addition with
+    no carry between slots.
+    """
     n = len(bits)
-    # every coefficient of the square is at most n, so it fits its slot exactly
     width, code = (2, "H") if n < 1 << 16 else (4, "I")
     packed = bytearray(width * n)
-    packed[::width] = bytes(bits)
+    packed[::width] = bits
     square = int.from_bytes(packed, "little") ** 2
-    coeffs = array(code, square.to_bytes(2 * width * n, "little"))
+    shift = 8 * width * n
+    folded = (square & ((1 << shift) - 1)) + (square >> shift)
+    coeffs = array(code, folded.to_bytes(width * n, "little"))
     if sys.byteorder == "big":
         coeffs.byteswap()
-    return [low + high for low, high in zip(coeffs[:n], coeffs[n:])]
+    return coeffs
 
 
 class Moments(NamedTuple):

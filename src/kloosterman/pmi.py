@@ -13,12 +13,12 @@ orthogonal one shifted by 1, so its transform is (-1)^s F[s]: at odd s it
 turns the dual weight w into N - w, and K_j(N - w) = (-1)^j K_j(w).  Hence
 one transform of the orthogonal histogram serves both cells: q C'_j is the
 Krawtchouk sum over the even-s weights w_s and the odd-s weights N - w_s, and
-q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each cell
-pair keeps one recursion (_recursion): the sums q D_j and the columns q E_t of
-D computed so far, the values T1K^1, T1K^3, ... so far, one row of t! S(h,t),
-cut at t <= N, that each new order steps twice, and the symplectic sums q C'_j
-and their columns for the full-moment identity.  The other identities build
-their row from h = 0 (_onto).
+q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each of
+the 16 cell pairs used last keeps one recursion (_recursion): the sums q D_j
+and the columns q E_t of D computed so far, the values T1K^1, T1K^3, ... so
+far, one row of t! S(h,t), cut at t <= N, that each new order steps twice,
+and the symplectic sums q C'_j and their columns for the full-moment
+identity.  The other identities build their row from h = 0 (_onto).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import islice
 from types import SimpleNamespace
 
@@ -121,7 +121,7 @@ def _check_recursion_range(n: int, field: Field) -> None:
         )
 
 
-@cache
+@lru_cache(maxsize=16)  # each entry keeps its Field, tables included, alive
 def _recursion(n: int, field: Field) -> SimpleNamespace:
     """The cell pair's recursion so far, from one transform of the orthogonal
     histogram.  kernel yields q D_j, twice the Krawtchouk sum over the odd-s

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +10,7 @@ from kloosterman.classical import kloosterman_gl_bruteforce
 from kloosterman.gf2r import MODULI, Field
 from kloosterman.guards import BudgetError
 from kloosterman.ksum import (
+    _cyclic_self_convolution,
     _kdata,
     kloosterman,
     kloosterman_gl,
@@ -137,6 +140,36 @@ def test_trace_value_pairs_fit_the_weil_bound():
     pairs = _kdata(f)[1]
     assert pairs == Counter((f.trace(a), k) for a, k in ktable(f).items())
     assert len(pairs) <= 2 * (math.isqrt(f.q) + 1)
+
+
+@pytest.mark.parametrize(
+    "r,modulus",
+    [pytest.param(r, None, id=f"r{r}-default") for r in (1, 2, 3)]
+    + [pytest.param(r, m, id=f"r{r}-{m:#x}") for r, m in NON_PRIMITIVE.items()],
+)
+def test_trace_value_pairs_count_the_table(r, modulus):
+    f = Field(r, modulus)
+    assert _kdata(f)[1] == Counter((f.trace(a), k) for a, k in ktable(f).items())
+
+
+def _cyclic_direct(bits):
+    n = len(bits)
+    return [sum(bits[i] * bits[(k - i) % n] for i in range(n)) for k in range(n)]
+
+
+def test_cyclic_self_convolution_matches_the_cyclic_sum():
+    rng = random.Random(30)
+    cases = [bytes(bits) for n in (1, 2, 3) for bits in itertools.product((0, 1), repeat=n)]
+    cases += [bytes(rng.getrandbits(1) for _ in range(n)) for n in (4, 5, 17, 64, 255, 300)]
+    for bits in cases:
+        assert list(_cyclic_self_convolution(bits)) == _cyclic_direct(bits), bits
+
+
+@pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
+def test_cyclic_self_convolution_fills_its_slots(n):
+    # all ones: every C_k = n, which fills a 2-byte slot at n = 2^16 - 1, the largest
+    # n packed that way, and needs the 4-byte slots from n = 2^16 on
+    assert list(_cyclic_self_convolution(bytes([1]) * n)) == [n] * n
 
 
 def test_kept_tables_stay_bounded_across_fields():

@@ -20,7 +20,7 @@ from kloosterman.gf2r import Field
 from kloosterman.ksum import moments
 from kloosterman.pmi import full_moment_identity, mk_via_identity, pless_check, stirling2, t1k_recursive
 
-from _oracles import krawtchouk_prefix, onto_alternating, stirling_side_direct
+from _oracles import irreducibles, krawtchouk_prefix, onto_alternating, stirling_side_direct
 
 ORDERS = [25, 3, 41]  # a request below and one above an earlier one
 
@@ -166,6 +166,27 @@ def test_recursion_keeps_values_only_and_reads_d_from_the_kept_prefixes(cold_cel
         assert all(type(value) is int for value in kept.values)
         assert kept.onto == onto_alternating(26, 26)
     assert pmi._recursion.cache_info().misses == len(RECURSION_GRID)
+
+
+def test_kept_recursions_stay_bounded_across_fields(cold_cells):
+    # the memo keeps the 16 cell pairs used last, each with its Field, tables included.
+    # Tracing starts once 16 are kept, as tracing every field would take seconds more:
+    # 16 traced fields then evict the untraced ones, and 8 more traced ones add nothing
+    moduli = irreducibles(12)[:40]
+    for m in moduli[:16]:
+        t1k_recursive(1, Field(12, m), 1)
+    tracemalloc.start()
+    try:
+        for m in moduli[16:32]:
+            t1k_recursive(1, Field(12, m), 1)
+        filled = tracemalloc.get_traced_memory()[0]
+        for m in moduli[32:]:
+            t1k_recursive(1, Field(12, m), 1)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pmi._recursion.cache_info().currsize == 16
+    assert after <= 1.1 * filled
 
 
 def test_kept_d_sums_raise_at_every_request_past_a_nonintegral_count(
