@@ -52,7 +52,7 @@ def ktable(field: Field) -> dict[int, int]:
     return dict(enumerate(_kdata(field)[0][1:], 1))
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the bytes 0 and 1
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @lru_cache(maxsize=16)  # each entry keeps its Field, tables included, alive
