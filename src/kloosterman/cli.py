@@ -1,15 +1,16 @@
 """Command-line frontend: verification suites, recursion reports, cell trace
 histograms, and Kloosterman sum tables.
 
-Reports are deterministic for fixed flags except the wall-time field; every
-integer is serialized as a decimal string so arbitrarily large exact values
-survive the trip through JSON.  A histogram is counted from the Levi factor's
+Every report takes one path.  A subcommand returns (parameters, results,
+verdicts, ok); main alone times it, prints the report {command, parameters,
+results, verdicts, wall_time_seconds} as text or --json, and exits 0 when ok,
+1 on a mismatch or a failing check, 2 on a usage or range error.  `tables
+--csv` prints its rows instead of a report.  Reports are deterministic for
+fixed flags except the wall time; every integer is a decimal string, so large
+exact values survive JSON.  A histogram is counted from the Levi factor's
 trace pairs (dcsum), which enumerates no group.  Only the `kloosterman` and
-`groups` suites of `verify` enumerate, and only they load the matrix modules
-classical and matfq; each set is capped at 10^8 elements (a suite over the
-cap reports a failing `<suite>-enumeration-budget` check, and the run goes
-on).  Every subcommand accepts q <= 2^16.  Exit status: 0 all verdicts pass, 1
-mismatch or a failing check, 2 usage or range error.
+`groups` suites of `verify` enumerate and load the matrix modules, within the
+budget of verify.  Every subcommand accepts q <= 2^16.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ def _make_field(q: int, modulus_hex: str | None) -> Field:
     return Field(r, modulus)
 
 
-def _emit(report: dict, started: float, as_json: bool) -> None:
-    report["wall_time_seconds"] = round(time.perf_counter() - started, 6)
+def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
         return
@@ -52,57 +52,45 @@ def _emit(report: dict, started: float, as_json: bool) -> None:
         print(f"  {key} = {value}")
     for key, value in report["results"].items():
         if isinstance(value, dict):
-            print(f"{key}:")
-            for k, v in value.items():
-                print(f"  {k}: {v}")
-        elif isinstance(value, list):
+            value = [f"{k}: {v}" for k, v in value.items()]
+        if isinstance(value, list):
             print(f"{key}:")
             for item in value:
-                if isinstance(item, dict):
-                    print("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
-                else:
-                    print(f"  {item}")
+                if isinstance(item, dict):  # a verify check, on one line
+                    item = "  ".join(f"{k}={v}" for k, v in item.items())
+                print(f"  {item}")
         else:
             print(f"{key}: {value}")
-    for key, value in report.get("verdicts", {}).items():
+    for key, value in report["verdicts"].items():
         print(f"verdict {key}: {value}")
     print(f"wall_time_seconds: {report['wall_time_seconds']}")
 
 
 # ----------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (parameters, results, verdicts, ok), and main alone reports it
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> tuple:
     checks = run_suite(args.suite)
     failures = sum(1 for c in checks if not c.ok)
-    report = {
-        "command": "verify",
-        "parameters": {"suite": args.suite},
-        "results": {
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "verdict": "pass" if c.ok else "fail",
-                }
-                for c in checks
-            ]
-        },
-        "verdicts": {
-            "checks_run": str(len(checks)),
-            "failures": str(failures),
-            "all_checks": "pass" if failures == 0 else "fail",
-        },
+    rows = [
+        {
+            "name": c.name,
+            "expected": c.expected,
+            "actual": c.actual,
+            "verdict": "pass" if c.ok else "fail",
+        }
+        for c in checks
+    ]
+    verdicts = {
+        "checks_run": str(len(checks)),
+        "failures": str(failures),
+        "all_checks": "pass" if failures == 0 else "fail",
     }
-    _emit(report, started, args.json)
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return {"suite": args.suite}, {"checks": rows}, verdicts, failures == 0
 
 
-def cmd_recursion(args) -> int:
-    started = time.perf_counter()
+def cmd_recursion(args) -> tuple:
     field = _make_field(args.q, args.modulus)
     rep = t1k_recursive(args.n, field, args.h, compare=args.compare)
     results = {
@@ -117,18 +105,11 @@ def cmd_recursion(args) -> int:
     if args.compare:
         results["t1k_direct"] = str(rep.direct)
         verdicts["match"] = bool(rep.match)
-    report = {
-        "command": "recursion",
-        "parameters": {"n": str(args.n), "q": str(args.q), "h": str(args.h)},
-        "results": results,
-        "verdicts": verdicts,
-    }
-    _emit(report, started, args.json)
-    return EXIT_FAIL if args.compare and not rep.match else EXIT_PASS
+    parameters = {"n": str(args.n), "q": str(args.q), "h": str(args.h)}
+    return parameters, results, verdicts, not args.compare or rep.match
 
 
-def cmd_histogram(args) -> int:
-    started = time.perf_counter()
+def cmd_histogram(args) -> tuple:
     field = _make_field(args.q, args.modulus)
     n, r, family = args.n, args.r_coset, args.family
     hist = dc_trace_histogram(n, r, field, family)
@@ -147,46 +128,29 @@ def cmd_histogram(args) -> int:
         verdicts["closed_form_agreement"] = "match" if not mismatches else "mismatch"
         if mismatches:
             verdicts["mismatched_traces"] = [str(b) for b in mismatches]
-    report = {
-        "command": "histogram",
-        "parameters": {"n": str(n), "r_coset": str(r), "q": str(field.q), "family": family},
-        "results": results,
-        "verdicts": verdicts,
-    }
-    _emit(report, started, args.json)
-    return EXIT_FAIL if verdicts.get("closed_form_agreement") == "mismatch" else EXIT_PASS
+    parameters = {"n": str(n), "r_coset": str(r), "q": str(field.q), "family": family}
+    return parameters, results, verdicts, "mismatched_traces" not in verdicts
 
 
-def cmd_tables(args) -> int:
-    started = time.perf_counter()
+def cmd_tables(args) -> tuple | None:
     _check_int("--hmax", args.hmax)
     field = _make_field(args.q, args.modulus)
     table = ktable(field)
     moment_rows = [moments(field, h) for h in range(args.hmax + 1)]
-    if args.csv:
-        print("a_bits,trace,k")
-        for a in field.units():
-            print(f"{a},{field.trace(a)},{table[a]}")
-        print()
-        print("h,mk,t0k,t1k")
-        for h, m in enumerate(moment_rows):
-            print(f"{h},{m.mk},{m.t0k},{m.t1k}")
-        return EXIT_PASS
-    report = {
-        "command": "tables",
-        "parameters": {"q": str(args.q), "hmax": str(args.hmax)},
-        "results": {
-            "modulus": str(field.modulus),
-            "k_values": {str(a): str(table[a]) for a in field.units()},
-            "moments": {
-                str(h): {"mk": str(m.mk), "t0k": str(m.t0k), "t1k": str(m.t1k)}
-                for h, m in enumerate(moment_rows)
-            },
+    if args.csv:  # rows in place of a report
+        k_rows = [f"{a},{field.trace(a)},{table[a]}" for a in field.units()]
+        m_rows = [f"{h},{m.mk},{m.t0k},{m.t1k}" for h, m in enumerate(moment_rows)]
+        print("a_bits,trace,k", *k_rows, "", "h,mk,t0k,t1k", *m_rows, sep="\n")
+        return None
+    results = {
+        "modulus": str(field.modulus),
+        "k_values": {str(a): str(table[a]) for a in field.units()},
+        "moments": {
+            str(h): {"mk": str(m.mk), "t0k": str(m.t0k), "t1k": str(m.t1k)}
+            for h, m in enumerate(moment_rows)
         },
-        "verdicts": {},
     }
-    _emit(report, started, args.json)
-    return EXIT_PASS
+    return {"q": str(args.q), "hmax": str(args.hmax)}, results, {}, True
 
 
 # ----------------------------------------------------------------------------
@@ -201,54 +165,69 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    field_args = argparse.ArgumentParser(add_help=False)  # recursion, histogram and tables
+    field_args.add_argument("--q", type=int, required=True)
+    field_args.add_argument("--modulus", help="hex override for the field modulus")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_rec = sub.add_parser("recursion", help="trace-one moment via the code recursion")
+    p_rec = sub.add_parser(
+        "recursion", parents=[field_args], help="trace-one moment via the code recursion"
+    )
     p_rec.add_argument("--n", type=int, required=True)
-    p_rec.add_argument("--q", type=int, required=True)
     p_rec.add_argument("--h", type=int, required=True)
     p_rec.add_argument("--compare", action="store_true", help="also compute the direct moment")
-    p_rec.add_argument("--modulus", help="hex override for the field modulus")
     p_rec.add_argument("--json", action="store_true")
     p_rec.set_defaults(func=cmd_recursion)
 
-    p_hist = sub.add_parser("histogram", help="trace histogram of a double coset")
+    p_hist = sub.add_parser(
+        "histogram", parents=[field_args], help="trace histogram of a double coset"
+    )
     p_hist.add_argument("--n", type=int, required=True)
-    p_hist.add_argument("--q", type=int, required=True)
     p_hist.add_argument("--r-coset", type=int, required=True, dest="r_coset")
     p_hist.add_argument("--family", choices=FAMILIES, default=ORTHOGONAL)
     p_hist.add_argument("--jmax", type=int, help="also emit the code weight prefix up to jmax")
-    p_hist.add_argument("--modulus", help="hex override for the field modulus")
     p_hist.add_argument("--json", action="store_true")
     p_hist.set_defaults(func=cmd_histogram)
 
-    p_tab = sub.add_parser("tables", help="Kloosterman values and split power moments")
-    p_tab.add_argument("--q", type=int, required=True)
+    p_tab = sub.add_parser(
+        "tables", parents=[field_args], help="Kloosterman values and split power moments"
+    )
     p_tab.add_argument("--hmax", type=int, default=10)
     fmt = p_tab.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    p_tab.add_argument("--modulus", help="hex override for the field modulus")
     p_tab.set_defaults(func=cmd_tables)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # exact values print in full at any size: lift the interpreter's
     # int-to-decimal digit limit (0 is none, as before Python 3.10.7) for this
     # report, and restore it for callers in the same process
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        outcome = args.func(args)
+        if outcome is None:  # tables --csv printed its rows
+            return EXIT_PASS
+        parameters, results, verdicts, ok = outcome
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "verdicts": verdicts,
+            "wall_time_seconds": round(time.perf_counter() - started, 6),
+        }
+        _emit(report, args.json)
+        return EXIT_PASS if ok else EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -103,6 +103,9 @@ def pless_check(
     _check_int("length", length)
     _check_int("dim", dim)
     _check_int("h", h)
+    for name, values in (("dual_weights", dual_weights), ("prefix", prefix)):
+        if bad := [x for x in values if type(x) is not int]:
+            raise ValueError(f"{name} must hold ints only, got {bad[0]!r}")
     jcap = min(length, h)
     if len(prefix) <= jcap:
         raise ValueError(f"prefix covers j < {len(prefix)}, need j <= {jcap}")

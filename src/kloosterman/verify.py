@@ -37,9 +37,6 @@ from .wcode import (
     weight_prefix_closed,
 )
 
-SUITE_NAMES = ("field", "kloosterman", "groups", "expsum", "codes", "pless", "thma", "all")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -362,6 +359,7 @@ SUITES = {
     "pless": suite_pless,
     "thma": suite_thma,
 }
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str) -> list[CheckResult]:
@@ -369,10 +367,9 @@ def run_suite(name: str) -> list[CheckResult]:
 
     A suite whose enumeration would exceed guards.DEFAULT_BUDGET ends with
     a failing `<suite>-enumeration-budget` entry after the checks it has
-    yielded.  A
-    suite that raises anything else ends the same way with a failing
-    `<suite>-raised` entry carrying the exception, and its traceback goes to
-    stderr.  Either way the next suite still runs.
+    yielded.  A suite that raises anything else ends the same way with a
+    failing `<suite>-raised` entry carrying the exception, and its traceback
+    goes to stderr.  Either way the next suite still runs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

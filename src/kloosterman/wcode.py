@@ -116,7 +116,7 @@ def weight_prefix(field: Field, hist: dict[int, int], jmax: int) -> list[int]:
     bad = [
         (beta, count)
         for beta, count in hist.items()
-        if not (isinstance(beta, int) and isinstance(count, int) and 0 <= beta < q and count >= 0)
+        if not (type(beta) is int and type(count) is int and 0 <= beta < q and count >= 0)
     ]
     if bad:
         raise ValueError(f"histogram entries {bad} are not int counts >= 0 of elements of GF({q})")

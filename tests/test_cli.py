@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kloosterman import classical, guards, verify
+from kloosterman import classical, cli, guards, verify
 from kloosterman.cli import main
 from kloosterman.gf2r import Field
 from kloosterman.guards import BudgetError
@@ -161,12 +162,38 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_suite_names_are_the_suites_then_all():
+    assert verify.SUITE_NAMES == (*verify.SUITES, "all")
+    with pytest.raises(ValueError) as exc:
+        verify.run_suite("badname")
+    assert str(exc.value) == (
+        "unknown suite 'badname'; choose from field, kloosterman, groups, expsum, codes, pless, "
+        "thma, all"
+    )
+
+
 def test_recursion_compare_match(capsys):
     code, report, _ = run_json(capsys, "recursion", "--n", "3", "--q", "2", "--h", "1", "--compare")
     assert code == 0
     assert report["results"]["t1k_recursive"] == "1"
     assert report["results"]["t1k_direct"] == "1"
     assert report["verdicts"]["match"] is True
+
+
+def test_recursion_mismatch_exits_1(capsys, monkeypatch):
+    # CI reads the --compare verdict from the exit status alone
+    true_recursive = cli.t1k_recursive
+
+    def off_by_one(*args, **kwargs):
+        rep = true_recursive(*args, **kwargs)
+        return dataclasses.replace(rep, recursive=rep.recursive + 1, match=False)
+
+    monkeypatch.setattr(cli, "t1k_recursive", off_by_one)
+    argv = ("recursion", "--n", "1", "--q", "8", "--h", "3")
+    code, report, _ = run_json(capsys, *argv, "--compare")
+    assert (code, report["verdicts"]) == (1, {"match": False})
+    assert report["results"]["t1k_recursive"] == "-43"
+    assert run_json(capsys, *argv)[0] == 0  # no verdict without --compare
 
 
 def test_recursion_negative_value(capsys):
@@ -305,3 +332,145 @@ def test_reports_are_deterministic_up_to_wall_time(capsys):
     first.pop("wall_time_seconds")
     second.pop("wall_time_seconds")
     assert first == second
+
+
+def run_text(capsys, *argv):
+    """Exit status and text report of `kloosterman <argv>`, its wall-time line removed."""
+    code, out, _ = run(capsys, *argv)
+    *lines, wall = out.splitlines(keepends=True)
+    assert wall.startswith("wall_time_seconds: ")
+    return code, "".join(lines)
+
+
+VERIFY_FIELD_TEXT = """\
+command: verify
+  suite = field
+checks:
+  name=moduli-table-constructs-and-verifies  expected=24  actual=24  verdict=pass
+  name=f4-generator-squared  expected=3  actual=3  verdict=pass
+  name=f8-generator-cubed  expected=3  actual=3  verdict=pass
+  name=f4-inverse-of-generator  expected=3  actual=3  verdict=pass
+  name=f4-trace-values  expected=(1, 0)  actual=(1, 0)  verdict=pass
+  name=f8-trace-of-one  expected=1  actual=1  verdict=pass
+  name=artin-schreier-half-trace-zero-r1  expected=1  actual=1  verdict=pass
+  name=artin-schreier-half-trace-zero-r2  expected=2  actual=2  verdict=pass
+  name=artin-schreier-half-trace-zero-r3  expected=4  actual=4  verdict=pass
+  name=artin-schreier-half-trace-zero-r4  expected=8  actual=8  verdict=pass
+  name=artin-schreier-half-trace-zero-r5  expected=16  actual=16  verdict=pass
+  name=artin-schreier-half-trace-zero-r6  expected=32  actual=32  verdict=pass
+  name=artin-schreier-half-trace-zero-r7  expected=64  actual=64  verdict=pass
+  name=artin-schreier-half-trace-zero-r8  expected=128  actual=128  verdict=pass
+  name=frobenius-trace-invariance-r1  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r2  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r3  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r4  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r5  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r6  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r7  expected=True  actual=True  verdict=pass
+  name=frobenius-trace-invariance-r8  expected=True  actual=True  verdict=pass
+  name=inverse-property-r1  expected=True  actual=True  verdict=pass
+  name=inverse-property-r2  expected=True  actual=True  verdict=pass
+  name=inverse-property-r3  expected=True  actual=True  verdict=pass
+  name=inverse-property-r4  expected=True  actual=True  verdict=pass
+  name=inverse-property-r5  expected=True  actual=True  verdict=pass
+  name=inverse-property-r6  expected=True  actual=True  verdict=pass
+verdict checks_run: 28
+verdict failures: 0
+verdict all_checks: pass
+"""
+
+HISTOGRAM_TEXT = """\
+command: histogram
+  n = 1
+  r_coset = 0
+  q = 8
+  family = orthogonal
+family: orthogonal
+modulus: 11
+histogram:
+  0: 0
+  1: 8
+  2: 16
+  3: 0
+  4: 16
+  5: 0
+  6: 16
+  7: 0
+total: 56
+weight_prefix:
+  1
+  0
+  388
+verdict closed_form_agreement: match
+"""
+
+TABLES_TEXT = """\
+command: tables
+  q = 4
+  hmax = 2
+modulus: 7
+k_values:
+  1: 3
+  2: -1
+  3: -1
+moments:
+  0: {'mk': '3', 't0k': '1', 't1k': '2'}
+  1: {'mk': '1', 't0k': '3', 't1k': '-2'}
+  2: {'mk': '11', 't0k': '9', 't1k': '2'}
+"""
+
+RECURSION_TEXT = """\
+command: recursion
+  n = 1
+  q = 8
+  h = 3
+n: 1
+q: 8
+h: 3
+modulus: 11
+d_values:
+  0
+  -8
+  0
+  1160
+t1k_recursive: -44
+t1k_direct: -44
+verdict match: True
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("verify", "field"), VERIFY_FIELD_TEXT),
+        (("histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--jmax", "2"), HISTOGRAM_TEXT),
+        (("tables", "--q", "4", "--hmax", "2"), TABLES_TEXT),
+        (("recursion", "--n", "1", "--q", "8", "--h", "3", "--compare"), RECURSION_TEXT),
+    ],
+    ids=["verify", "histogram", "tables", "recursion"],
+)
+def test_text_reports_are_pinned(capsys, argv, text):
+    assert run_text(capsys, *argv) == (0, text)
+
+
+def test_histogram_mismatch_lists_the_traces(capsys, monkeypatch):
+    true_closed = cli.closed_histogram
+
+    def moved(n, field, family):  # one element of the cell moved from trace 2 to trace 1
+        hist = dict(true_closed(n, field, family))
+        hist[1] += 1
+        hist[2] -= 1
+        return hist
+
+    monkeypatch.setattr(cli, "closed_histogram", moved)
+    argv = ("histogram", "--n", "1", "--q", "8", "--r-coset", "0")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert report["verdicts"] == {
+        "closed_form_agreement": "mismatch", "mismatched_traces": ["1", "2"]
+    }
+    code, text = run_text(capsys, *argv)
+    assert code == 1
+    assert text.endswith(
+        "verdict closed_form_agreement: mismatch\nverdict mismatched_traces: ['1', '2']\n"
+    )

@@ -100,6 +100,24 @@ def test_pless_rejects_a_negative_dimension():
         pless_check(1, -1, [0], [1, 1], 1)
 
 
+@pytest.mark.parametrize(
+    "dual_weights,prefix,message",
+    [
+        ([1.5], [1, 0], "dual_weights must hold ints only, got 1.5"),
+        ([1, 1], [1, 0.0], "prefix must hold ints only, got 0.0"),
+        ([1, True], [1, 0], "dual_weights must hold ints only, got True"),
+    ],
+    ids=["float-weight", "float-count", "bool-weight"],
+)
+def test_pless_refuses_non_int_entries_first(monkeypatch, dual_weights, prefix, message):
+    def no_column(*args):
+        raise AssertionError("a Pless column was built from unchecked entries")
+
+    monkeypatch.setattr(pmi, "pless_column", no_column)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pless_check(3, 1, dual_weights, prefix, 1)
+
+
 def test_recursion_report_fields(f2):
     report = t1k_recursive(3, f2, 1, compare=True)
     assert report.n == 3 and report.q == 2 and report.h == 1

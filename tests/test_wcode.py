@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -93,6 +94,12 @@ def test_weight_prefix_matches_dp_on_synthetic_histograms(name, jmax):
 def test_weight_prefix_rejects_bad_histograms(f8, hist):
     with pytest.raises(ValueError):
         weight_prefix(f8, hist, 3)
+
+
+def test_weight_prefix_refuses_bools():
+    # True == 1, so an isinstance check would read element 1 with 3 coordinates and a count of 1
+    with pytest.raises(ValueError, match=re.escape("[(True, 3), (2, True)]")):
+        weight_prefix(Field(2), {True: 3, 2: True}, 2)
 
 
 NONINTEGRAL = (1, Counter({0: 1, 1: 3}))  # every nonzero a claiming weight 1 on a length-1 code
