@@ -11,7 +11,8 @@ discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
 x & mask, where bit i of the mask is tr(x^i), read off the modulus by
 Newton's identities.  The log/antilog tables take O(q) memory and are built
-on first use, so constructing a Field costs nothing in q.  They are filled
+once per Field instance, on the first read of either, so constructing a Field
+costs nothing in q.  They are filled
 by stepping x -> x g through the q - 1 powers, two lookups a step: x g is
 F_2-linear in x, so it is the xor of two tables of about sqrt(q) entries,
 one on the low and one on the high half of x's bits, each doubled out of
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .guards import _check_int
+from .guards import _check_int, _named
 
 # Lowest-weight irreducible polynomial per degree, lexicographically smallest
 # among minimal-weight candidates.  Rabin's test re-verifies each one at
@@ -122,7 +123,10 @@ class _Unbuilt:
         self.field, self.name = field, name
 
     def __getitem__(self, index):
-        self.field._build_tables()
+        # mul loads _exp before _log[a] builds both tables, so a stale proxy is
+        # looked up once more: it builds only while the field still holds it
+        if getattr(self.field, self.name) is self:
+            self.field._build_tables()
         return getattr(self.field, self.name)[index]
 
 
@@ -131,8 +135,8 @@ class Field:
 
     Semantically immutable after construction; all operations are pure, so
     instances are safe to share across threads and processes.  The log and
-    antilog tables are built lazily and idempotently on the first lookup,
-    which is the only internal state.  Every operation raises ValueError on
+    antilog tables are built once per instance, on the first lookup of
+    either, and are the only internal state.  Every operation raises ValueError on
     an int outside 0..q-1.
     """
 
@@ -245,6 +249,9 @@ class Field:
         return range(1, self.q)
 
     def pow(self, a: int, e: int) -> int:
+        """a^e for an int e, negative too; a float or bool e raises ValueError."""
+        if type(e) is not int:
+            raise ValueError(f"need an int exponent, got {_named('e', e)}")
         if a >> self.r:
             raise self._outside(a)
         if a == 0:

@@ -85,16 +85,24 @@ def _cyclic_self_convolution(bits: bytes) -> array:
     k-th coefficient of the acyclic self-convolution, at most n.  Folding the
     upper n slots onto the lower n adds coefficients k and n + k, which sum to
     C_k <= n: that still fits a slot, so the fold is one big-int addition with
-    no carry between slots.
+    no carry between slots.  A slot is 2 bytes below n = 2^16 and 3 bytes from
+    there on, since n < 2^24 for every field; 3-byte slots are widened to the
+    4 bytes of an array('I') entry one byte lane at a time.
     """
     n = len(bits)
-    width, code = (2, "H") if n < 1 << 16 else (4, "I")
+    width, code = (2, "H") if n < 1 << 16 else (3, "I")
     packed = bytearray(width * n)
     packed[::width] = bits
     square = int.from_bytes(packed, "little") ** 2
     shift = 8 * width * n
     folded = (square & ((1 << shift) - 1)) + (square >> shift)
-    coeffs = array(code, folded.to_bytes(width * n, "little"))
+    raw = folded.to_bytes(width * n, "little")
+    if width == 3:
+        wide = bytearray(4 * n)
+        for lane in range(3):
+            wide[lane::4] = raw[lane::3]
+        raw = wide
+    coeffs = array(code, raw)
     if sys.byteorder == "big":
         coeffs.byteswap()
     return coeffs

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 from itertools import product
 
@@ -209,6 +210,71 @@ def test_tables_are_built_on_first_use_and_linear_in_q():
     assert [g.mul(2, 3) for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f))] == [6, 6]
     assert f.mul(2, 3) == 6
     assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)
+
+
+def _counted_builds(monkeypatch) -> list[Field]:
+    builds, real = [], Field._build_tables
+
+    def counted(self):
+        builds.append(self)
+        real(self)
+
+    monkeypatch.setattr(Field, "_build_tables", counted)
+    return builds
+
+
+def _pickled(f: Field) -> Field:
+    return pickle.loads(pickle.dumps(f))
+
+
+# GF(2^11) modulo x^11 + x^2 + 1, whose root x generates the units
+_MUL, _INV, _POW = (lambda f: f.mul(2, 3)), (lambda f: f.inv(2)), (lambda f: f.pow(2, 11))
+
+
+@pytest.mark.parametrize(
+    "copy_of,first,value",
+    [
+        (None, _MUL, 6),
+        (_pickled, _MUL, 6),
+        (copy.deepcopy, _MUL, 6),
+        (None, _INV, 0x402),  # x (x^10 + x) = x^11 + x^2 = 1
+        (None, _POW, 0x5),
+        (None, lambda f: f.powers()[:3], [1, 2, 4]),
+    ],
+    ids=["mul", "mul-on-pickled-copy", "mul-on-deepcopy", "inv", "pow", "powers"],
+)
+def test_tables_are_built_once_per_field(monkeypatch, copy_of, first, value):
+    # mul and pow read the antilog proxy before the log lookup builds both tables;
+    # that stale proxy must not build them again
+    builds = _counted_builds(monkeypatch)
+    f = Field(11)
+    g = copy_of(f) if copy_of else f
+    assert first(g) == value
+    assert len(builds) == 1 and builds[0] is g
+    assert (g.mul(3, 5), g.inv(1), g.pow(3, -2), len(g.powers())) == (15, 1, g.inv(5), g.q - 1)
+    assert len(builds) == 1
+    # a copy of an unbuilt field builds its own tables and leaves the original unbuilt
+    assert isinstance(f._exp, list) == isinstance(f._log, list) == (g is f)
+
+
+@pytest.mark.parametrize("e", [0.0, True, 2.0, None])
+def test_pow_refuses_an_exponent_that_is_not_an_int(e):
+    # bool is an int subclass and 0.0 == 0, so neither check on the value would catch these
+    for a in (0, 3):
+        with pytest.raises(ValueError, match=re.escape(f"e={e!r}")):
+            Field(4).pow(a, e)
+
+
+def test_first_mul_peaks_at_the_memory_it_keeps():
+    # one build: a second one would hold two copies of the O(q) tables at its peak
+    f = Field(12)
+    tracemalloc.start()
+    try:
+        f.mul(2, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * kept
 
 
 def test_table_build_peaks_at_the_memory_it_keeps():

@@ -93,7 +93,7 @@ def test_ktable_matches_direct_sum(r, modulus):
 @pytest.mark.parametrize("r", range(12, 18))
 def test_large_table_identities(r):
     # Weil bound, K = 3 (mod 4), sum K = 1, sum K^2 = q^2 - q - 1, K(a^2) = K(a);
-    # r = 17 is the first degree packed in 32-bit slots
+    # r = 17 is the first degree packed in 3-byte slots
     f = Field(r)
     q, m = f.q, f.modulus
     table = ktable(f)
@@ -159,8 +159,19 @@ def test_cyclic_self_convolution_matches_the_cyclic_sum():
 @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
 def test_cyclic_self_convolution_fills_its_slots(n):
     # all ones: every C_k = n, which fills a 2-byte slot at n = 2^16 - 1, the largest
-    # n packed that way, and needs the 4-byte slots from n = 2^16 on
+    # n packed that way, and needs the 3-byte slots from n = 2^16 on
     assert list(_cyclic_self_convolution(bytes([1]) * n)) == [n] * n
+
+
+def test_cyclic_self_convolution_in_three_byte_slots():
+    # past n = 2^16: sparse random ones, plus a run of 600 across the wrap so that some
+    # C_k pass 255 and fill two bytes of a slot, against a count of the pairs (i, j)
+    n = (1 << 16) + 3
+    rng = random.Random(32)
+    ones = set(rng.sample(range(n), 200)) | {k % n for k in range(n - 300, n + 300)}
+    bits = bytes(k in ones for k in range(n))
+    pairs = Counter((i + j) % n for i in ones for j in ones)
+    assert list(_cyclic_self_convolution(bits)) == [pairs[k] for k in range(n)]
 
 
 def test_kept_tables_stay_bounded_across_fields():
