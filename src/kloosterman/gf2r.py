@@ -11,12 +11,12 @@ discrete-log tables over a generator g of GF(q)^*, found by factoring q - 1
 16 are not primitive).  The trace is linear, so tr(x) is the parity of
 x & mask, where bit i of the mask is tr(x^i), read off the modulus by
 Newton's identities.  The log/antilog tables take O(q) memory and are built
-once per Field instance, on the first read of either, so constructing a Field
-costs nothing in q.  They are filled
-by stepping x -> x g through the q - 1 powers, two lookups a step: x g is
-F_2-linear in x, so it is the xor of two tables of about sqrt(q) entries,
-one on the low and one on the high half of x's bits, each doubled out of
-the images of its r/2 basis elements x^i under shift-and-add.
+once per Field instance, on the first read of either, so constructing a
+Field costs nothing in q.  They are filled by stepping x -> x g through the
+q - 1 powers, two lookups a step: x g is F_2-linear in x, so it is the xor
+of two tables of about sqrt(q) entries, one on the low and one on the high
+half of x's bits, each doubled out of the images of its r/2 basis elements
+x^i under shift-and-add.
 walsh_hadamard turns a function on the additive group into its sums against
 every additive character, in O(q log q) additions, and character_sums reads
 those sums off by the multiplier c of lambda(c x).
@@ -136,8 +136,8 @@ class Field:
     Semantically immutable after construction; all operations are pure, so
     instances are safe to share across threads and processes.  The log and
     antilog tables are built once per instance, on the first lookup of
-    either, and are the only internal state.  Every operation raises ValueError on
-    an int outside 0..q-1.
+    either, and are the only internal state.  Every operation raises
+    ValueError on an int outside 0..q-1.
     """
 
     def __init__(self, r: int, modulus: int | None = None):

@@ -212,21 +212,6 @@ def test_tables_are_built_on_first_use_and_linear_in_q():
     assert (len(f._exp), len(f._log)) == (4 * f.q - 3, f.q)
 
 
-def _counted_builds(monkeypatch) -> list[Field]:
-    builds, real = [], Field._build_tables
-
-    def counted(self):
-        builds.append(self)
-        real(self)
-
-    monkeypatch.setattr(Field, "_build_tables", counted)
-    return builds
-
-
-def _pickled(f: Field) -> Field:
-    return pickle.loads(pickle.dumps(f))
-
-
 # GF(2^11) modulo x^11 + x^2 + 1, whose root x generates the units
 _MUL, _INV, _POW = (lambda f: f.mul(2, 3)), (lambda f: f.inv(2)), (lambda f: f.pow(2, 11))
 
@@ -235,7 +220,7 @@ _MUL, _INV, _POW = (lambda f: f.mul(2, 3)), (lambda f: f.inv(2)), (lambda f: f.p
     "copy_of,first,value",
     [
         (None, _MUL, 6),
-        (_pickled, _MUL, 6),
+        (lambda f: pickle.loads(pickle.dumps(f)), _MUL, 6),
         (copy.deepcopy, _MUL, 6),
         (None, _INV, 0x402),  # x (x^10 + x) = x^11 + x^2 = 1
         (None, _POW, 0x5),
@@ -246,7 +231,13 @@ _MUL, _INV, _POW = (lambda f: f.mul(2, 3)), (lambda f: f.inv(2)), (lambda f: f.p
 def test_tables_are_built_once_per_field(monkeypatch, copy_of, first, value):
     # mul and pow read the antilog proxy before the log lookup builds both tables;
     # that stale proxy must not build them again
-    builds = _counted_builds(monkeypatch)
+    builds, real = [], Field._build_tables
+
+    def counted(self):
+        builds.append(self)
+        real(self)
+
+    monkeypatch.setattr(Field, "_build_tables", counted)
     f = Field(11)
     g = copy_of(f) if copy_of else f
     assert first(g) == value
@@ -259,7 +250,7 @@ def test_tables_are_built_once_per_field(monkeypatch, copy_of, first, value):
 
 @pytest.mark.parametrize("e", [0.0, True, 2.0, None])
 def test_pow_refuses_an_exponent_that_is_not_an_int(e):
-    # bool is an int subclass and 0.0 == 0, so neither check on the value would catch these
+    # True is an int and 0.0 == 0, so only the type of e tells these apart
     for a in (0, 3):
         with pytest.raises(ValueError, match=re.escape(f"e={e!r}")):
             Field(4).pow(a, e)
