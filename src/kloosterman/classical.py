@@ -22,7 +22,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .dcsum import cell_order, parabolic_order, stabilizer_order, transversal_size
@@ -59,7 +60,7 @@ def alternating_count_bruteforce(r: int, field: Field) -> int:
         for matching in matchings:
             term = 1
             for k in matching:
-                term = mul(term, entries[k])
+                term = entries[k] if term == 1 else mul(term, entries[k])
                 if not term:
                     break
             pfaffian ^= term
@@ -104,11 +105,7 @@ def theta_form(field: Field, x: tuple[int, ...], n: int) -> int:
     """The quadratic form sum x_i x_(n+i) + x_(2n+1)^2 on 2n+1 coordinates."""
     if len(x) != 2 * n + 1:
         raise ValueError(f"expected {2 * n + 1} coordinates, got {len(x)}")
-    mul = field.mul
-    s = mul(x[2 * n], x[2 * n])
-    for i in range(n):
-        s ^= mul(x[i], x[n + i])
-    return s
+    return field.mul(x[2 * n], x[2 * n]) ^ _dot(field.mul, x[:n], x[n : 2 * n])
 
 
 @cache
@@ -119,11 +116,16 @@ def jmat(n: int) -> Mat:
     )
 
 
+def _preserves_form(field: Field, w_t: Mat, w: Mat, n: int) -> bool:
+    """w^T J w == J for a 2n x 2n w given with its transpose; J w swaps w's row halves."""
+    return mat_mul(field, w_t, w[n:] + w[:n]) == jmat(n)
+
+
 def is_symplectic(field: Field, w: Mat, n: int) -> bool:
     _check_int("n", n, 1)
     if len(w) != 2 * n or set(map(len, w)) != {2 * n}:
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix")
-    return mat_mul(field, transpose(w), w[n:] + w[:n]) == jmat(n)  # J w swaps w's row halves
+    return _preserves_form(field, tuple(zip(*w)), w, n)
 
 
 def symplectic_by_form(field: Field, n: int) -> set[Mat]:
@@ -199,11 +201,12 @@ def is_orthogonal(field: Field, w: Mat, n: int) -> bool:
     dim = 2 * n + 1
     if len(w) != dim or set(map(len, w)) != {dim}:
         raise ValueError(f"expected a {dim} x {dim} matrix")
-    if w[dim - 1][dim - 1] != 1 or any(w[i][dim - 1] for i in range(dim - 1)):
+    *cols, last = zip(*w)
+    if last != (0,) * (dim - 1) + (1,):
         return False
-    if any(theta_form(field, c, n) for c in transpose(w)[:-1]):
+    if any(theta_form(field, c, n) for c in cols):
         return False
-    return is_symplectic(field, tuple(row[:-1] for row in w[:-1]), n)
+    return _preserves_form(field, [c[:-1] for c in cols], [row[:-1] for row in w[:-1]], n)
 
 
 def iota(field: Field, w: Mat, n: int) -> Mat:
@@ -277,24 +280,33 @@ def enumerate_parabolic(n: int, field: Field, family: str = ORTHOGONAL) -> Itera
     Each element is l(a) u(b, h): the Levi factor diag(a, a^-T[, 1]) times
     the unipotent factor with top rows (1 | b) and, orthogonal family only,
     last row (0 | h | 1).  (b, h) runs as in _unipotents, outermost, and a
-    as in gl_iter inside it; this order is used everywhere downstream.  Row i
-    of the top block is a_i (1 | b | 0), read from one row_images table over
-    all q^n rows per unipotent.  Streaming P holds one table plus the Levi
-    rows, O(q^n + |GL(n,q)|), never O(|P|).
+    as in gl_iter inside it; this order is used everywhere downstream.  One
+    list holds the last row (0 | h | 1), the images u (1 | b | 0) of all q^n
+    vectors u, both rewritten per unipotent, and every Levi factor's rows;
+    each element is one itemgetter, built once per a, read off that list, so
+    row i of the top block is a_i (1 | b | 0).  Streaming P holds the list
+    and the itemgetters, O(q^n + |GL(n,q)|), never O(|P|).
     """
     _check_family(family)
     _check_int("n", n, 1)
     q = field.q
     _check_budget(parabolic_order(n, q), f"elements of P({n},{q})")
     tail = (0,) if family == ORTHOGONAL else ()
-    levis = [(a, _levi_rows(field, a, family)[1]) for a in gl_iter(field, n)]
     vectors = list(product(range(q), repeat=n))
+    index = dict(zip(vectors, range(1, 1 + len(vectors))))
+    rows: list = [None] * (1 + len(vectors))  # (0 | h | 1), u (1 | b | 0) per vector u, Levi rows
+    last = (0,) if family == ORTHOGONAL else ()  # the index of (0 | h | 1), if P has that row
+    getters = []
+    for a in gl_iter(field, n):
+        levi = range(len(rows), len(rows) + n)
+        rows.extend(_levi_rows(field, a, family)[1])
+        getters.append(itemgetter(*map(index.__getitem__, a), *levi, *last))
     for b, h in _unipotents(field, n, n, family):
         top = tuple(e + row + tail for e, row in zip(identity(n), b))
-        table = row_images(field, vectors, top)
-        last = () if h is None else ((0,) * n + h + (1,),)
-        for a, levi in levis:
-            yield tuple(map(table.__getitem__, a)) + levi + last
+        rows[0] = None if h is None else (0,) * n + h + (1,)
+        rows[1 : 1 + len(vectors)] = mat_mul(field, vectors, top)
+        for get in getters:
+            yield get(rows)
 
 
 # ----------------------------------------------------------------------------
@@ -358,8 +370,9 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
         zero_cols.setdefault(i, []).append(j)
     members = parabolic  # narrowed one constrained row index at a time
     for i, cols in zero_cols.items():  # P's elements share rows: judge each distinct row once
-        passing = {u for u in {w[i] for w in members} if not any(u[j] for j in cols)}
-        members = [w for w in members if w[i] in passing]
+        row_i = itemgetter(i)
+        passing = {u for u in set(map(row_i, members)) if not any(u[j] for j in cols)}
+        members = list(compress(members, map(passing.__contains__, map(row_i, members))))
     a_count = len(members)
     expected_a = stabilizer_order(n, r, q)
     if a_count != expected_a:
@@ -378,10 +391,12 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
     expected_t = transversal_size(n, r, q)
     if len(transversal) != expected_t:
         raise ArithmeticError(f"transversal size {len(transversal)} != formula {expected_t}")
-    inverse_cols = [transpose(mat_inv(field, x)) for x in transversal]
+    rows_at, cols_at = zip(*positions)
+    inverse_cols = [list(map(transpose(mat_inv(field, y)).__getitem__, cols_at)) for y in transversal]
     for k, x in enumerate(transversal):
-        for ycols in inverse_cols[:k]:
-            if all(_dot(mul, x[i], ycols[j]) == 0 for i, j in positions):
+        x_rows = list(map(x.__getitem__, rows_at))
+        for y_cols in inverse_cols[:k]:
+            if not any(map(_dot, repeat(mul), x_rows, y_cols)):
                 raise ArithmeticError(f"two representatives share a right coset of A_{r}")
     return CosetData(parabolic, a_count, tuple(transversal))
 

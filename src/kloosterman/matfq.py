@@ -35,25 +35,26 @@ def _dot(mul, row, col) -> int:
     s = 0
     for x, y in zip(row, col):
         if x and y:
-            s ^= mul(x, y)
+            s ^= y if x == 1 else mul(x, y)
     return s
 
 
 def mat_mul(field: Field, a: Mat, b: Mat) -> Mat:
-    """Row i of ab is the sum of a_ij b_j over the nonzero a_ij; mul only for a_ij != 1."""
+    """Row i of ab is the sum of a_ij b_j over the nonzero a_ij, the first term
+    taken as it is; mul only for a_ij != 1."""
     if len(set(map(len, b))) > 1:
         raise ValueError("the right factor's rows differ in length")
     mul, out = field.mul, []
     for row in a:
         if len(row) != len(b):
             raise ValueError(f"dimension mismatch: {len(row)} columns vs {len(b)} rows")
-        acc = (0,) * len(b[0])
+        acc = None
         for x, b_row in zip(row, b):
             if x == 1:
-                acc = tuple(map(xor, acc, b_row))
+                acc = b_row if acc is None else tuple(map(xor, acc, b_row))
             elif x:
-                acc = tuple([s ^ mul(x, y) for s, y in zip(acc, b_row)])
-        out.append(acc)
+                acc = tuple([s ^ mul(x, y) for s, y in zip(acc or (0,) * len(b_row), b_row)])
+        out.append((0,) * len(b[0]) if acc is None else acc)
     return tuple(out)
 
 
@@ -82,21 +83,24 @@ def mat_inv(field: Field, a: Mat) -> Mat:
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
     mul, inv = field.mul, field.inv
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    aug = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(a)]  # (a | I)
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
+        for piv in range(col, n):
+            if aug[piv][col]:
+                break
+        else:
             raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        if p != 1:
-            pi = inv(p)
-            aug[col] = [mul(pi, v) for v in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x ^ mul(f, y) for x, y in zip(aug[r], prow)]
+        prow, aug[piv] = aug[piv], aug[col]
+        if prow[col] != 1:
+            pi = inv(prow[col])
+            prow = [mul(pi, v) for v in prow]
+        aug[col] = prow
+        for r, row in enumerate(aug):
+            f = row[col]
+            if f and r != col:
+                aug[r] = list(map(xor, row, prow)) if f == 1 else [
+                    x ^ mul(f, y) for x, y in zip(row, prow)
+                ]
     return tuple(tuple(row[n:]) for row in aug)
 
 

@@ -15,10 +15,11 @@ one transform of the orthogonal histogram serves both cells: q C'_j is the
 Krawtchouk sum over the even-s weights w_s and the odd-s weights N - w_s, and
 q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each of
 the 16 cell pairs used last keeps one recursion (_recursion): the sums q D_j
-and the columns q E_t of D computed so far, the values T1K^1, T1K^3, ... so
-far, one row of t! S(h,t), cut at t <= N, that each new order steps twice,
-and the symplectic sums q C'_j and their columns for the full-moment
-identity.  The other identities build their row from h = 0 (_onto).
+and the columns q E_t of D computed so far, each also divided by q once, the
+values T1K^1, T1K^3, ... so far, one row of t! S(h,t), cut at t <= N, that
+each new order steps twice, and the symplectic sums q C'_j and their columns
+for the full-moment identity.  The other identities build their row from
+h = 0 (_onto).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dcsum import CellConstants, cell_constants, closed_histogram
 from .gf2r import Field
 from .guards import ORTHOGONAL, _check_int, _check_odd, _exact
 from .ksum import moments
-from .wcode import _divided, _dual_weights, _krawtchouk_sums
+from .wcode import _dual_weights, _krawtchouk_sums
 
 
 def _onto_step(row: list[int], tmax: int) -> list[int]:
@@ -129,26 +130,37 @@ def _recursion(n: int, field: Field) -> SimpleNamespace:
     """The cell pair's recursion so far, from one transform of the orthogonal
     histogram.  kernel yields q D_j, twice the Krawtchouk sum over the odd-s
     dual weights at odd j and 0 at even j; sums[j] is q D_j and columns[t] is
-    q E_t of D; values[k] is T1K^(2k+1); onto is the row t! S(h,t),
-    t <= min(h, N), at h = 2 len(values), that the next order steps from.
+    q E_t of D, and counts and count_columns are the same divided by q;
+    values[k] is T1K^(2k+1); onto is the row t! S(h,t), t <= min(h, N), at
+    h = 2 len(values), that the next order steps from.
     symplectic keeps the sums q C'_j and their columns the same way, its
     kernel over the even-s weights w and the odd-s weights N - w; it takes no
     step until the full-moment identity asks for one."""
     length, even, odd = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
     kernel = (2 * total if j % 2 else 0 for j, total in enumerate(_krawtchouk_sums(length, odd)))
     reflected = even + Counter({length - w: mult for w, mult in odd.items()})
-    sympl = SimpleNamespace(kernel=_krawtchouk_sums(length, reflected), sums=[], columns=[])
-    return SimpleNamespace(kernel=kernel, sums=[], columns=[], values=[], onto=[1], symplectic=sympl)
+    sympl = SimpleNamespace(
+        kernel=_krawtchouk_sums(length, reflected), sums=[], columns=[], counts=[], count_columns=[]
+    )
+    return SimpleNamespace(
+        kernel=kernel, sums=[], columns=[], counts=[], count_columns=[], values=[], onto=[1],
+        symplectic=sympl,
+    )
 
 
 def _kept_columns(kept: SimpleNamespace, length: int, q: int, tmax: int) -> tuple[list, list]:
     """Extend kept.sums from kept.kernel and the Pless columns kept.columns
-    of them to t <= tmax; return both cut there and divided by q exactly, so
-    a non-integral count raises at every request that reaches it."""
+    of them to t <= tmax, and their quotients by q, kept.counts and
+    kept.count_columns, over the indices no earlier call reached; return the
+    quotients cut at tmax.  A quotient is kept only once it is exact, so a
+    non-integral count raises at every request that reaches it."""
     kept.sums.extend(islice(kept.kernel, max(0, tmax + 1 - len(kept.sums))))
     for t in range(len(kept.columns), tmax + 1):
         kept.columns.append(pless_column(length, kept.sums, t))
-    return _divided(q, kept.sums, tmax), _divided(q, kept.columns, tmax)
+    for quotients, totals in ((kept.counts, kept.sums), (kept.count_columns, kept.columns)):
+        for j in range(len(quotients), tmax + 1):
+            quotients.append(_exact(totals[j], q, f"sum at j={j}, q={q}"))
+    return kept.counts[: tmax + 1], kept.count_columns[: tmax + 1]
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     Defined for odd h, with odd n >= 3 at any q, or n = 1 with q >= 8.  With
     compare=True the direct trace-one power sum is computed as an independent
     oracle and the verdict recorded.  The sums q D_j and their Pless columns
-    are extended to t <= min(N, h) and divided by q exactly at every call;
+    are extended to t <= min(N, h) and divided by q exactly once per index;
     each order no earlier call reached is kept once its value is integral.
     """
     _check_recursion_range(n, field)

@@ -84,6 +84,13 @@ def test_symplectic_examples(f2):
             is_symplectic(f2, w, n)
 
 
+def test_symplectic_verdict_on_every_4x4_matrix_over_f2(f2):
+    # non-members too: the verdict is membership in the exhaustive solution set of w^T J w = J
+    verdicts = {w: is_symplectic(f2, w, 2) for w in all_matrices(f2, 4, 4)}
+    assert len(verdicts) == 2**16
+    assert {w for w, member in verdicts.items() if member} == symplectic_exhaustive(f2.modulus, 2)
+
+
 def test_orthogonal_examples(f2, f4):
     assert is_orthogonal(f2, identity(3), 1)
     for f in (f2, f4):

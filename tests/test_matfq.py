@@ -7,6 +7,7 @@ import pytest
 from kloosterman.gf2r import Field
 from kloosterman.matfq import (
     SingularMatrixError,
+    _dot,
     gl_iter,
     identity,
     mat_inv,
@@ -99,6 +100,57 @@ def test_inverse_examples(f2):
     assert mat_inv(f2, u) == u  # its square is the identity
     with pytest.raises(SingularMatrixError):
         mat_inv(f2, ((0, 0), (0, 0)))
+
+
+def _entry(field, rng):
+    """0, 1 or any element, so unit and non-unit factors both occur."""
+    return rng.choice((0, 1, rng.randrange(field.q)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 8])
+def test_dot_matches_schoolbook_oracle(r):
+    field, rng = Field(r), random.Random(100 + r)
+    for length in range(9):
+        for _ in range(40):
+            row = [_entry(field, rng) for _ in range(length)]
+            col = [_entry(field, rng) for _ in range(length)]
+            expected = reduce(xor, (mulmod(x, y, field.modulus) for x, y in zip(row, col)), 0)
+            assert _dot(field.mul, row, col) == expected
+
+
+def _random_invertible(field, n, rng):
+    """A row shuffle of L U, L unit lower triangular and U upper triangular
+    with a nonzero diagonal, multiplied by the oracle; elimination meets unit
+    and non-unit pivots and multipliers alike."""
+    lower = [[1 if i == j else _entry(field, rng) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [
+        [rng.choice((1, rng.randrange(1, field.q))) if i == j else _entry(field, rng) if j > i
+         else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    rows = list(_schoolbook(field.modulus, lower, upper))
+    rng.shuffle(rows)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("r", [1, 2, 8])
+def test_inverse_is_two_sided_on_random_matrices(r):
+    field, rng = Field(r), random.Random(200 + r)
+    m = field.modulus
+    for n in range(1, 7):
+        for _ in range(15):
+            a = _random_invertible(field, n, rng)
+            inv = mat_inv(field, a)
+            assert _schoolbook(m, a, inv) == identity(n) == _schoolbook(m, inv, a)
+            # row k replaced by a combination of the others leaves rank below n
+            k, combination = rng.randrange(n), [0] * n
+            for i, row in enumerate(a):
+                if i != k:
+                    c = _entry(field, rng)
+                    combination = [s ^ mulmod(c, x, m) for s, x in zip(combination, row)]
+            with pytest.raises(SingularMatrixError):
+                mat_inv(field, a[:k] + (tuple(combination),) + a[k + 1:])
 
 
 def test_inverse_is_involution_exhaustive(f2, f4):
