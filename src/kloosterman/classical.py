@@ -204,7 +204,8 @@ def is_orthogonal(field: Field, w: Mat, n: int) -> bool:
     *cols, last = zip(*w)
     if last != (0,) * (dim - 1) + (1,):
         return False
-    if any(theta_form(field, c, n) for c in cols):
+    mul = field.mul
+    if any(mul(c[-1], c[-1]) ^ _dot(mul, c[:n], c[n:-1]) for c in cols):  # theta(c_j) != 0
         return False
     return _preserves_form(field, [c[:-1] for c in cols], [row[:-1] for row in w[:-1]], n)
 

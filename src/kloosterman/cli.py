@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .dcsum import closed_histogram, dc_trace_histogram
 from .gf2r import Field
@@ -156,7 +157,9 @@ def cmd_tables(args) -> tuple | None:
 # ----------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on the first call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kloosterman",
         description=(

@@ -78,41 +78,38 @@ def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> in
 
 
 def suite_field() -> Iterator[CheckResult]:
-    built = sum(1 for r in range(1, MAX_DEGREE + 1) if Field(r).q == 1 << r)
+    fields = [Field(r) for r in range(1, MAX_DEGREE + 1)]  # GF(2^r) is fields[r - 1]
+    built = sum(1 for r, f in enumerate(fields, 1) if f.q == 1 << r)
     yield _check("moduli-table-constructs-and-verifies", MAX_DEGREE, built)
-    f4, f8 = Field(2), Field(3)
+    f4, f8 = fields[1], fields[2]
     yield _check("f4-generator-squared", 3, f4.mul(2, 2))
     yield _check("f8-generator-cubed", 3, f8.mul(f8.mul(2, 2), 2))
     yield _check("f4-inverse-of-generator", 3, f4.inv(2))
     yield _check("f4-trace-values", (1, 0), (f4.trace(2), f4.trace(1)))
     yield _check("f8-trace-of-one", 1, f8.trace(1))
-    for r in range(1, 9):
-        f = Field(r)
+    for f in fields[:8]:
         zeros = sum(1 for x in f.elements() if f.trace(x) == 0)
-        yield _check(f"artin-schreier-half-trace-zero-r{r}", f.q // 2, zeros)
-    for r in range(1, 9):
-        f = Field(r)
+        yield _check(f"artin-schreier-half-trace-zero-r{f.r}", f.q // 2, zeros)
+    for f in fields[:8]:
         ok = all(f.trace(f.mul(x, x)) == f.trace(x) for x in f.elements())
-        yield _check(f"frobenius-trace-invariance-r{r}", True, ok)
-    for r in range(1, 7):
-        f = Field(r)
+        yield _check(f"frobenius-trace-invariance-r{f.r}", True, ok)
+    for f in fields[:6]:
         ok = all(f.mul(x, f.inv(x)) == 1 for x in f.units())
-        yield _check(f"inverse-property-r{r}", True, ok)
+        yield _check(f"inverse-property-r{f.r}", True, ok)
 
 
 def suite_kloosterman() -> Iterator[CheckResult]:
     from .classical import kloosterman_gl_bruteforce  # the one check here that builds matrices
 
-    yield _check("k-value-q2", 1, kloosterman(Field(1), 1))
-    yield _check("k-value-q4", 3, kloosterman(Field(2), 1))
-    yield _check("k-value-q8", -5, kloosterman(Field(3), 1))
-    yield _check("k-multiset-q8", [-5, -1, -1, -1, 3, 3, 3], sorted(ktable(Field(3)).values()))
-    for r in range(1, 11):
-        f = Field(r)
+    fields = [Field(r) for r in range(1, 11)]  # GF(2^r) is fields[r - 1]
+    yield _check("k-value-q2", 1, kloosterman(fields[0], 1))
+    yield _check("k-value-q4", 3, kloosterman(fields[1], 1))
+    yield _check("k-value-q8", -5, kloosterman(fields[2], 1))
+    yield _check("k-multiset-q8", [-5, -1, -1, -1, 3, 3, 3], sorted(ktable(fields[2]).values()))
+    for f in fields:
         ok = all(k * k <= 4 * f.q for k in ktable(f).values())
-        yield _check(f"weil-bound-r{r}", True, ok)
-    for r in range(1, 9):
-        f = Field(r)
+        yield _check(f"weil-bound-r{f.r}", True, ok)
+    for r, f in enumerate(fields[:8], 1):
         table = ktable(f)
         ok = all(
             table[f.pow(a, 1 << s)] == table[a] for s in (1, 2, 3) for a in f.units()
@@ -127,11 +124,11 @@ def suite_kloosterman() -> Iterator[CheckResult]:
         ok = all(m.mk == m.t0k + m.t1k for m in (moments(f, h) for h in range(11)))
         yield _check(f"moment-partition-r{r}", True, ok)
     for t, r in ((2, 1), (2, 2), (3, 1)):
-        f = Field(r)
+        f = fields[r - 1]
         brute = kloosterman_gl_bruteforce(f, t)
         ok = all(kloosterman_gl(f, t, a) == brute[a] for a in f.units())
         yield _check(f"gl-recursion-vs-bruteforce-t{t}-q{f.q}", True, ok)
-    yield _check("gl-recursion-t2-q2-value", 6, kloosterman_gl(Field(1), 2, 1))
+    yield _check("gl-recursion-t2-q2-value", 6, kloosterman_gl(fields[0], 2, 1))
 
 
 def suite_groups() -> Iterator[CheckResult]:
@@ -141,7 +138,7 @@ def suite_groups() -> Iterator[CheckResult]:
     )
     from .matfq import mat_trace, row_images
 
-    f2, f4 = Field(1), Field(2)
+    f2, f4, f8, f16 = Field(1), Field(2), Field(3), Field(4)
     transversals = {}
     for n in (1, 2, 3):  # one P(n,2) per n serves both its count and a transversal
         data = coset_transversal(n, n - 1, f2, ORTHOGONAL)
@@ -169,13 +166,15 @@ def suite_groups() -> Iterator[CheckResult]:
     yield _check("iota-bijection-p5-p4", True, set(image) == p4 and len(set(image)) == len(p5))
     known = dict(zip(p5, image))  # iota is pure; a product outside p5 still meets its guard
     rows5, rows4 = {u for v in p5 for u in v}, {u for iv in image for u in iv}
-    ok = all(  # v w and iota(v) iota(w) read from one map of distinct rows each per w
-        (known.get(vw) or iota(f2, vw, 2)) == tuple(map(iright.__getitem__, iv))
-        for w, iw in zip(p5, image)
-        for right, iright in [(row_images(f2, rows5, w), row_images(f2, rows4, iw))]
-        for v, iv in zip(p5, image)
-        for vw in [tuple(map(right.__getitem__, v))]
-    )
+    ok = True
+    for w, iw in zip(p5, image):  # v w and iota(v) iota(w) read from one map of distinct rows each
+        right, iright = row_images(f2, rows5, w), row_images(f2, rows4, iw)
+        products = [tuple(map(right.__getitem__, v)) for v in p5]
+        if [known.get(vw) or iota(f2, vw, 2) for vw in products] != [
+            tuple(map(iright.__getitem__, iv)) for iv in image
+        ]:
+            ok = False
+            break
     yield _check("iota-multiplicative-p5", True, ok)
     for r in range(5):
         for f in (f2, f4):
@@ -188,7 +187,7 @@ def suite_groups() -> Iterator[CheckResult]:
     yield _check("gl2-order-q2", 6, orders.general_linear)
     yield _check("qbinom-3-1-q2", 7, q_binom(3, 1, 2))
     yield _check("bruhat-sum-n2-q2", 720, orders.group_order)
-    for n, f in ((1, f2), (3, f2), (1, f4), (1, Field(3)), (1, Field(4)), (3, f4)):
+    for n, f in ((1, f2), (3, f2), (1, f4), (1, f8), (1, f16), (3, f4)):
         consts = cell_constants(n, f)
         yield _check(
             f"cell-size-three-ways-n{n}-q{f.q}",
@@ -203,8 +202,8 @@ def _hist_expsum(field: Field, hist: dict[int, int], c: int) -> int:
 
 
 def suite_expsum() -> Iterator[CheckResult]:
-    for n, f in ((1, Field(1)), (1, Field(2)), (2, Field(1)), (2, Field(2)),
-                 (1, Field(3)), (1, Field(4))):
+    f2, f4, f8, f16 = Field(1), Field(2), Field(3), Field(4)
+    for n, f in ((1, f2), (1, f4), (2, f2), (2, f4), (1, f8), (1, f16)):
         for r in range(n + 1):
             hist = dc_trace_histogram(n, r, f, ORTHOGONAL)
             ok = all(
@@ -217,25 +216,22 @@ def suite_expsum() -> Iterator[CheckResult]:
                     0,
                     expsum_closed(n, r, f),
                 )
-    for n, f in ((1, Field(1)), (1, Field(2)), (1, Field(3)), (1, Field(4)), (3, Field(1))):
+    for n, f in ((1, f2), (1, f4), (1, f8), (1, f16), (3, f2)):
         ok = all(expsum_dc(n, f, c) == expsum_closed(n, n - 1, f, c) for c in f.units())
         yield _check(f"dc-sum-two-routes-n{n}-q{f.q}", True, ok)
-    hist32 = dc_trace_histogram(3, 2, Field(1), ORTHOGONAL)
+    hist32 = dc_trace_histogram(3, 2, f2, ORTHOGONAL)
     yield _check("dc32-histogram", {0: 293888, 1: 308224}, hist32)
-    yield _check("dc32-closed-histogram-matches", closed_histogram(3, Field(1), ORTHOGONAL), hist32)
-    ok = all(
-        expsum_dc(3, Field(1), c) == _hist_expsum(Field(1), hist32, c)
-        for c in Field(1).units()
-    )
+    yield _check("dc32-closed-histogram-matches", closed_histogram(3, f2, ORTHOGONAL), hist32)
+    ok = all(expsum_dc(3, f2, c) == _hist_expsum(f2, hist32, c) for c in f2.units())
     yield _check("dc32-sum-vs-enumeration", True, ok)
-    for n, f in ((1, Field(1)), (1, Field(2)), (1, Field(3))):
+    for n, f in ((1, f2), (1, f4), (1, f8)):
         hist = dc_trace_histogram(1, 0, f, SYMPLECTIC)
         yield _check(
             f"symplectic-cell-closed-vs-enumerated-n1-q{f.q}",
             closed_histogram(1, f, SYMPLECTIC),
             hist,
         )
-    for n, f in ((1, Field(1)), (1, Field(2)), (1, Field(3)), (3, Field(1))):
+    for n, f in ((1, f2), (1, f4), (1, f8), (3, f2)):
         size, hist = cell_constants(n, f).size, closed_histogram(n, f, ORTHOGONAL)
         ok = all(
             f.q * count
@@ -243,10 +239,10 @@ def suite_expsum() -> Iterator[CheckResult]:
             for beta, count in hist.items()
         )
         yield _check(f"orthogonality-inversion-n{n}-q{f.q}", True, ok)
-    for n, f in ((3, Field(1)), (3, Field(2)), (5, Field(1))):
+    for n, f in ((3, f2), (3, f4), (5, f2)):
         ok = all(count > 0 for count in closed_histogram(n, f, ORTHOGONAL).values())
         yield _check(f"all-traces-hit-n{n}-q{f.q}", True, ok)
-    for f in (Field(1), Field(2), Field(3), Field(4)):
+    for f in (f2, f4, f8, f16):
         for family in (ORTHOGONAL, SYMPLECTIC):
             hist = closed_histogram(1, f, family)  # checks totals and weighted sum
             yield _check(
@@ -328,14 +324,15 @@ def suite_pless() -> Iterator[CheckResult]:
 
 
 def suite_thma() -> Iterator[CheckResult]:
-    grid = ((1, Field(3)), (1, Field(4)), (3, Field(1)))
+    f2, f4, f8, f16 = Field(1), Field(2), Field(3), Field(4)
+    grid = ((1, f8), (1, f16), (3, f2))
     for n, f in grid:
         for h in (1, 3, 5, 7):
             report = t1k_recursive(n, f, h, compare=True)
             yield _check(f"recursion-vs-direct-n{n}-q{f.q}-h{h}", report.direct, report.recursive)
-    yield _check("recursion-spot-3-2-h1", 1, t1k_recursive(3, Field(1), 1).recursive)
-    yield _check("recursion-spot-1-8-h1", 4, t1k_recursive(1, Field(3), 1).recursive)
-    yield _check("recursion-spot-1-8-h3", -44, t1k_recursive(1, Field(3), 3).recursive)
+    yield _check("recursion-spot-3-2-h1", 1, t1k_recursive(3, f2, 1).recursive)
+    yield _check("recursion-spot-1-8-h1", 4, t1k_recursive(1, f8, 1).recursive)
+    yield _check("recursion-spot-1-8-h3", -44, t1k_recursive(1, f8, 3).recursive)
     for n, f in grid:
         for h in range(1, 8):
             lhs, rhs = full_moment_identity(n, f, h)
@@ -343,7 +340,7 @@ def suite_thma() -> Iterator[CheckResult]:
         ok = all(mk_via_identity(n, f, h) == moments(f, h).mk for h in range(1, 6))
         yield _check(f"mk-solved-vs-direct-n{n}-q{f.q}", True, ok)
     try:
-        t1k_recursive(1, Field(2), 1)
+        t1k_recursive(1, f4, 1)
         outcome = "no error"
     except ValueError:
         outcome = "ValueError"

@@ -140,6 +140,20 @@ def test_orthogonal_iff_theta_preserving_sampled_q4(f4):
     assert verdicts == {True, False}
 
 
+def test_orthogonal_checks_theta_on_every_column_n2_q4(f4):
+    # a changed last-row entry in column j < 4 adds its square to theta(c_j), which is then nonzero
+    rng = random.Random(24)
+    members = rng.sample(list(enumerate_parabolic(2, f4, ORTHOGONAL)), 12)
+    for w in members:
+        assert is_orthogonal(f4, w, 2)
+        rows = [list(row) for row in w]
+        rows[4][rng.randrange(4)] ^= rng.randrange(1, 4)
+        damaged = tuple(map(tuple, rows))
+        assert not is_orthogonal(f4, damaged, 2)
+        for v in (w, damaged):
+            assert is_orthogonal(f4, v, 2) == preserves_theta(f4, v, 2), v
+
+
 # ----------------------------------------------------------------------------
 # sigma and iota
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -160,6 +161,57 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         main(["verify", "badname"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_json(capsys, "verify", "field")[0] == 0
+    assert built  # the first call builds the parser and its subparsers
+    first = len(built)
+    assert run_json(capsys, "verify", "codes")[0] == 0
+    assert len(built) == first
+
+
+def test_reused_parser_serves_each_later_call(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "badname"])
+    assert exc.value.code == 2
+    code, report, _ = run_json(capsys, "verify", "field")
+    assert code == 0
+    assert report["verdicts"]["checks_run"] == str(SUITE_CHECKS["field"])
+    # the parser holds cmd_verify, which reads run_suite from the module at each call
+    monkeypatch.setattr(cli, "run_suite", lambda suite: [CheckResult("patched", "1", "1", True)])
+    code, report, _ = run_json(capsys, "verify", "field")
+    assert code == 0
+    assert [c["name"] for c in report["results"]["checks"]] == ["patched"]
+
+
+def test_parse_args_leaves_the_parser_unchanged(capsys):
+    argvs = [
+        ["verify", "pless", "--json"],
+        ["recursion", "--n", "1", "--q", "8", "--h", "3"],
+        ["histogram", "--n", "1", "--q", "8", "--r-coset", "0", "--family", "symplectic"],
+        ["tables", "--q", "4", "--csv"],
+        ["tables", "--q", "4", "--hmax", "2", "--modulus", "7"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    for argv in (["verify"], ["tables", "--csv", "--json", "--q", "4"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    fresh, used = cli.build_parser.__wrapped__(), cli.build_parser()
+    assert fresh is not used
+    for argv in argvs:
+        assert used.parse_args(argv) == fresh.parse_args(argv)
+    assert used.format_help() == fresh.format_help()
 
 
 def test_suite_names_are_the_suites_then_all():
