@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from functools import cache
 
 from .dcsum import closed_histogram, dc_trace_histogram
 from .gf2r import Field
@@ -157,9 +156,7 @@ def cmd_tables(args) -> tuple | None:
 # ----------------------------------------------------------------------------
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of a process, built on the first call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kloosterman",
         description=(
@@ -208,8 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by main on its first call; parse_args leaves it unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     # exact values print in full at any size: lift the interpreter's
     # int-to-decimal digit limit (0 is none, as before Python 3.10.7) for this
     # report, and restore it for callers in the same process

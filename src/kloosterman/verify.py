@@ -78,7 +78,7 @@ def dual_weight_from_histogram(field: Field, hist: dict[int, int], a: int) -> in
 
 
 def suite_field() -> Iterator[CheckResult]:
-    fields = [Field(r) for r in range(1, MAX_DEGREE + 1)]  # GF(2^r) is fields[r - 1]
+    fields = list(map(Field, range(1, MAX_DEGREE + 1)))  # GF(2^r) is fields[r - 1]
     built = sum(1 for r, f in enumerate(fields, 1) if f.q == 1 << r)
     yield _check("moduli-table-constructs-and-verifies", MAX_DEGREE, built)
     f4, f8 = fields[1], fields[2]
@@ -101,7 +101,7 @@ def suite_field() -> Iterator[CheckResult]:
 def suite_kloosterman() -> Iterator[CheckResult]:
     from .classical import kloosterman_gl_bruteforce  # the one check here that builds matrices
 
-    fields = [Field(r) for r in range(1, 11)]  # GF(2^r) is fields[r - 1]
+    fields = list(map(Field, range(1, 11)))  # GF(2^r) is fields[r - 1]
     yield _check("k-value-q2", 1, kloosterman(fields[0], 1))
     yield _check("k-value-q4", 3, kloosterman(fields[1], 1))
     yield _check("k-value-q8", -5, kloosterman(fields[2], 1))

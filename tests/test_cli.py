@@ -171,7 +171,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_parser", None)
     assert run_json(capsys, "verify", "field")[0] == 0
     assert built  # the first call builds the parser and its subparsers
     first = len(built)
@@ -207,8 +207,8 @@ def test_parse_args_leaves_the_parser_unchanged(capsys):
         with pytest.raises(SystemExit):
             main(argv)
     capsys.readouterr()
-    fresh, used = cli.build_parser.__wrapped__(), cli.build_parser()
-    assert fresh is not used
+    fresh, used = cli.build_parser(), cli._parser
+    assert used is not None and fresh is not used
     for argv in argvs:
         assert used.parse_args(argv) == fresh.parse_args(argv)
     assert used.format_help() == fresh.format_help()
