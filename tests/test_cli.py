@@ -167,7 +167,7 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
