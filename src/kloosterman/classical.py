@@ -217,8 +217,9 @@ def iota(field: Field, w: Mat, n: int) -> Mat:
     return tuple(row[: 2 * n] for row in w[: 2 * n])
 
 
-def _sigma_perm(n: int, r: int, dim: int) -> list[int]:
-    p = list(range(dim))
+def _sigma_perm(n: int, r: int, family: str) -> list[int]:
+    """Row i of sigma_r has its 1 in column p[i]; len(p) is the family's matrix size."""
+    p = list(range(2 * n + 1 if family == ORTHOGONAL else 2 * n))
     for i in range(r):
         p[i], p[n + i] = p[n + i], p[i]
     return p
@@ -228,9 +229,8 @@ def sigma_r(n: int, r: int, family: str = ORTHOGONAL) -> Mat:
     """The Weyl representative swapping the first r plus/minus coordinate pairs."""
     _check_family(family)
     _check_cell(n, r)
-    dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
-    perm = _sigma_perm(n, r, dim)
-    return tuple(tuple(1 if j == perm[i] else 0 for j in range(dim)) for i in range(dim))
+    perm = _sigma_perm(n, r, family)
+    return tuple(tuple(1 if j == p else 0 for j in range(len(perm))) for p in perm)
 
 
 # ----------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def _conjugate_zero_positions(n: int, r: int, family: str) -> tuple[tuple[int, i
     exactly "in the group, with zero lower-left block (and zero g row in the
     orthogonal case)"; the group part is automatic for elements of P.
     """
-    dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
-    perm = _sigma_perm(n, r, dim)
+    perm = _sigma_perm(n, r, family)
     positions = [(perm[i], perm[j]) for i in range(n, 2 * n) for j in range(n)]
     if family == ORTHOGONAL:
         positions.extend((2 * n, perm[j]) for j in range(n))
@@ -334,7 +333,6 @@ class CosetData:
     """A right-coset transversal of A_r in P, and P itself in enumeration order."""
 
     parabolic: tuple[Mat, ...]
-    stabilizer_order: int
     transversal: tuple[Mat, ...]
 
 
@@ -374,10 +372,9 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
         row_i = itemgetter(i)
         passing = {u for u in set(map(row_i, members)) if not any(u[j] for j in cols)}
         members = list(compress(members, map(passing.__contains__, map(row_i, members))))
-    a_count = len(members)
     expected_a = stabilizer_order(n, r, q)
-    if a_count != expected_a:
-        raise ArithmeticError(f"|A_{r}| mismatch: counted {a_count}, formula {expected_a}")
+    if len(members) != expected_a:
+        raise ArithmeticError(f"|A_{r}| mismatch: counted {len(members)}, formula {expected_a}")
 
     shifts = list(_unipotents(field, n, r, family))
     tail = (0,) if family == ORTHOGONAL else ()
@@ -399,7 +396,7 @@ def coset_transversal(n: int, r: int, field: Field, family: str = ORTHOGONAL) ->
         for y_cols in inverse_cols[:k]:
             if not any(map(_dot, repeat(mul), x_rows, y_cols)):
                 raise ArithmeticError(f"two representatives share a right coset of A_{r}")
-    return CosetData(parabolic, a_count, tuple(transversal))
+    return CosetData(parabolic, tuple(transversal))
 
 
 def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONAL) -> Iterator[Mat]:
@@ -410,11 +407,10 @@ def enumerate_double_coset(n: int, r: int, field: Field, family: str = ORTHOGONA
     """
     _check_budget(cell_order(n, r, field.q), f"elements of the cell P sigma_{r} P")
     data = coset_transversal(n, r, field, family)
-    dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
-    perm = _sigma_perm(n, r, dim)
+    perm = _sigma_perm(n, r, family)
     rows = {u for p in data.parabolic for u in p}
     for x in data.transversal:
-        m = tuple(x[perm[i]] for i in range(dim))  # sigma_r * x
+        m = tuple(map(x.__getitem__, perm))  # sigma_r * x
         image = row_images(field, rows, m)
         for p in data.parabolic:
             yield tuple(map(image.__getitem__, p))

@@ -14,12 +14,12 @@ turns the dual weight w into N - w, and K_j(N - w) = (-1)^j K_j(w).  Hence
 one transform of the orthogonal histogram serves both cells: q C'_j is the
 Krawtchouk sum over the even-s weights w_s and the odd-s weights N - w_s, and
 q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each of
-the 16 cell pairs used last keeps one recursion (_recursion): the sums q D_j
-and the columns q E_t of D computed so far, each also divided by q once, the
-values T1K^1, T1K^3, ... so far, one row of t! S(h,t), cut at t <= N, that
-each new order steps twice, and the symplectic sums q C'_j and their columns
-for the full-moment identity.  The other identities build their row from
-h = 0 (_onto).
+the 16 cell pairs used last keeps one recursion (_recursion): the sums q D_j,
+the counts D_j and the columns q E_t of D computed so far, the values T1K^1,
+T1K^3, ... so far, one row of t! S(h,t), cut at t <= N, that each new order
+steps twice, and the symplectic sums q C'_j, counts and columns for the
+full-moment identity.  The other identities build their row from h = 0
+(_onto).
 """
 
 from __future__ import annotations
@@ -129,38 +129,38 @@ def _check_recursion_range(n: int, field: Field) -> None:
 def _recursion(n: int, field: Field) -> SimpleNamespace:
     """The cell pair's recursion so far, from one transform of the orthogonal
     histogram.  kernel yields q D_j, twice the Krawtchouk sum over the odd-s
-    dual weights at odd j and 0 at even j; sums[j] is q D_j and columns[t] is
-    q E_t of D, and counts and count_columns are the same divided by q;
+    dual weights at odd j and 0 at even j; sums[j] is q D_j, counts[j] is D_j
+    and columns[t] is q E_t of D, the Pless column of the sums;
     values[k] is T1K^(2k+1); onto is the row t! S(h,t), t <= min(h, N), at
     h = 2 len(values), that the next order steps from.
-    symplectic keeps the sums q C'_j and their columns the same way, its
-    kernel over the even-s weights w and the odd-s weights N - w; it takes no
-    step until the full-moment identity asks for one."""
+    symplectic keeps the sums q C'_j, the counts C'_j and the columns the same
+    way, its kernel over the even-s weights w and the odd-s weights N - w; it
+    takes no step until the full-moment identity asks for one."""
     length, even, odd = _dual_weights(field.q, closed_histogram(n, field, ORTHOGONAL))
     kernel = (2 * total if j % 2 else 0 for j, total in enumerate(_krawtchouk_sums(length, odd)))
     reflected = even + Counter({length - w: mult for w, mult in odd.items()})
     sympl = SimpleNamespace(
-        kernel=_krawtchouk_sums(length, reflected), sums=[], columns=[], counts=[], count_columns=[]
+        kernel=_krawtchouk_sums(length, reflected), sums=[], counts=[], columns=[]
     )
     return SimpleNamespace(
-        kernel=kernel, sums=[], columns=[], counts=[], count_columns=[], values=[], onto=[1],
-        symplectic=sympl,
+        kernel=kernel, sums=[], counts=[], columns=[], values=[], onto=[1], symplectic=sympl
     )
 
 
 def _kept_columns(kept: SimpleNamespace, length: int, q: int, tmax: int) -> tuple[list, list]:
-    """Extend kept.sums from kept.kernel and the Pless columns kept.columns
-    of them to t <= tmax, and their quotients by q, kept.counts and
-    kept.count_columns, over the indices no earlier call reached; return the
-    quotients cut at tmax.  A quotient is kept only once it is exact, so a
-    non-integral count raises at every request that reaches it."""
+    """Extend kept.sums from kept.kernel, kept.counts (the sums divided by q)
+    and kept.columns (the Pless columns of the sums) to t <= tmax, over the
+    indices no earlier call reached; return the counts and columns cut at tmax.
+    Each count is kept only once it is exact, and before any column that reads
+    it, so a non-integral count raises at every request that reaches it.  A
+    column is q times an integer combination of the counts: it needs no
+    division of its own."""
     kept.sums.extend(islice(kept.kernel, max(0, tmax + 1 - len(kept.sums))))
+    for j in range(len(kept.counts), tmax + 1):
+        kept.counts.append(_exact(kept.sums[j], q, f"sum at j={j}, q={q}"))
     for t in range(len(kept.columns), tmax + 1):
         kept.columns.append(pless_column(length, kept.sums, t))
-    for quotients, totals in ((kept.counts, kept.sums), (kept.count_columns, kept.columns)):
-        for j in range(len(quotients), tmax + 1):
-            quotients.append(_exact(totals[j], q, f"sum at j={j}, q={q}"))
-    return kept.counts[: tmax + 1], kept.count_columns[: tmax + 1]
+    return kept.counts[: tmax + 1], kept.columns[: tmax + 1]
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     Defined for odd h, with odd n >= 3 at any q, or n = 1 with q >= 8.  With
     compare=True the direct trace-one power sum is computed as an independent
     oracle and the verdict recorded.  The sums q D_j and their Pless columns
-    are extended to t <= min(N, h) and divided by q exactly once per index;
+    are extended to t <= min(N, h), each sum divided by q exactly once;
     each order no earlier call reached is kept once its value is integral.
     """
     _check_recursion_range(n, field)
@@ -204,7 +204,7 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
             first = (first + binomial * values[l // 2]) * square
             binomial = binomial * (order - l) * (order - l - 1) // ((l + 1) * (l + 2))
         value = -first + _exact(
-            field.q * _stirling_side(columns, onto) << (order - 1),
+            _stirling_side(columns, onto) << (order - 1),
             consts.scale**order << (len(onto) - 1),
             f"recursion value at (n={n}, q={field.q}, h={order})",
         )
@@ -230,7 +230,7 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, int, 
     consts = cell_constants(n, field)
     tmax = min(consts.size, h)
     _, columns = _kept_columns(_recursion(n, field).symplectic, consts.size, field.q, tmax)
-    return consts, field.q * _stirling_side(columns, _onto(h, tmax)), 1 << tmax
+    return consts, _stirling_side(columns, _onto(h, tmax)), 1 << tmax
 
 
 def _binomial_moments(field: Field, cofactor: int, h: int, lmax: int) -> int:

@@ -167,6 +167,19 @@ def test_sigma_examples():
         sigma_r(2, 3)
 
 
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_sigma_is_an_involutive_permutation_on_every_cell(f2, family):
+    for n in range(1, 4):
+        dim = 2 * n + 1 if family == ORTHOGONAL else 2 * n
+        unit = [0] * (dim - 1) + [1]
+        for r in range(n + 1):
+            s = sigma_r(n, r, family)
+            assert len(s) == dim and all(sorted(row) == unit for row in s), (n, r)
+            assert all(sorted(col) == unit for col in zip(*s)), (n, r)
+            assert mat_mul(f2, s, s) == identity(dim), (n, r)
+            assert [row.index(1) for row in s] == cl._sigma_perm(n, r, family), (n, r)
+
+
 def test_iota_examples(f2):
     assert iota(f2, identity(5), 2) == identity(4)
     for r in range(3):
@@ -384,7 +397,6 @@ def test_transversal_sizes(n, r, r_field, expected):
     for family in (ORTHOGONAL, SYMPLECTIC):
         data = coset_transversal(n, r, f, family)
         assert len(data.transversal) == expected == transversal_size(n, r, f.q)
-        assert data.stabilizer_order == dcsum.stabilizer_order(n, r, f.q)
         assert len(data.parabolic) * len(data.transversal) == cell_order(n, r, f.q)
 
 
@@ -420,6 +432,15 @@ def test_transversal_rejects_two_representatives_of_one_coset(f2, monkeypatch, f
 
     monkeypatch.setattr(cl, "_subspace_representatives", repeating)
     with pytest.raises(ArithmeticError, match="share a right coset"):
+        coset_transversal(2, 1, f2, family)
+
+
+@pytest.mark.parametrize("family", [ORTHOGONAL, SYMPLECTIC])
+def test_transversal_rejects_an_a_r_count_off_the_formula(f2, monkeypatch, family):
+    # |A_r| is counted in P and held only by dcsum.stabilizer_order, never kept in CosetData
+    assert not hasattr(coset_transversal(2, 1, f2, family), "stabilizer_order")
+    monkeypatch.setattr(cl, "stabilizer_order", lambda n, r, q: dcsum.stabilizer_order(n, r, q) + 1)
+    with pytest.raises(ArithmeticError, match=re.escape("|A_1| mismatch")):
         coset_transversal(2, 1, f2, family)
 
 

@@ -164,6 +164,20 @@ def test_cell_series_in_any_order_match_one_shot_oracles(cold_cells, n, r):
         lhs, rhs = full_moment_identity(n, f, h)
         assert lhs == rhs
         assert pmi._recursion(n, f).symplectic.sums[: tmax + 1] == [f.q * c for c in prefixes[1]]
+        assert pmi._recursion(n, f).symplectic.columns[: tmax + 1] == [
+            f.q * pmi.pless_column(size, prefixes[1], t) for t in range(tmax + 1)
+        ]
+
+
+def test_recursion_and_full_moment_identity_at_q65536(cold_cells):
+    # `verify thma` stops at q = 16; here the kept columns are read at q = 2^16
+    f = Field(16)
+    assert t1k_recursive(1, f, 7, compare=True).match
+    for h in range(1, 8):
+        lhs, rhs = full_moment_identity(1, f, h)
+        assert lhs == rhs, h
+    for h in range(1, 6):
+        assert mk_via_identity(1, f, h) == moments(f, h).mk, h
 
 
 # (3, 4) and cells with n >= 5 or q >= 64; the code lengths all exceed 25
