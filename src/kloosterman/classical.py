@@ -230,7 +230,7 @@ def sigma_r(n: int, r: int, family: str = ORTHOGONAL) -> Mat:
     _check_family(family)
     _check_cell(n, r)
     perm = _sigma_perm(n, r, family)
-    return tuple(tuple(1 if j == p else 0 for j in range(len(perm))) for p in perm)
+    return tuple(map(identity(len(perm)).__getitem__, perm))  # row i is e_perm[i]
 
 
 # ----------------------------------------------------------------------------
