@@ -35,7 +35,7 @@ print(f"  palindromic: {all(brute.get(j, 0) == brute.get(12 - j, 0) for j in ran
 # the dual: traced multiples of the defining vector
 print(f"  dual codewords (a, weight): {dual_enumerate(1, f4)}")
 print(f"  kernel of a -> c(a): {dual_kernel(1, f4)}  (only q/2 = 2 distinct duals here)")
-print(f"  dual recomputed by GF(2) linear algebra matches: {delsarte_check(1, f4)}")
+print(f"  dual as the row space of the bit matrix equals the traced set: {delsarte_check(1, f4)}")
 
 # at q = 8 the kernel is trivial and the dual weights follow K(lambda; a)
 f8 = Field(3)

@@ -28,9 +28,11 @@ from itertools import repeat
 
 from .guards import _check_int, _named
 
-# Lowest-weight irreducible polynomial per degree, lexicographically smallest
-# among minimal-weight candidates.  Rabin's test re-verifies each one at
-# construction, so a bad entry fails loudly rather than corrupting results.
+# Lowest-weight irreducible polynomial per degree r >= 2: of weight w, the first
+# irreducible x^r + x^e_1 + ... + 1 as the middle exponents (e_1, ...) run through
+# itertools.combinations(range(1, r), w - 2).  That is not always the least
+# integer of weight w (0x11B < 0x187 at r = 8).  Rabin's test re-verifies each
+# one at construction, so a bad entry fails loudly rather than corrupting results.
 MODULI = {
     1: 0x3,
     2: 0x7,

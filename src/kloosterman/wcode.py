@@ -37,14 +37,14 @@ def dual_weight(n: int, field: Field, a: int) -> int:
 
     a = 0 indexes the zero codeword; that degenerate weight 0 is returned
     with a warning rather than an error, since 0 legitimately indexes a dual
-    codeword.
+    codeword.  n is checked first, and only the int 0 takes that branch.
     """
-    if a == 0:
+    consts = cell_constants(n, field)
+    if type(a) is int and a == 0:
         warnings.warn("a = 0 indexes the zero dual codeword", RuntimeWarning, stacklevel=2)
         return 0
-    consts = cell_constants(n, field)
-    value = consts.scale * (consts.cofactor - field.lam(a) * kloosterman(field, a))
-    return _exact(value, 2, "dual weight")
+    k = kloosterman(field, a)
+    return _exact(consts.scale * (consts.cofactor - field.lam(a) * k), 2, "dual weight")
 
 
 def dual_kernel(n: int, field: Field) -> set[int]:
@@ -153,18 +153,17 @@ def code_bruteforce_wd(n: int, field: Field) -> dict[int, int]:
     """Full weight distribution of the cell code by 2^N exhaustion (N <= 26).
 
     Walks binary words in Gray-code order, maintaining the field-valued dot
-    product with the defining vector incrementally.
+    product with the defining vector incrementally.  The word at step u is
+    gray(u) = u ^ (u >> 1), which differs from gray(u - 1) only in the lowest
+    set bit of u; its weight is read off gray(u) when the dot product is 0.
     """
     v = _brute_force_vector(n, field)
     dist: dict[int, int] = {0: 1}
-    s = weight = word = 0
+    s = 0
     for u in range(1, 1 << len(v)):
-        gray = u ^ (u >> 1)
-        flipped = (gray ^ word).bit_length() - 1
-        word = gray
-        s ^= v[flipped]
-        weight += 1 if gray >> flipped & 1 else -1
+        s ^= v[(u & -u).bit_length() - 1]
         if s == 0:
+            weight = (u ^ (u >> 1)).bit_count()
             dist[weight] = dist.get(weight, 0) + 1
     return dist
 
@@ -174,60 +173,23 @@ def dual_enumerate(n: int, field: Field) -> list[tuple[int, int]]:
     return [(0, 0)] + [(a, dual_weight(n, field, a)) for a in field.units()]
 
 
-# ----------------------------------------------------------------------------
-# GF(2) linear algebra on bitmask rows, for the Delsarte cross-check
-
-
-def _f2_rref(rows: list[int]) -> list[int]:
-    """Reduced basis: distinct leading bits, each cleared from all other rows."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            pivot = row.bit_length() - 1
-            basis = [b ^ row if b >> pivot & 1 else b for b in basis]
-            basis.append(row)
-    return sorted(basis, reverse=True)
-
-
-def _f2_nullspace(rows: list[int], width: int) -> list[int]:
-    """Basis of {x : x has even overlap with every row}."""
-    basis = _f2_rref(rows)
-    pivots = {b.bit_length() - 1 for b in basis}
-    null = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        x = 1 << f
-        for b in basis:
-            if b >> f & 1:
-                x ^= 1 << (b.bit_length() - 1)
-        null.append(x)
-    return null
-
-
-def _f2_span(basis: list[int]) -> set[int]:
-    span = {0}
-    for b in basis:
-        span |= {v ^ b for v in span}
-    return span
-
-
 def delsarte_check(n: int, field: Field) -> bool:
     """Set equality of {traced dual codewords} with the brute-force dual (N <= 26).
 
-    The code is the nullspace of the r x N bit matrix of the defining vector;
-    its dual is recomputed by plain GF(2) linear algebra and compared, as
-    vector sets, against the traced multiples of the defining vector.
+    The code is the kernel of the r x N bit matrix of the defining vector, so
+    its dual is that matrix's row space, spanned here and compared, as a
+    vector set, with the traced multiples of the defining vector.  The
+    equality holds for every vector, since a -> tr(a x) runs over every
+    F_2-linear functional: it exercises the field's product and trace form,
+    not the cell.
     """
     v = _brute_force_vector(n, field)
-    length = len(v)
     mul, trace = field.mul, field.trace
     traced = {
         sum(trace(mul(a, vj)) << j for j, vj in enumerate(v)) for a in field.elements()
     }
     bit_rows = [sum((vj >> k & 1) << j for j, vj in enumerate(v)) for k in range(field.r)]
-    code_basis = _f2_nullspace(bit_rows, length)
-    dual_basis = _f2_nullspace(code_basis, length)
-    return _f2_span(dual_basis) == traced
+    span = {0}
+    for row in bit_rows:
+        span |= {w ^ row for w in span}
+    return span == traced

@@ -46,11 +46,11 @@ def test_verify_suite_passes(verify_suites, suite):
 
 
 def test_verify_all_passes_under_optimize():
-    # python -O strips every assert, so no exactness check may rest on one
+    # python -O strips every assert, so no exactness check may rest on one; -W error fails on any warning
     src = str(Path(verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kloosterman.cli", "verify", "all", "--json"],
+        [sys.executable, "-O", "-W", "error", "-m", "kloosterman.cli", "verify", "all", "--json"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

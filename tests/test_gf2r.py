@@ -2,7 +2,7 @@ import copy
 import pickle
 import re
 import tracemalloc
-from itertools import product
+from itertools import combinations, count, product
 
 import pytest
 
@@ -50,6 +50,19 @@ def test_pinned_moduli():
     assert MODULI[2] == 0b111  # x^2+x+1
     assert MODULI[3] == 0b1011  # x^3+x+1
     assert MODULI[4] == 0b10011  # x^4+x+1
+
+
+def test_moduli_follow_the_stated_selection_rule():
+    def first_of_least_weight(r):
+        for w in count(2):
+            for middle in combinations(range(1, r), w - 2):
+                p = 1 << r | 1 | sum(1 << e for e in middle)
+                if is_irreducible(p, r):
+                    return p
+
+    assert MODULI[1] == 0b11  # x+1
+    degrees = range(2, MAX_DEGREE + 1)
+    assert {r: MODULI[r] for r in degrees} == {r: first_of_least_weight(r) for r in degrees}
 
 
 @pytest.mark.parametrize("bad", [0b10001, 0b10101, 0b11011])  # (x+1)^4, (x^2+x+1)^2, even weight

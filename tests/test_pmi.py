@@ -364,6 +364,12 @@ def test_recursion_range_guards(f2, f4, f8):
         (lambda f: Field(0), "r=0"),
         (lambda f: Field(3, 11.0), "modulus=11.0"),
         (lambda f: Field(3, True), "modulus=True"),
+        (lambda f: wcode.dual_weight(2, f, 0), "n=2"),
+        (lambda f: wcode.dual_weight(-1, f, 0), "n=-1"),
+        (lambda f: wcode.dual_weight(True, f, 0), "n=True"),
+        (lambda f: wcode.dual_weight(1, f, False), "a=False"),
+        (lambda f: wcode.dual_weight(1, f, 0.0), "a=0.0"),
+        (lambda f: wcode.dual_weight(1, f, 1.0), "a=1.0"),
     ],
     ids=["moments-float", "moments-fraction", "prefix-count", "prefix-element", "prefix-jmax",
          "recursion", "full-moment", "mk", "stirling-h", "stirling-t", "pless-h", "pless-length",
@@ -373,7 +379,9 @@ def test_recursion_range_guards(f2, f4, f8):
          "alternating-bruteforce", "dc-order", "dc-order-zero", "sp-by-form", "parabolic",
          "group", "gl-iter", "prefix-negative-jmax", "cell-constants", "cell-constants-zero",
          "expsum-c-outside", "expsum-c-float", "expsum-dc-zero", "field-float", "field-bool",
-         "field-zero", "modulus-float", "modulus-bool"],
+         "field-zero", "modulus-float", "modulus-bool", "dual-weight-even-n",
+         "dual-weight-negative-n", "dual-weight-bool-n", "dual-weight-bool-a",
+         "dual-weight-float-zero", "dual-weight-float-a"],
 )
 def test_non_int_orders_and_counts_fail_by_name(f8, call, name):
     with pytest.raises(ValueError, match=re.escape(name)):

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -201,6 +202,29 @@ def test_bruteforce_respects_length_limit(f8):
         code_bruteforce_wd(1, f8)  # 2^56 words exceed the budget
     with pytest.raises(BudgetError):
         delsarte_check(1, f8)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_gray_walk_matches_the_dp_at_every_short_length(r, monkeypatch):
+    f = Field(r)
+    rng = random.Random(36 + r)
+    for length in range(1, 15):
+        v = [rng.randrange(f.q) for _ in range(length)]
+        monkeypatch.setattr(wcode, "defining_vector", lambda n, field: v)
+        full = weight_prefix_dp(Counter(v), length)
+        assert code_bruteforce_wd(1, f) == {j: c for j, c in enumerate(full) if c}
+
+
+def test_delsarte_holds_for_every_vector_and_fails_for_a_nonlinear_trace(monkeypatch):
+    f = Field(2)
+    rng = random.Random(36)
+    for length in range(1, 13):
+        v = [rng.randrange(f.q) for _ in range(length)]
+        monkeypatch.setattr(wcode, "defining_vector", lambda n, field: v)
+        assert delsarte_check(1, f)
+    # the indicator of 1 is not F_2-linear: its traced words leave the row space
+    monkeypatch.setattr(f, "trace", lambda a: int(a == 1))
+    assert not delsarte_check(1, f)
 
 
 def test_dual_enumerate_examples(f2, f4):
