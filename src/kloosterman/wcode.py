@@ -43,7 +43,7 @@ def dual_weight(n: int, field: Field, a: int) -> int:
     if type(a) is int and a == 0:
         warnings.warn("a = 0 indexes the zero dual codeword", RuntimeWarning, stacklevel=2)
         return 0
-    k = kloosterman(field, a)
+    k = kloosterman(field, a)  # its unit guard runs before lam reads a
     return _exact(consts.scale * (consts.cofactor - field.lam(a) * k), 2, "dual weight")
 
 

@@ -51,8 +51,7 @@ def test_pinned_moduli():
     assert MODULI[3] == 0b1011  # x^3+x+1
     assert MODULI[4] == 0b10011  # x^4+x+1
 
-
-def test_moduli_follow_the_stated_selection_rule():
+    # the selection rule stated at MODULI, at every degree
     def first_of_least_weight(r):
         for w in count(2):
             for middle in combinations(range(1, r), w - 2):

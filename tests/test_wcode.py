@@ -222,7 +222,9 @@ def test_delsarte_holds_for_every_vector_and_fails_for_a_nonlinear_trace(monkeyp
         v = [rng.randrange(f.q) for _ in range(length)]
         monkeypatch.setattr(wcode, "defining_vector", lambda n, field: v)
         assert delsarte_check(1, f)
-    # the indicator of 1 is not F_2-linear: its traced words leave the row space
+    # the indicator of 1 is not F_2-linear: it traces (1, 2, 3) to the words
+    # {0, 001, 010, 100}, while the bit rows 101 and 110 span {0, 011, 101, 110}
+    monkeypatch.setattr(wcode, "defining_vector", lambda n, field: [1, 2, 3])
     monkeypatch.setattr(f, "trace", lambda a: int(a == 1))
     assert not delsarte_check(1, f)
 
