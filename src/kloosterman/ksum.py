@@ -117,16 +117,21 @@ class Moments(NamedTuple):
 def moments(field: Field, h: int) -> Moments:
     """h-th power moment of K(lambda; .) and its trace-0 / trace-1 split.
 
-    Read from the counts of (tr a, K(a)) kept beside the table.  h = 0 is the
-    literal empty-power convention: mk = q-1 and t1k counts the trace-one
-    units.  The partition mk = t0k + t1k holds by construction and is
-    checked, which catches a trace outside {0, 1}.
+    Read in one pass from the counts of (tr a, K(a)) kept beside the table.
+    h = 0 is the literal empty-power convention: mk = q-1 and t1k counts the
+    trace-one units.  Every pair adds to mk and only a pair of trace 0 or 1
+    to t0k or t1k, so the partition mk = t0k + t1k holds by construction and
+    its check still catches a trace outside {0, 1}.
     """
     _check_int("h", h)
-    powers = [(t, n * k**h) for (t, k), n in _kdata(field)[1].items()]
-    mk = sum(p for _, p in powers)
-    t0k = sum(p for t, p in powers if t == 0)
-    t1k = sum(p for t, p in powers if t == 1)
+    mk = t0k = t1k = 0
+    for (t, k), n in _kdata(field)[1].items():
+        power = n * k**h
+        mk += power
+        if t == 0:
+            t0k += power
+        elif t == 1:
+            t1k += power
     if mk != t0k + t1k:
         off = _show(mk - t0k - t1k)
         raise ArithmeticError(f"moment split at q={field.q}, h={h}: mk - t0k - t1k = {off}")

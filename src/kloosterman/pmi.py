@@ -17,9 +17,9 @@ q D_j is 2 sum over odd s of K_j(w_s) at odd j and 0 at even j.  Each of
 the 16 cell pairs used last keeps one recursion (_recursion): the sums q D_j,
 the counts D_j and the columns q E_t of D computed so far, the values T1K^1,
 T1K^3, ... so far, one row of t! S(h,t), cut at t <= N, that each new order
-steps twice, and the symplectic sums q C'_j, counts and columns for the
-full-moment identity.  The other identities build their row from h = 0
-(_onto).
+steps twice, the cell's two size factors (cell_constants), and the
+symplectic sums q C'_j, counts and columns for the full-moment identity.  The
+other identities build their row from h = 0 (_onto).
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def _recursion(n: int, field: Field) -> SimpleNamespace:
     dual weights at odd j and 0 at even j; sums[j] is q D_j, counts[j] is D_j
     and columns[t] is q E_t of D, the Pless column of the sums;
     values[k] is T1K^(2k+1); onto is the row t! S(h,t), t <= min(h, N), at
-    h = 2 len(values), that the next order steps from.
+    h = 2 len(values), that the next order steps from; consts holds the
+    cell's two size factors, so no later call derives them again.
     symplectic keeps the sums q C'_j, the counts C'_j and the columns the same
     way, its kernel over the even-s weights w and the odd-s weights N - w; it
     takes no step until the full-moment identity asks for one."""
@@ -143,7 +144,8 @@ def _recursion(n: int, field: Field) -> SimpleNamespace:
         kernel=_krawtchouk_sums(length, reflected), sums=[], counts=[], columns=[]
     )
     return SimpleNamespace(
-        kernel=kernel, sums=[], counts=[], columns=[], values=[], onto=[1], symplectic=sympl
+        kernel=kernel, sums=[], counts=[], columns=[], values=[], onto=[1],
+        consts=cell_constants(n, field), symplectic=sympl,
     )
 
 
@@ -189,9 +191,9 @@ def t1k_recursive(n: int, field: Field, h: int, compare: bool = False) -> Recurs
     _check_int("h", h, 1)
     if h % 2 == 0:
         raise ValueError(f"the recursion needs an odd h, got h={h}")
-    consts = cell_constants(n, field)
-    tmax = min(consts.size, h)
     kept = _recursion(n, field)
+    consts = kept.consts
+    tmax = min(consts.size, h)
     d, columns = _kept_columns(kept, consts.size, field.q, tmax)
     values, square = kept.values, consts.cofactor**2
     while len(values) <= h // 2:
@@ -227,9 +229,10 @@ def _full_moment_rhs(n: int, field: Field, h: int) -> tuple[CellConstants, int, 
     """The symplectic weight-prefix side of the full-moment identity: numerator, denominator."""
     _check_recursion_range(n, field)
     _check_int("h", h, 1)
-    consts = cell_constants(n, field)
+    kept = _recursion(n, field)
+    consts = kept.consts
     tmax = min(consts.size, h)
-    _, columns = _kept_columns(_recursion(n, field).symplectic, consts.size, field.q, tmax)
+    _, columns = _kept_columns(kept.symplectic, consts.size, field.q, tmax)
     return consts, _stirling_side(columns, _onto(h, tmax)), 1 << tmax
 
 

@@ -180,6 +180,28 @@ def test_recursion_and_full_moment_identity_at_q65536(cold_cells):
         assert mk_via_identity(1, f, h) == moments(f, h).mk, h
 
 
+def test_each_cell_derives_its_constants_once_in_the_kept_recursion(cold_cells, monkeypatch):
+    # later orders and the full-moment identity read the factors the memo entry keeps
+    calls = Counter()
+    derive = pmi.cell_constants
+
+    def counted(n, field):
+        calls[n, field.q] += 1
+        return derive(n, field)
+
+    monkeypatch.setattr(pmi, "cell_constants", counted)
+    cells = [(1, Field(3)), (3, Field(2)), (5, Field(1))]
+    for n, f in cells:
+        for h in range(1, 26, 2):
+            assert t1k_recursive(n, f, h, compare=True).match, (n, f.q, h)
+        for h in range(1, 8):
+            lhs, rhs = full_moment_identity(n, f, h)
+            assert lhs == rhs, (n, f.q, h)
+        for h in range(1, 6):
+            assert mk_via_identity(n, f, h) == moments(f, h).mk, (n, f.q, h)
+    assert calls == {(n, f.q): 1 for n, f in cells}
+
+
 # (3, 4) and cells with n >= 5 or q >= 64; the code lengths all exceed 25
 RECURSION_GRID = [(3, 2), (1, 6), (3, 6), (5, 2), (5, 6), (7, 3)]
 
